@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .bounds import band_gap, bound_context, rho
-from .errors import EmptyCandidateSet, InfeasibleTarget, NoSolution
+from .errors import EmptyCandidateSet, InfeasibleTarget, NoSolution, TargetOutOfRange
 from .plfunction import PLFunction
 from .ratios import Rewards, balance_point, cp_under_raw
 from .region import MLRegion, envelope, x_vertices
@@ -38,7 +38,13 @@ def feasible(region: MLRegion, rw: Rewards, C: float) -> bool:
 
 
 def cstar_bisection(region: MLRegion, rw: Rewards, epsilon: float = 1e-6) -> CStarResult:
-    """Maximum consistency by bisection on [rho, 1]; returns the feasible end."""
+    """Maximum consistency by bisection on [rho, 1]; returns the feasible end.
+
+    The loop stops once the bracket is ``epsilon`` wide or has no float left
+    between its ends, so it ends for every finite ``epsilon > 0``.
+    """
+    if not (math.isfinite(epsilon) and epsilon > 0.0):
+        raise TargetOutOfRange(f"epsilon must be finite and positive, got {epsilon}")
     lo = rho(rw)
     n_checks = 1
     if feasible(region, rw, 1.0):
@@ -47,6 +53,8 @@ def cstar_bisection(region: MLRegion, rw: Rewards, epsilon: float = 1e-6) -> CSt
     hi = 1.0
     while hi - lo > epsilon:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         n_checks += 1
         if feasible(region, rw, mid):
             lo = mid

@@ -6,8 +6,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -15,7 +13,7 @@ import numpy as np
 from .advice import box_advice, ellipse_advice, point_advice
 from .bounds import no_advice_level
 from .consistency import cstar_bisection
-from .engine import ordered_sequence, performance_ratio, run_sequence, unit_chunks
+from .engine import chunk_arrays, replay_ratios
 from .pareto import solve_pareto
 from .plfunction import PLFunction, constant_pl
 from .ratios import DemandPoint, Rewards, cp
@@ -75,31 +73,69 @@ class EvalReport:
         return self.avg_cp is None
 
 
-def _instance_ratio(policy, pt, order, rw, rng, n_perms):
-    x, y = pt.x, pt.y
-    if order == "adversarial":
-        state = run_sequence(ordered_sequence(x, y), policy, rw)
-        return performance_ratio(state, rw)
-    chunks = unit_chunks(x, y)
-    total = 0.0
-    for _ in range(n_perms):
-        perm = [chunks[i] for i in rng.permutation(len(chunks))]
-        total += performance_ratio(run_sequence(perm, policy, rw), rw)
-    return total / n_perms
+# replays per kernel call: bounds the batch's arrays whatever n_test and n_perms
+_BLOCK_ROWS = 512
+# chunk kinds of the adversarial order: all low demand, then all high demand
+_ORDERED_LOW = np.array([True, False])
+
+
+def _blocks(chunks, reps, draw):
+    """Zero-padded (steps, replays) sizes and is_low arrays, at most
+    _BLOCK_ROWS replays each.
+
+    Replay r plays the chunks ``chunks[r // reps]`` in the order
+    ``draw(n_chunks)``; the draws are made in replay order.
+    """
+    n_rows = len(chunks) * reps
+    for start in range(0, n_rows, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n_rows)
+        instances = range(start // reps, (stop - 1) // reps + 1)
+        width = max(chunks[i][0].size for i in instances)
+        sizes = np.zeros((width, stop - start))
+        is_low = np.zeros((width, stop - start), dtype=bool)
+        for i in instances:
+            a, b = max(start, i * reps) - start, min(stop, (i + 1) * reps) - start
+            c_sizes, c_low = chunks[i]
+            order = np.array([draw(c_sizes.size) for _ in range(b - a)]).T
+            sizes[:c_sizes.size, a:b] = c_sizes[order]
+            is_low[:c_sizes.size, a:b] = c_low[order]
+        yield sizes, is_low
 
 
 def evaluate(policy: PLFunction, testset, order: str, rw: Rewards,
              rng: np.random.Generator | None = None, n_perms: int = 100) -> EvalReport:
-    """Score a policy on a test set under adversarial or stochastic order."""
+    """Score a policy on a test set under adversarial or stochastic order.
+
+    Every replay goes through the batched kernel ``engine.replay_ratios``;
+    the ratios equal those of ``run_sequence`` replays bit for bit, and the
+    stochastic order draws one ``rng.permutation`` per replay, in the order
+    the scalar loop did.
+    """
     if order not in ("adversarial", "stochastic"):
         raise ValueError("order must be 'adversarial' or 'stochastic'")
-    if order == "stochastic" and rng is None:
-        rng = np.random.default_rng(0)
-    ratios = tuple(
-        _instance_ratio(policy, pt, order, rw, rng, n_perms) for pt in testset
-    )
-    if not ratios:
+    if n_perms < 1:
+        raise ValueError("n_perms must be at least 1")
+    testset = list(testset)
+    if not testset:
         return EvalReport(None, None, ())
+    if order == "stochastic":
+        if rng is None:
+            rng = np.random.default_rng(0)
+        chunks = [chunk_arrays(pt.x, pt.y) for pt in testset]
+        reps, draw = n_perms, rng.permutation
+    else:
+        chunks = [(np.array([pt.x, pt.y]), _ORDERED_LOW) for pt in testset]
+        reps, draw = 1, np.arange
+    per_row = np.concatenate([
+        replay_ratios(policy, rw, sizes, is_low)
+        for sizes, is_low in _blocks(chunks, reps, draw)
+    ]).reshape(len(testset), reps)
+    # a running sum over replays, as the scalar reference adds them up;
+    # np.mean sums pairwise and rounds differently
+    total = np.zeros(len(testset))
+    for j in range(reps):
+        total += per_row[:, j]
+    ratios = tuple((total / reps).tolist())
     return EvalReport(sum(ratios) / len(ratios), min(ratios), ratios)
 
 
@@ -125,6 +161,12 @@ class ExperimentConfig:
             raise ValueError(f"unknown advice kind {self.advice_kind!r}")
         if not 0.0 < self.c_rule <= 1.0:
             raise ValueError("c_rule must lie in (0, 1]")
+        if self.n_test < 1:
+            raise ValueError("n_test must be at least 1")
+        if self.n_perms < 1:
+            raise ValueError("n_perms must be at least 1")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
+            raise ValueError("epsilon must be finite and positive")
 
 
 def _grid_policy(samples, rw: Rewards) -> PLFunction:
@@ -166,27 +208,18 @@ def run_experiment(cfg: ExperimentConfig, rw: Rewards) -> EvalReport:
     test_rng = np.random.default_rng(test_ss)
     testset = [sample_demand(cfg.model, test_rng) for _ in range(cfg.n_test)]
 
-    def one_trial(ss) -> tuple[float, float]:
+    per_trial = []
+    for ss in trial_ss:
         rng = np.random.default_rng(ss)
         samples = [sample_demand(cfg.model, rng) for _ in range(cfg.n_samples)]
         policy = _trial_policy(cfg, rw, samples)
         rep = evaluate(policy, testset, cfg.order, rw, rng, cfg.n_perms)
-        return rep.avg_cp, rep.worst_cp
-
-    workers = int(os.environ.get("PARETO_PL_THREADS", "0")) or min(
-        4, os.cpu_count() or 1
-    )
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_trial = tuple(pool.map(one_trial, trial_ss))
-    else:
-        per_trial = tuple(one_trial(ss) for ss in trial_ss)
-
+        per_trial.append((rep.avg_cp, rep.worst_cp))
     if not per_trial:
         return EvalReport(None, None)
     avg = sum(t[0] for t in per_trial) / len(per_trial)
     worst = sum(t[1] for t in per_trial) / len(per_trial)
-    return EvalReport(avg, worst, (), per_trial)
+    return EvalReport(avg, worst, (), tuple(per_trial))
 
 
 def write_report_csv(report: EvalReport, path: str) -> None:

@@ -10,6 +10,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 
+import numpy as np
+
 SLOPE_TOL = 1e-9
 
 
@@ -38,6 +40,32 @@ class PLFunction:
         if x2 == x1:
             return p2
         return p1 + (x - x1) * (p2 - p1) / (x2 - x1)
+
+    def values(self, x: np.ndarray) -> np.ndarray:
+        """``__call__`` at every element of ``x``, with the same formula and
+        rounding (``np.interp`` rounds differently)."""
+        x = np.asarray(x, dtype=float)
+        bx = np.array([b[0] for b in self.breakpoints])
+        bp = np.array([b[1] for b in self.breakpoints])
+        if len(bx) == 1:
+            return np.full(x.shape, bp[0])
+        dx, dp = bx[1:] - bx[:-1], bp[1:] - bp[:-1]
+        if np.any(dx < 0):
+            # bisect on the tolerated sub-SLOPE_TOL inversions has no
+            # searchsorted equivalent
+            return np.array([self(v) for v in x.ravel().tolist()]).reshape(x.shape)
+        k = np.searchsorted(bx, x, side="right") - 1  # segment [x1, x2] = bx[k:k+2]
+        np.clip(k, 0, len(dx) - 1, out=k)
+        out = x - bx[k]
+        out *= dp[k]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out /= dx[k]
+        out += bp[k]
+        if not dx.all():
+            np.copyto(out, bp[1:][k], where=dx[k] == 0.0)
+        np.copyto(out, bp[-1], where=x >= bx[-1])
+        np.copyto(out, bp[0], where=x <= bx[0])
+        return out
 
     def validate(self, m: float, x_bar: float | None = None) -> list[str]:
         """Return human-readable violations of the validity conditions.

@@ -113,3 +113,19 @@ def test_simulate_json_report(tmp_path, capsys):
     assert payload["config"]["seed"] == 5
     assert 0.6 - 1e-9 <= payload["worst_cp"] <= 1.0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("bad", [{"n_test": 0}, {"n_perms": 0, "order": "stochastic"},
+                                 {"epsilon": 0.0}])
+def test_simulate_bad_config_values_exit_code(tmp_path, capsys, bad):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "m": 20.0, "r_low": 1 / 3, "r_high": 1.0, "advice_kind": "none", "K": 1, **bad,
+    }))
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    capsys.readouterr()
+
+
+def test_cstar_zero_epsilon_exit_code(diff_region_file, capsys):
+    assert main(["cstar", "--region", diff_region_file, "--epsilon", "0"]) == 2
+    assert "epsilon" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import signal
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from plpareto import (
     rho,
     run_sequence,
 )
-from plpareto.errors import InfeasibleTarget
+from plpareto.errors import InfeasibleTarget, TargetOutOfRange
 from conftest import random_region
 
 
@@ -87,3 +89,27 @@ def test_consistent_pl_meets_target_in_engine(rw, sum_region, diff_region):
                     y = envelope(region, float(x), side)
                     state = run_sequence(ordered_sequence(float(x), y), pl, rw)
                     assert performance_ratio(state, rw) >= C - 1e-6
+
+
+@pytest.mark.parametrize("eps", [0.0, -1e-3, float("nan"), float("inf")])
+def test_bisection_rejects_bad_epsilon(rw, diff_region, eps):
+    with pytest.raises(TargetOutOfRange):
+        cstar_bisection(diff_region, rw, epsilon=eps)
+
+
+@pytest.mark.parametrize("eps", [1e-300, 5e-324])
+def test_bisection_ends_below_float_resolution(rw, diff_region, eps):
+    # the bracket stops shrinking long before its width reaches eps; a loop
+    # that waits for it is cut by the alarm after 10 s
+    def expired(signum, frame):
+        raise TimeoutError("cstar_bisection ran past its wall-time bound")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, 10.0)
+    try:
+        res = cstar_bisection(diff_region, rw, epsilon=eps)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert res.n_checks <= 60
+    assert res.c_star == pytest.approx(10 / 11, abs=1e-9)

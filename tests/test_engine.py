@@ -84,3 +84,9 @@ def test_low_chunk_splitting_invariance():
         parts = np.diff(np.concatenate([[0.0], cuts, [x]]))
         split = run_sequence([Arrival("low", float(s)) for s in parts if s > 0], pl, RW)
         assert split.low_accepted == pytest.approx(whole.low_accepted, abs=1e-9)
+
+
+@pytest.mark.parametrize("size", [float("nan"), float("inf"), -float("inf")])
+def test_arrival_rejects_non_finite_size(size):
+    with pytest.raises(ValueError):
+        Arrival("low", size)

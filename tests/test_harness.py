@@ -103,3 +103,19 @@ def test_report_writers(tmp_path, rw):
     assert payload["n_trials"] == 2
     assert payload["config"]["advice_kind"] == "none"
     assert payload["avg_cp"] == pytest.approx(rep.avg_cp)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("n_test", 0), ("n_perms", 0), ("epsilon", 0.0), ("epsilon", -1e-6),
+    ("epsilon", float("nan")), ("epsilon", float("inf")),
+])
+def test_experiment_config_rejects_bad_values(field, value):
+    with pytest.raises(ValueError):
+        ExperimentConfig(**{field: value})
+
+
+@pytest.mark.parametrize("order", ["adversarial", "stochastic"])
+def test_evaluate_rejects_zero_perms(rw, order):
+    with pytest.raises(ValueError):
+        evaluate(constant_pl(8.0, 20.0), [DemandPoint(5.0, 5.0)], order, rw,
+                 np.random.default_rng(0), n_perms=0)

@@ -1,0 +1,193 @@
+"""The batched replay (``replay_ratios`` / ``evaluate``) against the scalar
+reference (``offer`` / ``run_sequence``): ratios must be equal, not close."""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from plpareto import (
+    DemandPoint,
+    ExperimentConfig,
+    PLFunction,
+    PlparetoError,
+    Rewards,
+    constant_pl,
+    cstar_bisection,
+    evaluate,
+    ordered_sequence,
+    performance_ratio,
+    run_experiment,
+    run_sequence,
+    solve_pareto,
+    unit_chunks,
+)
+from plpareto.engine import chunk_arrays, replay_ratios
+from plpareto import harness
+
+from conftest import random_region
+
+RW = Rewards(1.0 / 3.0, 1.0, 20.0)
+
+# zero demand, whole and fractional chunks, and totals above m = 20
+demand = st.one_of(
+    st.just(0.0),
+    st.integers(0, 45).map(float),
+    st.floats(0.0, 45.0, allow_nan=False),
+    st.floats(0.0, 1e-11),
+)
+
+
+@st.composite
+def valid_pl(draw):
+    """Non-increasing, slope >= -1, values in [0, m]; zero-length segments
+    allowed."""
+    n = draw(st.integers(1, 7))
+    xs = sorted(draw(st.lists(st.floats(0.0, 40.0), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        xs.insert(n // 2, xs[n // 2])  # a zero-length segment
+    p = draw(st.floats(0.0, RW.m))
+    bps = [(xs[0], p)]
+    for x1, x2 in zip(xs, xs[1:]):
+        p = max(0.0, p - draw(st.floats(0.0, 1.0)) * (x2 - x1))
+        bps.append((x2, p))
+    return PLFunction(tuple(bps))
+
+
+def scalar_ratio(arrivals, pl):
+    return performance_ratio(run_sequence(arrivals, pl, RW), RW)
+
+
+def scalar_evaluate(policy, testset, order, rng, n_perms):
+    """Per-instance ratios of evaluate as it was written before batching:
+    one run_sequence per ordered sequence or permutation."""
+    out = []
+    for pt in testset:
+        if order == "adversarial":
+            out.append(scalar_ratio(ordered_sequence(pt.x, pt.y), policy))
+            continue
+        chunks = unit_chunks(pt.x, pt.y)
+        total = 0.0
+        for _ in range(n_perms):
+            perm = [chunks[i] for i in rng.permutation(len(chunks))]
+            total += scalar_ratio(perm, policy)
+        out.append(total / n_perms)
+    return tuple(out)
+
+
+def batch(rows):
+    """Zero-padded (steps, rows) arrays of a list of (sizes, is_low) rows."""
+    width = max(len(s) for s, _ in rows)
+    sizes = np.zeros((width, len(rows)))
+    is_low = np.zeros((width, len(rows)), dtype=bool)
+    for r, (s, low) in enumerate(rows):
+        sizes[:len(s), r] = s
+        is_low[:len(s), r] = low
+    return sizes, is_low
+
+
+def check_kernel(pl, points, seed):
+    rng = np.random.default_rng(seed)
+    rows, expected = [], []
+    for x, y in points:
+        rows.append(([x, y], [True, False]))
+        expected.append(scalar_ratio(ordered_sequence(x, y), pl))
+        sizes, is_low = chunk_arrays(x, y)
+        chunks = unit_chunks(x, y)
+        for _ in range(3):
+            perm = rng.permutation(len(chunks))
+            rows.append((sizes[perm], is_low[perm]))
+            expected.append(scalar_ratio([chunks[i] for i in perm], pl))
+    got = replay_ratios(pl, RW, *batch(rows)).tolist()
+    assert got == expected
+
+
+@given(valid_pl(), st.lists(st.tuples(demand, demand), min_size=1, max_size=6),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_kernel_equals_scalar_replay_random_policies(pl, points, seed):
+    check_kernel(pl, points, seed)
+
+
+@given(st.integers(0, 2**32 - 1), st.lists(st.tuples(demand, demand), min_size=1, max_size=4))
+@settings(max_examples=25, deadline=None)
+def test_kernel_equals_scalar_replay_pareto_policies(seed, points):
+    region = random_region(np.random.default_rng(seed))
+    try:
+        c_star = cstar_bisection(region, RW, 1e-4).c_star
+        pl = solve_pareto(region, RW, 0.9 * c_star).p_star
+    except PlparetoError:
+        assume(False)
+    check_kernel(pl, points, seed)
+
+
+@given(valid_pl(), st.lists(demand, min_size=1, max_size=50))
+@settings(max_examples=200, deadline=None)
+def test_pl_values_equal_call(pl, xs):
+    assert pl.values(np.array(xs)).tolist() == [pl(x) for x in xs]
+
+
+def test_pl_values_tolerated_inversion():
+    pl = PLFunction(((0.0, 12.0), (5.0, 9.0), (5.0 - 5e-10, 9.0), (20.0, 4.0)))
+    xs = [0.0, 2.5, 5.0 - 5e-10, 5.0 - 2.5e-10, 5.0, 12.0, 25.0]
+    assert pl.values(np.array(xs)).tolist() == [pl(x) for x in xs]
+
+
+def test_chunk_arrays_match_unit_chunks():
+    for x, y in ((3.5, 2.0), (0.0, 0.0), (1e-13, 4.25), (22.0, 0.75)):
+        sizes, is_low = chunk_arrays(x, y)
+        chunks = unit_chunks(x, y)
+        assert sizes.tolist() == [c.size for c in chunks]
+        assert is_low.tolist() == [c.kind == "low" for c in chunks]
+
+
+def test_empty_batch_ratios_are_one():
+    out = replay_ratios(constant_pl(8.0, 20.0), RW, np.zeros((0, 3)), np.zeros((0, 3), bool))
+    assert out.tolist() == [1.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("order", ["adversarial", "stochastic"])
+def test_evaluate_equals_scalar_reference(order):
+    rng = np.random.default_rng(11)
+    testset = [DemandPoint(float(x), float(y)) for x, y in rng.uniform(0, 35, size=(15, 2))]
+    testset += [DemandPoint(0.0, 0.0), DemandPoint(0.0, 7.5), DemandPoint(25.0, 0.0)]
+    pl = PLFunction(((0.0, 14.0), (6.0, 11.0), (18.0, 5.0)))
+    got = evaluate(pl, testset, order, RW, np.random.default_rng(3), n_perms=9)
+    want = scalar_evaluate(pl, testset, order, np.random.default_rng(3), 9)
+    assert got.per_instance == want
+    assert got.avg_cp == sum(want) / len(want)
+    assert got.worst_cp == min(want)
+
+
+def test_evaluate_equals_scalar_reference_across_blocks():
+    # more replays of one instance than one batch holds
+    n_perms = harness._BLOCK_ROWS + 37
+    testset = [DemandPoint(12.5, 9.25), DemandPoint(3.0, 17.5)]
+    pl = constant_pl(8.0, 20.0)
+    got = evaluate(pl, testset, "stochastic", RW, np.random.default_rng(8), n_perms)
+    assert got.per_instance == scalar_evaluate(pl, testset, "stochastic",
+                                               np.random.default_rng(8), n_perms)
+
+
+# run_experiment(...).per_trial for ExperimentConfig(advice_kind=kind,
+# order=order, K=3, n_test=12, n_perms=6, z=0.9, c_rule=0.9, seed=2024) and
+# Rewards(1/3, 1, 20), recorded with the scalar replay (one run_sequence per
+# sequence, trials on a thread pool) before evaluate was batched.
+GOLDEN = {
+    ('none', 'adversarial'): ((0.7144100949456819, 0.6355028278161113), (0.7144100949456819, 0.6355028278161113), (0.7144100949456819, 0.6355028278161113)),
+    ('none', 'stochastic'): ((0.8079382996702819, 0.7606301584837866), (0.8112403740117423, 0.7345810450225545), (0.8022180362233066, 0.7301801727486364)),
+    ('point', 'adversarial'): ((0.7761325558901846, 0.6963231783473836), (0.8872216635804103, 0.806160875720094), (0.9592396848278885, 0.8809743445267054)),
+    ('point', 'stochastic'): ((0.8457093697868965, 0.7805038527104736), (0.9063109052283504, 0.8200340962074804), (0.9617923193600376, 0.8876558688413425)),
+    ('grid', 'adversarial'): ((0.9559863723731424, 0.8826428164112659), (0.9617539907995903, 0.9073568152707812), (0.96286777181769, 0.920514293351568)),
+    ('grid', 'stochastic'): ((0.9559863723731424, 0.8826428164112655), (0.9617539907995903, 0.907356815270781), (0.9628677718176899, 0.9205142933515681)),
+    ('box', 'adversarial'): ((0.87086780764348, 0.793568057881506), (0.9129183662716932, 0.8177990742960289), (0.9324840739653122, 0.8417937852811886)),
+    ('box', 'stochastic'): ((0.8853496956600949, 0.8054321187799678), (0.9147843479045994, 0.8177990742960289), (0.9326592359444698, 0.8417937852811886)),
+    ('ellipse', 'adversarial'): ((0.878304045430267, 0.7943919229206812), (0.9015966601020522, 0.8146000100984591), (0.9355761425277075, 0.8531782554889586)),
+    ('ellipse', 'stochastic'): ((0.8886475212508502, 0.8059813621394181), (0.9090047934411537, 0.8146000100984591), (0.9408337260402909, 0.8531782554889586)),
+}
+
+
+@pytest.mark.parametrize("kind,order", sorted(GOLDEN))
+def test_run_experiment_golden(kind, order):
+    cfg = ExperimentConfig(advice_kind=kind, order=order, K=3, n_test=12,
+                           n_perms=6, z=0.9, c_rule=0.9, seed=2024)
+    assert run_experiment(cfg, RW).per_trial == GOLDEN[(kind, order)]
