@@ -11,10 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import OutOfDomain, TargetOutOfRange
-from .ratios import Rewards, cp_over_raw, cp_under_raw, hindsight_denominator
-from .region import MLRegion, KeyPoints, envelope, key_points, x_vertices
+from .plfunction import PLFunction
+from .ratios import Rewards, cp_under_raw, hindsight_denominator
+from .region import TOL, MLRegion, KeyPoints, envelope, key_points, kp_x_vertices
 
-TOL = 1e-9
+# a band gap at or above -FEAS_SLACK counts as feasible
+FEAS_SLACK = 1e-9
 
 
 def rho(rw: Rewards) -> float:
@@ -122,21 +124,6 @@ def _pl_breakpoints(f, xs, val_tol=1e-10, x_floor=1e-12):
     return out
 
 
-def _interp_bps(bps, x):
-    if x <= bps[0][0]:
-        return bps[0][1]
-    if x >= bps[-1][0]:
-        return bps[-1][1]
-    import bisect
-
-    xs = [p[0] for p in bps]
-    i = bisect.bisect_right(xs, x)
-    (x1, y1), (x2, y2) = bps[i - 1], bps[i]
-    if x2 == x1:
-        return y2
-    return y1 + (x - x1) * (y2 - y1) / (x2 - x1)
-
-
 def _running_max_bps(bps):
     """Right-to-left running maximum of a piecewise-linear curve, with kinks
     inserted where a segment crosses the suffix maximum."""
@@ -185,11 +172,11 @@ def _cone_floor(mbps):
 class BoundContext:
     """Region, rewards and target C with cached thresholds and bound curves.
 
-    ``l_bps``/``lt_bps`` are the band's published lower-bound curves (zero
-    beyond the threshold x_hi_l).  ``floor_bps`` is the exact necessary floor
-    used by feasibility and the solver: the pointwise bound tightened by
-    monotonicity (running max) and the slope -1 validity cone.  ``u_bps`` is
-    the pointwise (unfrozen) upper bound.
+    ``l``/``lt`` are the band's published lower-bound curves (zero beyond the
+    threshold x_hi_l).  ``floor`` is the exact necessary floor used by
+    feasibility and the solver: the pointwise bound tightened by monotonicity
+    (running max) and the slope -1 validity cone.  ``u`` is the pointwise
+    (unfrozen) upper bound.
     """
 
     region: MLRegion
@@ -201,15 +188,23 @@ class BoundContext:
     x_h: float
     x_hi_l: float
     x_minus1: float
-    l_bps: tuple = field(repr=False)
-    lt_bps: tuple = field(repr=False)
-    floor_bps: tuple = field(repr=False)
-    u_bps: tuple = field(repr=False)
+    l: PLFunction = field(repr=False)
+    lt: PLFunction = field(repr=False)
+    floor: PLFunction = field(repr=False)
+    u: PLFunction = field(repr=False)
+
+    @property
+    def floor_bps(self) -> tuple[tuple[float, float], ...]:
+        return self.floor.breakpoints
+
+    @property
+    def u_bps(self) -> tuple[tuple[float, float], ...]:
+        return self.u.breakpoints
 
 
-def _seed_xs(region: MLRegion, rw: Rewards, lo: float, hi: float) -> list[float]:
+def _seed_xs(region: MLRegion, rw: Rewards, kp: KeyPoints, lo: float, hi: float) -> list[float]:
     xs = {lo, hi}
-    for x in x_vertices(region, rw.m):
+    for x in kp_x_vertices(region, kp):
         if lo - TOL <= x <= hi + TOL:
             xs.add(min(max(x, lo), hi))
     if lo < rw.m < hi:
@@ -225,7 +220,7 @@ def _seed_xs(region: MLRegion, rw: Rewards, lo: float, hi: float) -> list[float]
 def bound_context(region: MLRegion, rw: Rewards, C: float) -> BoundContext:
     """Precompute thresholds and piecewise-linear bound curves for target C."""
     if not 0.0 <= C <= 1.0:
-        raise ValueError("C must lie in [0, 1]")
+        raise TargetOutOfRange(f"consistency target {C} outside [0, 1]")
     m = rw.m
     kp = key_points(region, m)
     x_bar, x_lo = region.x_hi, region.x_lo
@@ -237,23 +232,25 @@ def bound_context(region: MLRegion, rw: Rewards, C: float) -> BoundContext:
     if xL + min(yL, m) >= m - TOL:
         x_hi_u = xL
     else:
-        chain = region.lower_chain
+        chain = region.lower.breakpoints
         y_min = min(y for _, y in chain)
         x_hi_u = max([x for x, y in chain if y <= y_min + TOL] + [xL])
 
-    # pointwise lower bound curve on [x_lo, x_bar]
+    # pointwise lower bound curve on [x_lo, x_bar]; the upper bound's seeds
+    # plus x_H
     x_h = kp.H[0]
     l_at = lambda t: l_raw(region, rw, C, t)
-    if x_bar - x_lo <= 1e-12:
+    flat = x_bar - x_lo <= 1e-12
+    if flat:
         pw = [(x_lo, l_at(x_lo))]
     else:
-        seeds = sorted(set(_seed_xs(region, rw, x_lo, x_bar)) | {min(max(x_h, x_lo), x_bar)})
-        pw = _pl_breakpoints(l_at, seeds)
-    pw = [(x, max(0.0, v)) for x, v in pw]
+        u_seeds = _seed_xs(region, rw, kp, x_lo, x_bar)
+        pw = _pl_breakpoints(l_at, sorted(set(u_seeds) | {min(max(x_h, x_lo), x_bar)}))
+    pw = PLFunction(tuple((x, max(0.0, v)) for x, v in pw))
 
     # exact necessary floor: monotone running max plus slope -1 cone,
     # extended constant down to x = 0
-    floor_bps = _cone_floor(_running_max_bps(pw))
+    floor_bps = _cone_floor(_running_max_bps(pw.breakpoints))
     if floor_bps[0][0] > 1e-12:
         floor_bps = [(0.0, floor_bps[0][1])] + floor_bps
 
@@ -261,7 +258,7 @@ def bound_context(region: MLRegion, rw: Rewards, C: float) -> BoundContext:
     # protection level already meets the target (fallback x_bar)
     x_hi_l = x_bar
     prev = None
-    for x, v in pw:
+    for x, v in pw.breakpoints:
         if x < x_h - 1e-12:
             continue
         if v <= 1e-9:
@@ -275,18 +272,19 @@ def bound_context(region: MLRegion, rw: Rewards, C: float) -> BoundContext:
 
     # published lower bound: pointwise on [x_H, x_hi_l], frozen at l(x_H) to
     # the left, zero beyond x_hi_l
-    lH = max(0.0, _interp_bps(pw, x_h))
+    lH = max(0.0, pw(x_h))
     if x_hi_l <= x_h + 1e-12:
         l_bps = [(0.0, lH), (x_bar, lH)] if x_bar > 1e-12 else [(0.0, lH)]
     else:
         l_bps = [(0.0, lH)]
-        for x, v in pw:
+        for x, v in pw.breakpoints:
             if x_h + 1e-12 < x < x_hi_l - 1e-12:
                 l_bps.append((x, v))
         if x_hi_l < x_bar - 1e-12:
             l_bps += [(x_hi_l, 0.0), (x_bar, 0.0)]
         else:
-            l_bps.append((x_bar, max(0.0, _interp_bps(pw, x_bar))))
+            l_bps.append((x_bar, max(0.0, pw(x_bar))))
+    l = PLFunction(tuple(l_bps))
 
     # first abscissa where the published l falls faster than slope -1
     x_minus1 = x_bar
@@ -299,9 +297,9 @@ def bound_context(region: MLRegion, rw: Rewards, C: float) -> BoundContext:
 
     # published tightened bound: l up to x_minus1, then slope -1, clipped at 0
     if x_minus1 >= x_bar - 1e-12:
-        lt_bps = list(l_bps)
+        lt = l
     else:
-        l_at_m1 = _interp_bps(l_bps, x_minus1)
+        l_at_m1 = l(x_minus1)
         lt_bps = [(x, v) for x, v in l_bps if x < x_minus1 - 1e-12]
         lt_bps.append((x_minus1, l_at_m1))
         x_zero = x_minus1 + l_at_m1
@@ -309,13 +307,14 @@ def bound_context(region: MLRegion, rw: Rewards, C: float) -> BoundContext:
             lt_bps += [(x_zero, 0.0), (x_bar, 0.0)]
         else:
             lt_bps.append((x_bar, l_at_m1 - (x_bar - x_minus1)))
+        lt = PLFunction(tuple(lt_bps))
 
     # pointwise upper bound curve on [x_lo, x_bar] (unfrozen)
     u_at = lambda t: u_raw(region, rw, C, t)
-    if x_bar - x_lo <= 1e-12:
+    if flat:
         u_bps = [(x_lo, u_at(x_lo))]
     else:
-        u_bps = _pl_breakpoints(u_at, _seed_xs(region, rw, x_lo, x_bar))
+        u_bps = _pl_breakpoints(u_at, u_seeds)
 
     # largest abscissa where even full protection keeps the ratio at C
     x_lo_u = x_lo
@@ -332,7 +331,7 @@ def bound_context(region: MLRegion, rw: Rewards, C: float) -> BoundContext:
 
     return BoundContext(
         region, rw, C, kp, x_lo_u, x_hi_u, x_h, x_hi_l, x_minus1,
-        tuple(l_bps), tuple(lt_bps), tuple(floor_bps), tuple(u_bps),
+        l, lt, PLFunction(tuple(floor_bps)), PLFunction(tuple(u_bps)),
     )
 
 
@@ -355,20 +354,20 @@ def u_bound(ctx: BoundContext, x: float) -> float:
 def l_bound(ctx: BoundContext, x: float) -> float:
     """Lower bound of the consistency band (may fall faster than slope -1)."""
     x = _check_domain(ctx, x)
-    return max(0.0, _interp_bps(ctx.l_bps, x))
+    return max(0.0, ctx.l(x))
 
 
 def l_tilde(ctx: BoundContext, x: float) -> float:
     """Validity-tightened lower bound: follows l, then decays at slope -1."""
     x = _check_domain(ctx, x)
-    return max(0.0, _interp_bps(ctx.lt_bps, x))
+    return max(0.0, ctx.lt(x))
 
 
 def policy_floor(ctx: BoundContext, x: float) -> float:
     """Exact necessary floor for valid policies meeting target C (pointwise
     bound tightened by monotonicity and the slope -1 cone)."""
     x = _check_domain(ctx, x)
-    return max(0.0, _interp_bps(ctx.floor_bps, x))
+    return max(0.0, ctx.floor(x))
 
 
 def band_gap(ctx: BoundContext) -> tuple[float, float]:
@@ -380,12 +379,11 @@ def band_gap(ctx: BoundContext) -> tuple[float, float]:
     fits under the pointwise upper bound.  Both curves are piecewise linear,
     so the minimum sits on their merged breakpoints.
     """
-    xs = sorted({x for x, _ in ctx.u_bps} | {
-        min(max(x, ctx.region.x_lo), ctx.region.x_hi) for x, _ in ctx.floor_bps
-    })
+    lo, hi = ctx.region.x_lo, ctx.region.x_hi
+    xs = sorted(set(ctx.u.xs).union(min(max(x, lo), hi) for x in ctx.floor.xs))
     best, witness = float("inf"), xs[0]
     for x in xs:
-        gap = _interp_bps(ctx.u_bps, x) - max(0.0, _interp_bps(ctx.floor_bps, x))
+        gap = ctx.u(x) - max(0.0, ctx.floor(x))
         if gap < best:
             best, witness = gap, x
     return best, witness
@@ -393,4 +391,4 @@ def band_gap(ctx: BoundContext) -> tuple[float, float]:
 
 def u_ceiling(ctx: BoundContext) -> float:
     """Smallest value of the pointwise upper bound over the region's x-range."""
-    return min(v for _, v in ctx.u_bps)
+    return min(v for _, v in ctx.u.breakpoints)

@@ -11,13 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bounds import band_gap, bound_context, rho
+from .bounds import FEAS_SLACK, band_gap, bound_context, rho
 from .errors import EmptyCandidateSet, InfeasibleTarget, NoSolution, TargetOutOfRange
 from .plfunction import PLFunction
 from .ratios import Rewards, balance_point, cp_under_raw
 from .region import MLRegion, envelope, x_vertices
-
-FEAS_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -31,10 +29,15 @@ class CStarResult:
     n_checks: int
 
 
+def _check(region: MLRegion, rw: Rewards, C: float) -> tuple[bool, float]:
+    """Feasibility of target C and the witness abscissa of its band gap."""
+    gap, witness = band_gap(bound_context(region, rw, C))
+    return gap >= -FEAS_SLACK, witness
+
+
 def feasible(region: MLRegion, rw: Rewards, C: float) -> bool:
     """True when some valid protection level meets consistency target C."""
-    gap, _ = band_gap(bound_context(region, rw, C))
-    return gap >= -FEAS_SLACK
+    return _check(region, rw, C)[0]
 
 
 def cstar_bisection(region: MLRegion, rw: Rewards, epsilon: float = 1e-6) -> CStarResult:
@@ -47,20 +50,23 @@ def cstar_bisection(region: MLRegion, rw: Rewards, epsilon: float = 1e-6) -> CSt
         raise TargetOutOfRange(f"epsilon must be finite and positive, got {epsilon}")
     lo = rho(rw)
     n_checks = 1
-    if feasible(region, rw, 1.0):
-        gap_w = band_gap(bound_context(region, rw, 1.0))[1]
-        return CStarResult(1.0, "bisect", gap_w, (), n_checks)
+    ok, witness = _check(region, rw, 1.0)
+    if ok:
+        return CStarResult(1.0, "bisect", witness, (), n_checks)
     hi = 1.0
+    witness = None  # the witness at lo, once a midpoint was feasible
     while hi - lo > epsilon:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             break
         n_checks += 1
-        if feasible(region, rw, mid):
-            lo = mid
+        ok, w = _check(region, rw, mid)
+        if ok:
+            lo, witness = mid, w
         else:
             hi = mid
-    witness = band_gap(bound_context(region, rw, lo))[1]
+    if witness is None:
+        witness = band_gap(bound_context(region, rw, lo))[1]
     return CStarResult(lo, "bisect", witness, (), n_checks)
 
 
@@ -90,7 +96,7 @@ def _enum_xs(region: MLRegion, rw: Rewards) -> list[float]:
     x + y = m, and x = m."""
     m = rw.m
     xs = set(x_vertices(region, m))
-    for chain in (region.lower_chain, region.upper_chain):
+    for chain in (region.lower.breakpoints, region.upper.breakpoints):
         xs.update(_chain_crossings(chain, m, diagonal=False))
         xs.update(_chain_crossings(chain, m, diagonal=True))
     if region.x_lo < m < region.x_hi:
@@ -211,7 +217,7 @@ def consistent_pl(region: MLRegion, rw: Rewards, C: float) -> PLFunction:
     gap, _ = band_gap(ctx)
     if gap < -FEAS_SLACK:
         raise InfeasibleTarget(f"consistency target {C} is not achievable")
-    bps = [(x, max(0.0, v)) for x, v in ctx.floor_bps]
+    bps = [(x, max(0.0, v)) for x, v in ctx.floor.breakpoints]
     end = max(rw.m, region.x_hi)
     if end > bps[-1][0] + 1e-12:
         bps.append((end, bps[-1][1]))

@@ -161,6 +161,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown advice kind {self.advice_kind!r}")
         if not 0.0 < self.c_rule <= 1.0:
             raise ValueError("c_rule must lie in (0, 1]")
+        if self.K < 1:
+            raise ValueError("K must be at least 1")
         if self.n_test < 1:
             raise ValueError("n_test must be at least 1")
         if self.n_perms < 1:
@@ -215,8 +217,6 @@ def run_experiment(cfg: ExperimentConfig, rw: Rewards) -> EvalReport:
         policy = _trial_policy(cfg, rw, samples)
         rep = evaluate(policy, testset, cfg.order, rw, rng, cfg.n_perms)
         per_trial.append((rep.avg_cp, rep.worst_cp))
-    if not per_trial:
-        return EvalReport(None, None)
     avg = sum(t[0] for t in per_trial) / len(per_trial)
     worst = sum(t[1] for t in per_trial) / len(per_trial)
     return EvalReport(avg, worst, (), tuple(per_trial))

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bounds import (
+    FEAS_SLACK,
     BoundContext,
     bound_context,
     band_gap,
@@ -24,8 +25,6 @@ from .errors import InfeasibleTarget
 from .plfunction import PLFunction
 from .ratios import Rewards, cp_over_raw, cp_under_raw
 from .region import MLRegion
-
-FEAS_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -91,7 +90,7 @@ def _left_part(ctx: BoundContext, p_r: float):
     x_bar = ctx.region.x_hi
 
     bps: list[tuple[float, float]] = []
-    src = [(x, max(0.0, v)) for x, v in ctx.floor_bps]
+    src = [(x, max(0.0, v)) for x, v in ctx.floor.breakpoints]
     for i, (x, v) in enumerate(src):
         if v > p_r + 1e-12:
             bps.append((x, v))

@@ -7,8 +7,9 @@ x_bar is the largest low-demand abscissa the advice admits.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,16 +18,25 @@ SLOPE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class PLFunction:
-    """Continuous piecewise-linear curve; constant beyond its breakpoint span."""
+    """Continuous piecewise-linear curve; constant beyond its breakpoint span.
+
+    The one piecewise-linear type of the package: protection levels, region
+    envelopes and bound curves.  ``xs`` holds the breakpoint abscissae, built
+    once, for the interpolation in ``__call__`` and ``values``.
+    """
 
     breakpoints: tuple[tuple[float, float], ...]
+    xs: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.breakpoints:
             raise ValueError("need at least one breakpoint")
-        xs = [x for x, _ in self.breakpoints]
+        xs, ps = zip(*self.breakpoints)
+        if not (all(map(math.isfinite, xs)) and all(map(math.isfinite, ps))):
+            raise ValueError("breakpoints must be finite")
         if any(b - a < -SLOPE_TOL for a, b in zip(xs, xs[1:])):
             raise ValueError("breakpoints must be sorted by x")
+        object.__setattr__(self, "xs", xs)
 
     def __call__(self, x: float) -> float:
         bps = self.breakpoints
@@ -34,8 +44,7 @@ class PLFunction:
             return bps[0][1]
         if x >= bps[-1][0]:
             return bps[-1][1]
-        xs = [p[0] for p in bps]
-        i = bisect_right(xs, x)
+        i = bisect_right(self.xs, x)
         (x1, p1), (x2, p2) = bps[i - 1], bps[i]
         if x2 == x1:
             return p2
@@ -45,7 +54,7 @@ class PLFunction:
         """``__call__`` at every element of ``x``, with the same formula and
         rounding (``np.interp`` rounds differently)."""
         x = np.asarray(x, dtype=float)
-        bx = np.array([b[0] for b in self.breakpoints])
+        bx = np.array(self.xs)
         bp = np.array([b[1] for b in self.breakpoints])
         if len(bx) == 1:
             return np.full(x.shape, bp[0])

@@ -8,6 +8,7 @@ hindsight-optimal reward.  Two closed forms cover the over-protection branch
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import BranchMismatch, NoSolution
@@ -24,6 +25,8 @@ class Rewards:
     m: float
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(v) for v in (self.r_low, self.r_high, self.m)):
+            raise ValueError("rewards and capacity must be finite")
         if not 0 < self.r_low < self.r_high:
             raise ValueError("need 0 < r_low < r_high")
         if self.m <= 0:
@@ -38,6 +41,8 @@ class DemandPoint:
     y: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+            raise ValueError("demand must be finite")
         if self.x < 0 or self.y < 0:
             raise ValueError("demand must be nonnegative")
 

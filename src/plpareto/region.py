@@ -9,10 +9,10 @@ estimates and collinear samples produce them.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import NegativeCoordinate, NotPSD, OutOfDomain
+from .plfunction import PLFunction
 
 TOL = 1e-9
 
@@ -25,26 +25,26 @@ def _cross(o: Point, a: Point, b: Point) -> float:
 
 @dataclass(frozen=True)
 class MLRegion:
-    """Convex advice region with cached lower/upper envelope chains.
+    """Convex advice region with its lower and upper envelopes.
 
-    ``vertices`` is the convex hull in counter-clockwise order.  The chains are
-    the boundary vertices of the lower and upper envelopes, sorted by x, with
-    vertical edges at the extremes collapsed so each chain is an x-keyed
-    piecewise-linear function.
+    ``vertices`` is the convex hull in counter-clockwise order.  ``lower`` and
+    ``upper`` are the envelopes as piecewise-linear functions of x: their
+    breakpoints are the boundary vertices, sorted by x, with vertical edges at
+    the extremes collapsed.
     """
 
     vertices: tuple[Point, ...]
     degenerate: bool
-    lower_chain: tuple[Point, ...]
-    upper_chain: tuple[Point, ...]
+    lower: PLFunction
+    upper: PLFunction
 
     @property
     def x_lo(self) -> float:
-        return self.lower_chain[0][0]
+        return self.lower.breakpoints[0][0]
 
     @property
     def x_hi(self) -> float:
-        return self.lower_chain[-1][0]
+        return self.lower.breakpoints[-1][0]
 
     @property
     def y_lo(self) -> float:
@@ -74,10 +74,9 @@ def _hulls(points: list[Point]) -> tuple[list[Point], list[Point]]:
     return lower, upper
 
 
-def _strip_vertical(chain: list[Point], keep_low: bool) -> tuple[Point, ...]:
-    """Collapse same-x runs at the chain ends so the chain is x-keyed."""
-    if not chain:
-        return ()
+def _envelope_pl(chain, keep_low: bool) -> PLFunction:
+    """The chain as a function of x: each run of points with the same x
+    collapses to its lowest (``keep_low``) or highest point."""
     pick = min if keep_low else max
     out: list[Point] = []
     i = 0
@@ -87,7 +86,7 @@ def _strip_vertical(chain: list[Point], keep_low: bool) -> tuple[Point, ...]:
             j += 1
         out.append(pick(chain[i : j + 1], key=lambda p: p[1]))
         i = j + 1
-    return tuple(out)
+    return PLFunction(tuple(out))
 
 
 def build_polygon(points: list[Point]) -> MLRegion:
@@ -100,6 +99,8 @@ def build_polygon(points: list[Point]) -> MLRegion:
         raise ValueError("need at least one point")
     clean: list[Point] = []
     for x, y in points:
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"non-finite coordinate in ({x}, {y})")
         if x < -TOL or y < -TOL:
             raise NegativeCoordinate(f"negative coordinate in ({x}, {y})")
         clean.append((max(float(x), 0.0), max(float(y), 0.0)))
@@ -117,16 +118,9 @@ def build_polygon(points: list[Point]) -> MLRegion:
             p0 = max(flat, key=lambda p: math.hypot(p[0] - flat[0][0], p[1] - flat[0][1]))
             p1 = max(flat, key=lambda p: math.hypot(p[0] - p0[0], p[1] - p0[1]))
             verts = tuple(sorted((p0, p1)))
-        lo_chain = _strip_vertical(list(verts), keep_low=True)
-        up_chain = _strip_vertical(list(verts), keep_low=False)
-        return MLRegion(verts, True, lo_chain, up_chain)
+        return MLRegion(verts, True, _envelope_pl(verts, True), _envelope_pl(verts, False))
     verts = tuple(dict.fromkeys(hull))
-    return MLRegion(
-        verts,
-        False,
-        _strip_vertical(lower, keep_low=True),
-        _strip_vertical(upper, keep_low=False),
-    )
+    return MLRegion(verts, False, _envelope_pl(lower, True), _envelope_pl(upper, False))
 
 
 def _area(poly: list[Point]) -> float:
@@ -139,29 +133,12 @@ def _area(poly: list[Point]) -> float:
     return 0.5 * s
 
 
-def _interp(chain: tuple[Point, ...], x: float) -> float:
-    if len(chain) == 1:
-        return chain[0][1]
-    xs = [p[0] for p in chain]
-    i = bisect_right(xs, x)
-    if i == 0:
-        return chain[0][1]
-    if i == len(chain):
-        return chain[-1][1]
-    (x1, y1), (x2, y2) = chain[i - 1], chain[i]
-    if x2 == x1:
-        return y1
-    t = (x - x1) / (x2 - x1)
-    return y1 + t * (y2 - y1)
-
-
 def envelope(region: MLRegion, x: float, side: str, cap: float | None = None) -> float:
     """Evaluate the lower or upper envelope at x, optionally capped at ``cap``."""
-    if x < region.x_lo - TOL or x > region.x_hi + TOL:
-        raise OutOfDomain(f"x={x} outside [{region.x_lo}, {region.x_hi}]")
-    x = min(max(x, region.x_lo), region.x_hi)
-    chain = region.lower_chain if side == "lower" else region.upper_chain
-    val = _interp(chain, x)
+    lo, hi = region.x_lo, region.x_hi
+    if x < lo - TOL or x > hi + TOL:
+        raise OutOfDomain(f"x={x} outside [{lo}, {hi}]")
+    val = (region.lower if side == "lower" else region.upper)(min(max(x, lo), hi))
     return val if cap is None else min(val, cap)
 
 
@@ -196,7 +173,7 @@ def key_points(region: MLRegion, m: float) -> KeyPoints:
         L = min((p for p in verts if capped(p) <= y_min_c + TOL), key=lambda p: p[0])
     if y_max_c >= m - TOL and region.y_hi > m:
         # largest x where the upper envelope still reaches the cap
-        chain = region.upper_chain
+        chain = region.upper.breakpoints
         H = None
         for (x1, y1), (x2, y2) in zip(chain, chain[1:]):
             if y2 >= m - TOL:
@@ -215,7 +192,7 @@ def key_points(region: MLRegion, m: float) -> KeyPoints:
         H = max((p for p in verts if capped(p) >= y_max_c - TOL), key=lambda p: p[0])
 
     r0: list[Point] = []
-    chain = region.lower_chain
+    chain = region.lower.breakpoints
     if len(chain) == 1:
         if abs(sum(chain[0]) - m) <= TOL:
             r0.append(chain[0])
@@ -240,7 +217,11 @@ def key_points(region: MLRegion, m: float) -> KeyPoints:
 def x_vertices(region: MLRegion, m: float) -> tuple[float, ...]:
     """Sorted deduplicated x-coordinates of the polygon vertices plus the
     lower-envelope intersections with x + y = m."""
-    kp = key_points(region, m)
+    return kp_x_vertices(region, key_points(region, m))
+
+
+def kp_x_vertices(region: MLRegion, kp: KeyPoints) -> tuple[float, ...]:
+    """``x_vertices`` from the region's already computed key points."""
     xs = sorted({p[0] for p in region.vertices} | {p[0] for p in kp.r0})
     out: list[float] = []
     for x in xs:

@@ -148,3 +148,21 @@ def test_band_gap_witness(rw, diff_region):
     assert gap > 0.0
     gap2, _ = band_gap(bound_context(diff_region, rw, 0.999))
     assert gap2 < 0.0
+
+
+@pytest.mark.parametrize("C", [-0.1, 1.5, float("nan")])
+def test_bound_context_rejects_target_outside_unit_interval(rw, diff_region, C):
+    with pytest.raises(TargetOutOfRange):
+        bound_context(diff_region, rw, C)
+
+
+def test_bound_context_locates_key_points_once(rw, monkeypatch):
+    import plpareto.bounds as bounds
+
+    calls = []
+    real = bounds.key_points
+    monkeypatch.setattr(bounds, "key_points", lambda *a: calls.append(a) or real(*a))
+    region = random_region(np.random.default_rng(4))
+    ctx = bound_context(region, rw, 0.8)
+    assert len(calls) == 1
+    assert ctx.u_bps == ctx.u.breakpoints and ctx.floor_bps == ctx.floor.breakpoints

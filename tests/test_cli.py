@@ -129,3 +129,47 @@ def test_simulate_bad_config_values_exit_code(tmp_path, capsys, bad):
 def test_cstar_zero_epsilon_exit_code(diff_region_file, capsys):
     assert main(["cstar", "--region", diff_region_file, "--epsilon", "0"]) == 2
     assert "epsilon" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["pareto", "--consistency", "1.5"],
+    ["pareto", "--consistency", "nan"],
+    ["curve", "--c-max", "1.2", "--steps", "3"],
+])
+def test_target_outside_unit_interval_exit_code(diff_region_file, capsys, argv):
+    assert main([argv[0], "--region", diff_region_file, *argv[1:]]) == 2
+    assert "outside [0, 1]" in capsys.readouterr().err
+
+
+def test_validate_non_finite_csv_exit_code(tmp_path, capsys):
+    path = tmp_path / "nan.csv"
+    path.write_text("# m=20.0 r_low=0.3333333333333333 r_high=1.0\nx,p\nnan,nan\n")
+    assert main(["validate", str(path)]) == 2
+    assert "valid" not in capsys.readouterr().out
+
+
+def test_cstar_infinite_capacity_exit_code(diff_region_file, capsys):
+    # an infinite capacity used to hang the bisection; the alarm cuts a hang
+    import signal
+
+    def expired(signum, frame):
+        raise TimeoutError("plpareto cstar --m inf ran past its wall-time bound")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, 10.0)
+    try:
+        rc = main(["cstar", "--region", diff_region_file, "--m", "inf"])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert rc == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_simulate_zero_trials_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "m": 20.0, "r_low": 1 / 3, "r_high": 1.0, "advice_kind": "none", "K": 0,
+    }))
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert "avg_cp" not in capsys.readouterr().out

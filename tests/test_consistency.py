@@ -113,3 +113,19 @@ def test_bisection_ends_below_float_resolution(rw, diff_region, eps):
         signal.signal(signal.SIGALRM, previous)
     assert res.n_checks <= 60
     assert res.c_star == pytest.approx(10 / 11, abs=1e-9)
+
+
+def test_bisection_builds_one_context_per_check(rw, sum_region, diff_region, monkeypatch):
+    # the witness comes from the last feasible check, not from a rebuilt
+    # context; C = 1.0 is built once
+    import plpareto.consistency as consistency
+    from plpareto import build_polygon
+
+    calls = []
+    real = consistency.bound_context
+    monkeypatch.setattr(consistency, "bound_context", lambda *a: calls.append(a) or real(*a))
+    for region in (sum_region, diff_region, build_polygon([(10.0, 10.0)])):
+        calls.clear()
+        res = cstar_bisection(region, rw)
+        assert len(calls) == res.n_checks
+    assert res.c_star == 1.0 and res.n_checks == 1

@@ -119,3 +119,9 @@ def test_evaluate_rejects_zero_perms(rw, order):
     with pytest.raises(ValueError):
         evaluate(constant_pl(8.0, 20.0), [DemandPoint(5.0, 5.0)], order, rw,
                  np.random.default_rng(0), n_perms=0)
+
+
+@pytest.mark.parametrize("K", [0, -1])
+def test_experiment_config_rejects_no_trials(K):
+    with pytest.raises(ValueError):
+        ExperimentConfig(K=K)

@@ -37,3 +37,11 @@ def test_validate_tail_respects_x_bar():
     pl = PLFunction(((0.0, 19.0), (20.0, 19.0), (25.0, 14.0)))
     # a sloped part on [20, 25] is fine when the advice extends to x_bar = 25
     assert pl.validate(20.0, x_bar=25.0) == []
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_breakpoints_rejected(bad):
+    with pytest.raises(ValueError):
+        PLFunction(((bad, bad),))
+    with pytest.raises(ValueError):
+        PLFunction(((0.0, 1.0), (2.0, bad)))

@@ -98,3 +98,18 @@ def test_balance_shift():
     assert cp_under_raw(p, (10.0, 16.0), RW) == pytest.approx(
         cp_over_raw(p - 4.0, (14.0, 6.0), RW), abs=1e-8
     )
+
+
+@pytest.mark.parametrize("args", [
+    (1 / 3, 1.0, float("inf")), (1 / 3, float("inf"), 20.0), (1 / 3, 1.0, float("nan")),
+    (float("nan"), 1.0, 20.0),
+])
+def test_rewards_reject_non_finite(args):
+    with pytest.raises(ValueError):
+        Rewards(*args)
+
+
+@pytest.mark.parametrize("x,y", [(float("nan"), 3.0), (3.0, float("nan")), (float("inf"), 0.0)])
+def test_demand_point_rejects_non_finite(x, y):
+    with pytest.raises(ValueError):
+        DemandPoint(x, y)

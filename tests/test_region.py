@@ -118,3 +118,16 @@ def test_contains_boundary_and_outside():
     assert contains(reg, 2.0, 0.0)
     assert contains(reg, 4.0, 4.0)
     assert not contains(reg, 4.1, 4.1)
+
+
+@pytest.mark.parametrize("bad", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf)])
+def test_non_finite_coordinate_rejected(bad):
+    with pytest.raises(ValueError):
+        build_polygon([(0.0, 0.0), (5.0, 0.0), bad])
+
+
+def test_envelopes_are_pl_functions():
+    reg = build_polygon([(0, 0), (4, 0), (4, 4), (0, 4)])
+    assert reg.lower.breakpoints == ((0.0, 0.0), (4.0, 0.0))
+    assert reg.upper.breakpoints == ((0.0, 4.0), (4.0, 4.0))
+    assert envelope(reg, 1.5, "upper") == reg.upper(1.5)
