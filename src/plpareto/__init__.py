@@ -36,6 +36,7 @@ from .errors import (
     BranchMismatch,
     EmptyCandidateSet,
     InfeasibleTarget,
+    InternalError,
     NegativeCoordinate,
     NoSolution,
     NotPSD,

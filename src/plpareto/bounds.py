@@ -35,8 +35,8 @@ def g_corridor(rw: Rewards, R: float, x: float, side: str) -> float:
     (frozen beyond x = m)."""
     if not 0.0 < R <= rho(rw) + 1e-9:
         raise TargetOutOfRange(f"robust target {R} outside (0, {rho(rw)}]")
-    if x < 0:
-        raise OutOfDomain("x must be nonnegative")
+    if not x >= 0.0:
+        raise OutOfDomain(f"x must be nonnegative, got {x}")
     if side == "lower":
         ratio = rw.r_low / rw.r_high
         return max(0.0, rw.m * (R - ratio) / (1.0 - ratio))

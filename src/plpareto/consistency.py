@@ -118,11 +118,11 @@ def _pair_candidates(region: MLRegion, rw: Rewards, xs1, xs2) -> list[float]:
     the over point lies to the right.
     """
     cands: list[float] = []
+    overs = [(x2, envelope(region, x2, "lower")) for x2 in xs2]
     for x1 in xs1:
         y1 = envelope(region, x1, "upper")
         under = (x1, y1)
-        for x2 in xs2:
-            y2 = envelope(region, x2, "lower")
+        for x2, y2 in overs:
             if x2 <= x1:
                 if y1 < y2:
                     continue
@@ -153,10 +153,12 @@ def _merge_candidates(cands) -> list[float]:
 def cstar_enumeration(region: MLRegion, rw: Rewards) -> CStarResult:
     """Maximum consistency as the largest feasible balancing candidate.
 
-    Pairs are enumerated over the eligible abscissae; if the largest feasible
-    candidate is not tight (its minimum band gap stays positive), a short
-    internal bisection locates the binding abscissa and pairs involving it are
-    balanced as well.
+    Feasibility is monotone in C (the pointwise upper bound u falls and the
+    floor rises as C grows), so the descending candidates are an infeasible
+    prefix and then a feasible suffix, and a binary search finds the first
+    feasible one in at most ceil(log2 n) + 1 checks.  If it is not tight (its
+    minimum band gap stays positive), a short internal bisection locates the
+    binding abscissa and pairs involving it are balanced as well.
     """
     xs = _enum_xs(region, rw)
     cands = _merge_candidates([1.0] + _pair_candidates(region, rw, xs, xs))
@@ -167,25 +169,28 @@ def cstar_enumeration(region: MLRegion, rw: Rewards) -> CStarResult:
 
     def best_feasible(cs):
         nonlocal n_checks
-        for c in cs:
+        lo, hi, hit = 0, len(cs), None  # the first feasible index is in [lo, hi]
+        while lo < hi:
+            mid = (lo + hi) // 2
             n_checks += 1
-            gap, witness = band_gap(bound_context(region, rw, c))
+            gap, witness = band_gap(bound_context(region, rw, cs[mid]))
             if gap >= -FEAS_SLACK:
-                return c, gap, witness
-        return None
+                hi, hit = mid, (cs[mid], gap, witness)
+            else:
+                lo = mid + 1
+        return hit
 
-    for _ in range(6):
+    for rounds_left in range(6, -1, -1):
         hit = best_feasible(cands)
         if hit is None:
             raise EmptyCandidateSet("no balancing candidate was feasible")
         c0, gap0, witness = hit
         above = [c for c in cands if c > c0 + 1e-12]
-        if c0 >= 1.0 - 1e-12 or not above or gap0 <= 1e-9:
+        if not rounds_left or c0 >= 1.0 - 1e-12 or not above or gap0 <= 1e-9:
             return CStarResult(c0, "enum", witness, tuple(cands), n_checks)
         # candidate not tight: localize the binding abscissa between c0 and
         # the smallest infeasible candidate, then balance pairs through it
-        lo, hi = c0, min(above)
-        w = witness
+        lo, hi, w = c0, min(above), witness
         for _ in range(50):
             if hi - lo <= 1e-11:
                 break
@@ -203,11 +208,6 @@ def cstar_enumeration(region: MLRegion, rw: Rewards) -> CStarResult:
         if len(merged) == len(cands):
             return CStarResult(c0, "enum", witness, tuple(cands), n_checks)
         cands = merged
-    hit = best_feasible(cands)
-    if hit is None:
-        raise EmptyCandidateSet("no balancing candidate was feasible")
-    c0, _, witness = hit
-    return CStarResult(c0, "enum", witness, tuple(cands), n_checks)
 
 
 def consistent_pl(region: MLRegion, rw: Rewards, C: float) -> PLFunction:

@@ -35,3 +35,7 @@ class InfeasibleTarget(PlparetoError):
 
 class EmptyCandidateSet(PlparetoError):
     """Vertex-pair enumeration produced no balancing candidates."""
+
+
+class InternalError(PlparetoError):
+    """A computed result broke an invariant the solver relies on."""

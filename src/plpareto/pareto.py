@@ -21,7 +21,7 @@ from .bounds import (
     rho,
     u_ceiling,
 )
-from .errors import InfeasibleTarget
+from .errors import InfeasibleTarget, InternalError
 from .plfunction import PLFunction
 from .ratios import Rewards, cp_over_raw, cp_under_raw
 from .region import MLRegion
@@ -149,7 +149,10 @@ def solve_pareto(region: MLRegion, rw: Rewards, C: float) -> ParetoSolution:
         bps.append((end, bps[-1][1]))
 
     r_star = min(r_right, inf_over)
-    assert abs(r_star - min(r_right, r_left)) <= 1e-9
+    if not abs(r_star - min(r_right, r_left)) <= 1e-9:
+        raise InternalError(
+            f"r_star={r_star} disagrees with min(r_right={r_right}, r_left={r_left})"
+        )
     return ParetoSolution(C, PLFunction(tuple(bps)), r_star, r_right, r_left, p_r)
 
 

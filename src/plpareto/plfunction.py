@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import OutOfDomain
+
 SLOPE_TOL = 1e-9
 
 
@@ -40,11 +42,13 @@ class PLFunction:
 
     def __call__(self, x: float) -> float:
         bps = self.breakpoints
-        if len(bps) == 1 or x <= bps[0][0]:
+        if x <= bps[0][0]:
             return bps[0][1]
         if x >= bps[-1][0]:
             return bps[-1][1]
         i = bisect_right(self.xs, x)
+        if i == len(bps):  # only NaN passes both end tests and bisects past the end
+            raise OutOfDomain(f"x={x} is not a number")
         (x1, p1), (x2, p2) = bps[i - 1], bps[i]
         if x2 == x1:
             return p2

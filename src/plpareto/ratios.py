@@ -83,7 +83,7 @@ def cp_under_raw(p: float, pt, rw: Rewards) -> float:
 
 
 def _check_p(p: float, rw: Rewards) -> None:
-    if p < -BRANCH_TOL or p > rw.m + BRANCH_TOL:
+    if not -BRANCH_TOL <= p <= rw.m + BRANCH_TOL:
         raise ValueError(f"protection level {p} outside [0, {rw.m}]")
 
 
@@ -114,19 +114,20 @@ def cp(p: float, pt, rw: Rewards) -> float:
     return cp_under_raw(p, pt, rw)
 
 
-def balance_point(under_pt, over_pt, shift: float, rw: Rewards, tol: float = 1e-10) -> float:
+def balance_point(under_pt, over_pt, shift: float, rw: Rewards) -> float:
     """Protection level p equalizing the under ratio at ``under_pt`` with the
     over ratio at ``over_pt`` evaluated at p - shift.
 
-    The difference is non-decreasing in p, so bisection on the candidate
-    interval finds the unique root; raises NoSolution when the interval is
-    empty or the difference never changes sign.
+    The difference is non-decreasing and piecewise linear in p; inside the
+    interval (p <= y_u) its only kinks are m - x_u and m - x_o + shift, so the
+    root is the linear root of the piece where it changes sign.  Raises
+    NoSolution when the interval is empty or the difference never changes sign.
     """
     if shift < 0:
         raise ValueError("shift must be nonnegative")
     m = rw.m
-    _, y_u = _as_point(under_pt)
-    _, y_o = _as_point(over_pt)
+    x_u, y_u = _as_point(under_pt)
+    x_o, y_o = _as_point(over_pt)
     lo = max(0.0, min(y_o, m) + shift)
     hi = min(m, y_u)
     if lo > hi + BRANCH_TOL:
@@ -143,12 +144,11 @@ def balance_point(under_pt, over_pt, shift: float, rw: Rewards, tol: float = 1e-
         return lo
     if fhi <= 0.0:
         return hi
-    for _ in range(200):
-        if hi - lo <= tol * 0.01:
-            break
-        mid = 0.5 * (lo + hi)
-        if f(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    for t in sorted((m - x_u, m - x_o + shift)):
+        if lo < t < hi:
+            ft = f(t)
+            if ft >= 0.0:
+                hi, fhi = t, ft
+                break
+            lo, flo = t, ft
+    return lo - flo * (hi - lo) / (fhi - flo)

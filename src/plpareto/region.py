@@ -234,6 +234,8 @@ def polygonize_ellipse(center: Point, shape, segments: int = 64) -> MLRegion:
     """Inscribe a polygon in the ellipse {center + S u : |u| = 1}, clipped to
     the first quadrant.  ``shape`` is a 2x2 symmetric PSD matrix S."""
     (a, b1), (b2, c) = shape
+    if not all(map(math.isfinite, (*center, a, b1, b2, c))):
+        raise ValueError(f"non-finite ellipse centre {tuple(center)} or shape {shape}")
     if abs(b1 - b2) > 1e-7:
         raise NotPSD("shape matrix is not symmetric")
     b = 0.5 * (b1 + b2)

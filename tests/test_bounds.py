@@ -18,7 +18,7 @@ from plpareto import (
     u_ceiling,
     u_raw,
 )
-from plpareto.errors import TargetOutOfRange
+from plpareto.errors import OutOfDomain, TargetOutOfRange
 from conftest import random_region
 
 
@@ -166,3 +166,16 @@ def test_bound_context_locates_key_points_once(rw, monkeypatch):
     ctx = bound_context(region, rw, 0.8)
     assert len(calls) == 1
     assert ctx.u_bps == ctx.u.breakpoints and ctx.floor_bps == ctx.floor.breakpoints
+
+
+@pytest.mark.parametrize("fn", [u_bound, l_bound, l_tilde, policy_floor])
+def test_bound_curves_at_nan_raise_out_of_domain(rw, diff_region, fn):
+    ctx = bound_context(diff_region, rw, 0.8)
+    with pytest.raises(OutOfDomain):
+        fn(ctx, float("nan"))
+
+
+def test_g_corridor_rejects_nan_abscissa(rw):
+    for side in ("lower", "upper"):
+        with pytest.raises(OutOfDomain):
+            g_corridor(rw, 0.5, float("nan"), side)

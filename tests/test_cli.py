@@ -173,3 +173,17 @@ def test_simulate_zero_trials_exit_code(tmp_path, capsys):
     }))
     assert main(["simulate", "--config", str(cfg)]) == 2
     assert "avg_cp" not in capsys.readouterr().out
+
+
+def test_pareto_internal_error_exit_code(diff_region_file, monkeypatch, capsys):
+    import plpareto.pareto as pareto
+
+    real = pareto._left_part
+
+    def skewed(ctx, p_r):
+        bps, r_left, inf_over = real(ctx, p_r)
+        return bps, r_left - 0.01, inf_over
+
+    monkeypatch.setattr(pareto, "_left_part", skewed)
+    assert main(["pareto", "--region", diff_region_file, "--consistency", "0.8"]) == 2
+    assert "r_star" in capsys.readouterr().err

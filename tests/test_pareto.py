@@ -91,3 +91,21 @@ def test_tradeoff_curve_marks_infeasible(rw, diff_region):
     assert curve[3][1] is None and curve[4][1] is None
     r_vals = [s.r_star for _, s in curve if s is not None]
     assert all(a >= b - 1e-9 for a, b in zip(r_vals, r_vals[1:]))
+
+
+def test_r_star_mismatch_raises_internal_error(rw, diff_region, monkeypatch):
+    # r_star is min(r_right, inf_over); a left side whose r_left disagrees
+    # with it is a solver fault, reported as a PlparetoError (CLI exit 2)
+    import plpareto.pareto as pareto
+    from plpareto.errors import InternalError, PlparetoError
+
+    real = pareto._left_part
+
+    def skewed(ctx, p_r):
+        bps, r_left, inf_over = real(ctx, p_r)
+        return bps, r_left - 0.01, inf_over
+
+    monkeypatch.setattr(pareto, "_left_part", skewed)
+    with pytest.raises(InternalError, match="r_star"):
+        solve_pareto(diff_region, rw, 0.8)
+    assert issubclass(InternalError, PlparetoError)

@@ -45,3 +45,11 @@ def test_non_finite_breakpoints_rejected(bad):
         PLFunction(((bad, bad),))
     with pytest.raises(ValueError):
         PLFunction(((0.0, 1.0), (2.0, bad)))
+
+
+@pytest.mark.parametrize("bps", [((3.0, 2.0),), ((0.0, 10.0), (10.0, 5.0)), ((0.0, 9.0), (4.0, 5.0), (9.0, 5.0))])
+def test_call_at_nan_raises_out_of_domain(bps):
+    from plpareto.errors import OutOfDomain
+
+    with pytest.raises(OutOfDomain):
+        PLFunction(bps)(float("nan"))

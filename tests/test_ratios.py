@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -113,3 +114,82 @@ def test_rewards_reject_non_finite(args):
 def test_demand_point_rejects_non_finite(x, y):
     with pytest.raises(ValueError):
         DemandPoint(x, y)
+
+
+def _bisect_balance(under_pt, over_pt, shift, rw):
+    """Reference root: the 200-step bisection that balance_point ran before
+    its closed form, with the same interval and NoSolution rule."""
+    m = rw.m
+    lo = max(0.0, min(over_pt[1], m) + shift)
+    hi = min(m, under_pt[1])
+    if lo > hi + 1e-12:
+        raise NoSolution("empty balancing interval")
+    lo = min(lo, hi)
+
+    def f(p):
+        return cp_under_raw(p, under_pt, rw) - cp_over_raw(p - shift, over_pt, rw)
+
+    flo, fhi = f(lo), f(hi)
+    if flo > 1e-9 or fhi < -1e-9:
+        raise NoSolution("balancing difference does not change sign")
+    if flo >= 0.0:
+        return lo
+    if fhi <= 0.0:
+        return hi
+    for _ in range(200):
+        if hi - lo <= 1e-12:
+            break
+        mid = 0.5 * (lo + hi)
+        if f(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _balance_pairs(n, seed=31):
+    # half continuous, half on a 0.5 grid so that kinks coincide with each
+    # other and with the interval ends; coordinates reach 2m, shift is 0 for
+    # a third of the draws
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        x_u, y_u, x_o, y_o = rng.uniform(0.0, 2.0 * RW.m, size=4)
+        shift = 0.0 if i % 3 == 0 else float(rng.uniform(0.0, RW.m))
+        if i % 2:
+            x_u, y_u, x_o, y_o, shift = (round(2.0 * v) / 2.0 for v in (x_u, y_u, x_o, y_o, shift))
+        yield (float(x_u), float(y_u)), (float(x_o), float(y_o)), shift
+
+
+def test_balance_point_matches_bisection_reference():
+    m = RW.m
+    covered = {"k_u": 0, "m-x_u": 0, "m-x_o+shift": 0, "shift=0": 0, "y>=m": 0, "x>=m": 0}
+    n_roots = 0
+    for under, over, shift in _balance_pairs(6000):
+        try:
+            ref = _bisect_balance(under, over, shift, RW)
+        except NoSolution:
+            with pytest.raises(NoSolution):
+                balance_point(under, over, shift, RW)
+            continue
+        p = balance_point(under, over, shift, RW)
+        assert p == pytest.approx(ref, abs=1e-11)
+        hi = min(m, under[1])
+        lo = min(max(0.0, min(over[1], m) + shift), hi)
+        if lo < p < hi:
+            n_roots += 1
+            assert abs(cp_under_raw(p, under, RW) - cp_over_raw(p - shift, over, RW)) <= 1e-12
+            kinks = {"k_u": min(under[1], max(m - under[0], 0.0)), "m-x_u": m - under[0],
+                     "m-x_o+shift": m - over[0] + shift}
+            for name, t in kinks.items():
+                covered[name] += lo < t < hi
+            covered["shift=0"] += shift == 0.0
+            covered["y>=m"] += under[1] >= m or over[1] >= m
+            covered["x>=m"] += under[0] >= m or over[0] >= m
+    assert n_roots >= 1000
+    assert min(covered.values()) >= 50, covered
+
+
+@pytest.mark.parametrize("fn", [cp, cp_over, cp_under])
+def test_ratio_rejects_nan_level(fn):
+    with pytest.raises(ValueError):
+        fn(float("nan"), (3.0, 4.0), RW)

@@ -131,3 +131,22 @@ def test_envelopes_are_pl_functions():
     assert reg.lower.breakpoints == ((0.0, 0.0), (4.0, 0.0))
     assert reg.upper.breakpoints == ((0.0, 4.0), (4.0, 4.0))
     assert envelope(reg, 1.5, "upper") == reg.upper(1.5)
+
+
+@pytest.mark.parametrize("side", ["lower", "upper"])
+def test_envelope_at_nan_raises_out_of_domain(diff_region, side):
+    with pytest.raises(OutOfDomain):
+        envelope(diff_region, math.nan, side)
+
+
+@pytest.mark.parametrize("center,shape", [
+    ((math.nan, 10.0), [[4.0, 0.0], [0.0, 4.0]]),
+    ((10.0, math.inf), [[4.0, 0.0], [0.0, 4.0]]),
+    ((10.0, 10.0), [[math.nan, 0.0], [0.0, 4.0]]),
+    ((10.0, 10.0), [[4.0, math.nan], [math.nan, 4.0]]),
+])
+def test_polygonize_ellipse_rejects_non_finite(center, shape):
+    # rejected before clipping, which would drop NaN vertices and report
+    # NegativeCoordinate
+    with pytest.raises(ValueError, match="non-finite"):
+        polygonize_ellipse(center, shape)
