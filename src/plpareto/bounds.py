@@ -9,14 +9,19 @@ first-quadrant corners at ratio >= R.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from .errors import OutOfDomain, TargetOutOfRange
 from .plfunction import PLFunction
-from .ratios import Rewards, cp_under_raw, hindsight_denominator
+from .ratios import Rewards, hindsight_denominator
 from .region import TOL, MLRegion, KeyPoints, envelope, key_points, kp_x_vertices
 
 # a band gap at or above -FEAS_SLACK counts as feasible
 FEAS_SLACK = 1e-9
+# an under ratio at p = 0 within RATIO_SLACK of C meets C.  At C = 1 that
+# ratio is exactly 1 on all of t + y <= m, and rounding on the line itself
+# must not move the step l takes there.
+RATIO_SLACK = 1e-12
 
 
 def rho(rw: Rewards) -> float:
@@ -43,85 +48,85 @@ def g_corridor(rw: Rewards, R: float, x: float, side: str) -> float:
     return -R * min(x, rw.m) + rw.m
 
 
+def _u_terms(rw: Rewards, C: float, t: float, y: float) -> tuple[float, ...]:
+    """u at the lower-envelope point (t, y), then the switches (linear in t
+    between the seed kinks) whose roots are u's kinks: need = 0 and
+    m - need / r_low = min(m, y)."""
+    m = rw.m
+    need = C * hindsight_denominator((t, y), rw) - min(y, m) * rw.r_high
+    u = m if need <= 0.0 else min(m, max(min(m, y), m - need / rw.r_low))
+    return u, need, need - (m - min(m, y)) * rw.r_low
+
+
+def _l_terms(rw: Rewards, C: float, t: float, y: float) -> tuple[float, ...]:
+    """The nonzero branch min(m, y, max(0, p_b)) of l at the upper-envelope
+    point (t, y), then the switches whose roots are l's kinks: p_b = 0,
+    p_b = min(m, y) and, last, (under ratio at p = 0 - C + RATIO_SLACK) *
+    denominator, at or above 0 exactly where l is 0."""
+    m = rw.m
+    denom = hindsight_denominator((t, y), rw)
+    p_b = (C * denom - m * rw.r_low) / (rw.r_high - rw.r_low)
+    zero = min(y, max(m - t, 0.0)) * rw.r_high + min(t, m) * rw.r_low - (C - RATIO_SLACK) * denom
+    return min(m, y, max(0.0, p_b)), p_b, p_b - min(m, y), zero
+
+
 def u_raw(region: MLRegion, rw: Rewards, C: float, t: float) -> float:
     """Pointwise largest p in [0, m] keeping the over-protection ratio at the
     lower-envelope point (t, h_lower(t)) at least C."""
-    m = rw.m
-    y = envelope(region, t, "lower")
-    pt = (t, y)
-    denom = hindsight_denominator(pt, rw)
-    if denom <= 0.0:
-        return m
-    need = C * denom - min(y, m) * rw.r_high
-    if need <= 0.0:
-        return m
-    w = need / rw.r_low
-    seam = min(m, y)
-    if w > t + TOL:
-        return seam
-    return min(m, max(seam, m - w))
+    return _u_terms(rw, C, t, envelope(region, t, "lower"))[0]
 
 
 def l_raw(region: MLRegion, rw: Rewards, C: float, t: float) -> float:
     """Pointwise smallest p in [0, m] keeping the under-protection ratio at the
     upper-envelope point (t, h_upper(t)) at least C."""
-    m = rw.m
-    y = envelope(region, t, "upper")
-    pt = (t, y)
-    denom = hindsight_denominator(pt, rw)
-    if denom <= 0.0:
-        return 0.0
-    if cp_under_raw(0.0, pt, rw) >= C:
-        return 0.0
-    target = C * denom
-    k = min(y, max(m - t, 0.0))
-    seam = min(m, y)
-    # reward as a function of p rises at rate r_high once p > k and loses r_low
-    # once p > m - t; the two linear pieces cover the whole crossing range
-    cands = []
-    p_a = (target - k * rw.r_high - t * rw.r_low) / rw.r_high
-    if k - TOL <= p_a <= m - t + TOL:
-        cands.append(p_a)
-    p_b = (target - m * rw.r_low) / (rw.r_high - rw.r_low)
-    if p_b >= max(k, m - t) - TOL:
-        cands.append(p_b)
-    if cands:
-        return min(seam, max(0.0, min(cands)))
-    # numerical edge: fall back to bisection on the monotone ratio
-    lo, hi = 0.0, seam
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if cp_under_raw(mid, pt, rw) >= C:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    f = _l_terms(rw, C, t, envelope(region, t, "upper"))
+    return 0.0 if f[-1] >= 0.0 else f[0]
 
 
-def _pl_breakpoints(f, xs, val_tol=1e-10, x_floor=1e-12):
-    """Exact-to-tolerance breakpoints of a piecewise-linear function.
+def _roots(t0: float, f0, t1: float, f1) -> list[tuple[float, int]]:
+    """(t, i) for each linear function i, with values f0[i] at t0 and f1[i]
+    at t1, that is negative at one end of [t0, t1] only; t is its root, which
+    is t0 or t1 when the function is 0 there."""
+    return [
+        (t0 + (t1 - t0) * a / (a - b), i)
+        for i, (a, b) in enumerate(zip(f0, f1))
+        if (a < 0.0) != (b < 0.0)
+    ]
 
-    Seeds with candidate abscissae and recursively subdivides wherever the
-    midpoint deviates from the chord, which localizes any missed kink.
+
+def _curve(seeds, m: float, terms, steps: bool) -> PLFunction:
+    """A bound curve with breakpoints at its exact kinks.
+
+    ``seeds`` are (t, y) envelope points, y linear between neighbours.  Each
+    seed interval is cut at the roots of y = m, t + y = m and t = m, where
+    the hindsight denominator has its kinks, and each piece at the roots of
+    the switches of ``terms(t, y)`` (value, *switches), which are linear
+    there.  With ``steps`` the curve is 0 where the last switch is >= 0 and
+    the value elsewhere, so it jumps at that switch's root: two breakpoints
+    at the same t.
     """
-    out = [(xs[0], f(xs[0]))]
+    def value(f):
+        return 0.0 if steps and f[-1] >= 0.0 else f[0]
 
-    def refine(a, fa, b, fb):
-        if b - a <= x_floor:
-            return
-        mid = 0.5 * (a + b)
-        fm = f(mid)
-        if abs(fm - 0.5 * (fa + fb)) <= val_tol:
-            return
-        refine(a, fa, mid, fm)
-        out.append((mid, fm))
-        refine(mid, fm, b, fb)
-
-    for a, b in zip(xs, xs[1:]):
-        fa, fb = out[-1][1], f(b)
-        refine(a, fa, b, fb)
-        out.append((b, fb))
-    return out
+    t0, y0 = seeds[0]
+    f0 = terms(t0, y0)
+    out = [(t0, value(f0))]
+    for (a, ya), (b, yb) in zip(seeds, seeds[1:]):
+        slope = (yb - ya) / (b - a)
+        cuts = _roots(a, (ya - m, a + ya - m, a - m), b, (yb - m, b + yb - m, b - m))
+        ends = [(t, ya + (t - a) * slope) for t, _ in sorted(cuts) if a < t < b] + [(b, yb)]
+        for t1, y1 in ends:
+            f1 = terms(t1, y1)
+            for t, i in sorted(_roots(t0, f0[1:], t1, f1[1:])):
+                f = terms(t, ya + (t - a) * slope)
+                if steps and i == len(f) - 2:
+                    step = (0.0, f[0]) if f0[-1] >= 0.0 else (f[0], 0.0)
+                    out += [(t, v) for v in step]
+                elif t0 < t < t1:
+                    out.append((t, value(f)))
+            out.append((t1, value(f1)))
+            t0, f0 = t1, f1
+    return PLFunction(tuple(out))
 
 
 def _running_max_bps(bps):
@@ -236,17 +241,13 @@ def bound_context(region: MLRegion, rw: Rewards, C: float) -> BoundContext:
         y_min = min(y for _, y in chain)
         x_hi_u = max([x for x, y in chain if y <= y_min + TOL] + [xL])
 
-    # pointwise lower bound curve on [x_lo, x_bar]; the upper bound's seeds
-    # plus x_H
+    # pointwise bound curves on [x_lo, x_bar] from their exact kinks; the
+    # lower one also gets x_H as a seed
     x_h = kp.H[0]
-    l_at = lambda t: l_raw(region, rw, C, t)
-    flat = x_bar - x_lo <= 1e-12
-    if flat:
-        pw = [(x_lo, l_at(x_lo))]
-    else:
-        u_seeds = _seed_xs(region, rw, kp, x_lo, x_bar)
-        pw = _pl_breakpoints(l_at, sorted(set(u_seeds) | {min(max(x_h, x_lo), x_bar)}))
-    pw = PLFunction(tuple((x, max(0.0, v)) for x, v in pw))
+    u_seeds = _seed_xs(region, rw, kp, x_lo, x_bar)
+    l_seeds = sorted(set(u_seeds) | {min(max(x_h, x_lo), x_bar)})
+    pw = _curve([(t, region.upper(t)) for t in l_seeds], m, partial(_l_terms, rw, C), True)
+    u = _curve([(t, region.lower(t)) for t in u_seeds], m, partial(_u_terms, rw, C), False)
 
     # exact necessary floor: monotone running max plus slope -1 cone,
     # extended constant down to x = 0
@@ -255,43 +256,43 @@ def bound_context(region: MLRegion, rw: Rewards, C: float) -> BoundContext:
         floor_bps = [(0.0, floor_bps[0][1])] + floor_bps
 
     # published threshold x_hi_l: first abscissa at or beyond x_H where a zero
-    # protection level already meets the target (fallback x_bar)
-    x_hi_l = x_bar
+    # protection level already meets the target (fallback x_bar), and the
+    # value the pointwise bound has just left of it (nonzero at a step)
+    x_hi_l, v_hi = x_bar, 0.0
     prev = None
     for x, v in pw.breakpoints:
         if x < x_h - 1e-12:
             continue
         if v <= 1e-9:
-            if prev is not None and prev[1] > 1e-9 and prev[1] != v:
+            if prev is not None:
                 x1, v1 = prev
                 x_hi_l = x1 + (x - x1) * v1 / (v1 - v)
+                v_hi = v1 if x == x1 else 0.0
             else:
                 x_hi_l = max(x, x_h)
             break
         prev = (x, v)
 
-    # published lower bound: pointwise on [x_H, x_hi_l], frozen at l(x_H) to
-    # the left, zero beyond x_hi_l
-    lH = max(0.0, pw(x_h))
+    # published lower bound: pointwise on [x_H, x_hi_l), l(x_H) to the left,
+    # zero beyond x_hi_l
+    lH = pw(x_h)
     if x_hi_l <= x_h + 1e-12:
         l_bps = [(0.0, lH), (x_bar, lH)] if x_bar > 1e-12 else [(0.0, lH)]
     else:
-        l_bps = [(0.0, lH)]
-        for x, v in pw.breakpoints:
-            if x_h + 1e-12 < x < x_hi_l - 1e-12:
-                l_bps.append((x, v))
+        l_bps = [(0.0, lH), (x_h, lH)]
+        l_bps += [(x, v) for x, v in pw.breakpoints if x_h + 1e-12 < x < x_hi_l - 1e-12]
         if x_hi_l < x_bar - 1e-12:
-            l_bps += [(x_hi_l, 0.0), (x_bar, 0.0)]
+            l_bps += [(x_hi_l, v_hi), (x_hi_l, 0.0), (x_bar, 0.0)]
         else:
-            l_bps.append((x_bar, max(0.0, pw(x_bar))))
+            l_bps.append((x_bar, pw(x_bar)))
     l = PLFunction(tuple(l_bps))
 
-    # first abscissa where the published l falls faster than slope -1
+    # first abscissa where the published l falls faster than slope -1; a
+    # step down counts
     x_minus1 = x_bar
     for (x1, y1), (x2, y2) in zip(l_bps, l_bps[1:]):
-        if x2 - x1 <= 1e-9:
-            continue
-        if (y2 - y1) / (x2 - x1) < -1.0 - 1e-9:
+        drop = y1 - y2
+        if (drop > 1e-9) if x2 - x1 <= 1e-9 else (drop / (x2 - x1) > 1.0 + 1e-9):
             x_minus1 = x1
             break
 
@@ -309,29 +310,25 @@ def bound_context(region: MLRegion, rw: Rewards, C: float) -> BoundContext:
             lt_bps.append((x_bar, l_at_m1 - (x_bar - x_minus1)))
         lt = PLFunction(tuple(lt_bps))
 
-    # pointwise upper bound curve on [x_lo, x_bar] (unfrozen)
-    u_at = lambda t: u_raw(region, rw, C, t)
-    if flat:
-        u_bps = [(x_lo, u_at(x_lo))]
-    else:
-        u_bps = _pl_breakpoints(u_at, u_seeds)
-
-    # largest abscissa where even full protection keeps the ratio at C
+    # largest abscissa up to x_hi_u where even full protection keeps the
+    # ratio at C
     x_lo_u = x_lo
+    u_bps = u.breakpoints
     for (x1, y1), (x2, y2) in zip(u_bps, u_bps[1:]):
-        if min(x1, x2) > x_hi_u + TOL:
+        if x1 >= x_hi_u:
             break
+        if x2 > x_hi_u:
+            x2, y2 = x_hi_u, u(x_hi_u)
         if y2 >= m - 1e-9:
-            x_lo_u = min(x2, x_hi_u)
-        elif y1 >= m - 1e-9 and y1 != y2:
-            t = (y1 - m) / (y1 - y2)
-            x_lo_u = min(x1 + t * (x2 - x1), x_hi_u)
+            x_lo_u = x2
+        elif y1 >= m - 1e-9:
+            x_lo_u = x1 + (x2 - x1) * (y1 - m) / (y1 - y2)
     if len(u_bps) == 1 and u_bps[0][1] >= m - 1e-9:
         x_lo_u = x_hi_u
 
     return BoundContext(
         region, rw, C, kp, x_lo_u, x_hi_u, x_h, x_hi_l, x_minus1,
-        l, lt, PLFunction(tuple(floor_bps)), PLFunction(tuple(u_bps)),
+        l, lt, PLFunction(tuple(floor_bps)), u,
     )
 
 

@@ -176,15 +176,11 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="plpareto")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def common(p, region=True):
-        if region:
-            p.add_argument("--region", required=True)
+    def common(p):
+        p.add_argument("--region", required=True)
         p.add_argument("--m", type=float, default=20.0)
         p.add_argument("--rl", type=float, default=1.0 / 3.0)
         p.add_argument("--rh", type=float, default=1.0)
-        p.add_argument("--out")
-        p.add_argument("--format", choices=["csv", "json"], default="csv")
-        p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("cstar", help="maximum achievable consistency")
     common(p)
@@ -195,6 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pareto", help="optimal policy for a consistency target")
     common(p)
     p.add_argument("--consistency", type=float, default=None)
+    p.add_argument("--out")
     p.set_defaults(fn=cmd_pareto)
 
     p = sub.add_parser("curve", help="consistency/robustness trade-off sweep")
@@ -202,6 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c-min", type=float, default=0.0)
     p.add_argument("--c-max", type=float, default=1.0)
     p.add_argument("--steps", type=int, default=21)
+    p.add_argument("--out")
     p.set_defaults(fn=cmd_curve)
 
     p = sub.add_parser("simulate", help="run a Monte-Carlo experiment config")

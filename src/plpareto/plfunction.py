@@ -58,6 +58,8 @@ class PLFunction:
         """``__call__`` at every element of ``x``, with the same formula and
         rounding (``np.interp`` rounds differently)."""
         x = np.asarray(x, dtype=float)
+        if np.isnan(x).any():
+            raise OutOfDomain("x contains NaN")
         bx = np.array(self.xs)
         bp = np.array([b[1] for b in self.breakpoints])
         if len(bx) == 1:

@@ -50,21 +50,30 @@ class DemandPoint:
 def _as_point(pt) -> tuple[float, float]:
     if isinstance(pt, DemandPoint):
         return pt.x, pt.y
-    return float(pt[0]), float(pt[1])
+    x, y = float(pt[0]), float(pt[1])
+    # a negative tuple coordinate is let through: envelope interpolation can
+    # round a zero height to about -1e-15
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"demand must be finite, got ({x}, {y})")
+    return x, y
+
+
+def _denominator(x: float, y: float, rw: Rewards) -> float:
+    """``hindsight_denominator`` of an already validated point (x, y)."""
+    m = rw.m
+    return min(y, m) * rw.r_high + min(x, max(m - y, 0.0)) * rw.r_low
 
 
 def hindsight_denominator(pt, rw: Rewards) -> float:
     """Hindsight-optimal reward for the instance (x, y)."""
-    x, y = _as_point(pt)
-    m = rw.m
-    return min(y, m) * rw.r_high + min(x, max(m - y, 0.0)) * rw.r_low
+    return _denominator(*_as_point(pt), rw)
 
 
 def cp_over_raw(p: float, pt, rw: Rewards) -> float:
     """Over-protection reward ratio without branch checks; 1 on empty instances."""
     x, y = _as_point(pt)
     m = rw.m
-    denom = hindsight_denominator(pt, rw)
+    denom = _denominator(x, y, rw)
     if denom <= 0.0:
         return 1.0
     num = min(y, m) * rw.r_high + min(x, max(m - p, 0.0)) * rw.r_low
@@ -75,7 +84,7 @@ def cp_under_raw(p: float, pt, rw: Rewards) -> float:
     """Under-protection reward ratio without branch checks; 1 on empty instances."""
     x, y = _as_point(pt)
     m = rw.m
-    denom = hindsight_denominator(pt, rw)
+    denom = _denominator(x, y, rw)
     if denom <= 0.0:
         return 1.0
     num = max(p, min(y, max(m - x, 0.0))) * rw.r_high + min(x, m - p) * rw.r_low

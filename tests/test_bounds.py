@@ -2,23 +2,31 @@ import numpy as np
 import pytest
 
 from plpareto import (
+    PLFunction,
+    Rewards,
     band_gap,
     bound_context,
     cp_over_raw,
     cp_under_raw,
+    cstar_bisection,
     envelope,
     g_corridor,
+    hindsight_denominator,
     l_bound,
     l_raw,
     l_tilde,
     no_advice_level,
     policy_floor,
+    polygonize_ellipse,
     rho,
+    solve_pareto,
     u_bound,
     u_ceiling,
     u_raw,
 )
+from plpareto.bounds import _cone_floor, _running_max_bps, _seed_xs
 from plpareto.errors import OutOfDomain, TargetOutOfRange
+from plpareto.region import TOL
 from conftest import random_region
 
 
@@ -179,3 +187,167 @@ def test_g_corridor_rejects_nan_abscissa(rw):
     for side in ("lower", "upper"):
         with pytest.raises(OutOfDomain):
             g_corridor(rw, 0.5, float("nan"), side)
+
+
+# -- exact kinks against the midpoint probe they replace ---------------------
+#
+# Verbatim copies of the probe and of the pointwise lower bound that built the
+# bound curves before the kinks were computed in closed form.
+
+
+def _probe_l_raw(region, rw, C, t):
+    m = rw.m
+    y = envelope(region, t, "upper")
+    pt = (t, y)
+    denom = hindsight_denominator(pt, rw)
+    if denom <= 0.0:
+        return 0.0
+    if cp_under_raw(0.0, pt, rw) >= C:
+        return 0.0
+    target = C * denom
+    k = min(y, max(m - t, 0.0))
+    seam = min(m, y)
+    # reward as a function of p rises at rate r_high once p > k and loses r_low
+    # once p > m - t; the two linear pieces cover the whole crossing range
+    cands = []
+    p_a = (target - k * rw.r_high - t * rw.r_low) / rw.r_high
+    if k - TOL <= p_a <= m - t + TOL:
+        cands.append(p_a)
+    p_b = (target - m * rw.r_low) / (rw.r_high - rw.r_low)
+    if p_b >= max(k, m - t) - TOL:
+        cands.append(p_b)
+    if cands:
+        return min(seam, max(0.0, min(cands)))
+    # numerical edge: fall back to bisection on the monotone ratio
+    lo, hi = 0.0, seam
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if cp_under_raw(mid, pt, rw) >= C:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _pl_breakpoints(f, xs, val_tol=1e-10, x_floor=1e-12):
+    """Exact-to-tolerance breakpoints of a piecewise-linear function.
+
+    Seeds with candidate abscissae and recursively subdivides wherever the
+    midpoint deviates from the chord, which localizes any missed kink.
+    """
+    out = [(xs[0], f(xs[0]))]
+
+    def refine(a, fa, b, fb):
+        if b - a <= x_floor:
+            return
+        mid = 0.5 * (a + b)
+        fm = f(mid)
+        if abs(fm - 0.5 * (fa + fb)) <= val_tol:
+            return
+        refine(a, fa, mid, fm)
+        out.append((mid, fm))
+        refine(mid, fm, b, fb)
+
+    for a, b in zip(xs, xs[1:]):
+        fa, fb = out[-1][1], f(b)
+        refine(a, fa, b, fb)
+        out.append((b, fb))
+    return out
+
+
+def _probe_curves(region, rw, C):
+    """(u, floor, band gap) as the probe built them."""
+    ctx = bound_context(region, rw, C)
+    x_lo, x_bar = region.x_lo, region.x_hi
+    seeds = _seed_xs(region, rw, ctx.kp, x_lo, x_bar)
+    pw = _pl_breakpoints(lambda t: _probe_l_raw(region, rw, C, t),
+                         sorted(set(seeds) | {min(max(ctx.x_h, x_lo), x_bar)}))
+    floor = PLFunction(tuple(_cone_floor(_running_max_bps([(x, max(0.0, v)) for x, v in pw]))))
+    u = PLFunction(tuple(_pl_breakpoints(lambda t: u_raw(region, rw, C, t), seeds)))
+    xs = sorted(set(u.xs).union(min(max(x, x_lo), x_bar) for x in floor.xs))
+    gap = min(u(x) - max(0.0, floor(x)) for x in xs)
+    return u, floor, gap
+
+
+def _ellipse(rng, segments):
+    c = rng.uniform(5.0, 25.0, 2)
+    a, b = rng.uniform(1.0, 6.0, 2)
+    th = float(rng.uniform(0.0, np.pi))
+    rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+    return polygonize_ellipse(tuple(c), (rot @ np.diag([a, b]) @ rot.T).tolist(), segments)
+
+
+@pytest.mark.parametrize("rw", [Rewards(1.0 / 3.0, 1.0, 20.0), Rewards(0.2, 1.5, 30.0)])
+def test_exact_curves_match_probe_oracle(rw):
+    rng = np.random.default_rng(2306)
+    regions = [random_region(rng) for _ in range(200)]
+    regions += [_ellipse(rng, int(rng.integers(8, 21))) for _ in range(40)]
+    regions += [_ellipse(rng, 64) for _ in range(10)]
+    worst = 0.0
+    # at C = 1 the under ratio at p = 0 is 1 on all of t + y <= m, so the
+    # step of l sits on that line, where rounding decides its side
+    for region, C in ((r, c) for r in regions for c in (float(rng.uniform(0.5, 1.0)), 1.0)):
+        ctx = bound_context(region, rw, C)
+        u, floor, gap = _probe_curves(region, rw, C)
+        xs = set(u.xs) | set(floor.xs) | set(ctx.u.xs) | set(ctx.floor.xs)
+        xs |= set(np.linspace(0.0, region.x_hi, 41).tolist())
+        for x in xs:
+            worst = max(worst, abs(ctx.floor(x) - floor(x)))
+            if region.x_lo <= x <= region.x_hi:
+                worst = max(worst, abs(ctx.u(x) - u(x)))
+        worst = max(worst, abs(band_gap(ctx)[0] - gap))
+    assert worst <= 1e-9
+
+
+def test_l_bound_matches_its_definition(rw):
+    """l(x_H) left of x_H, l_raw on [x_H, x_hi_l], and 0 beyond."""
+    rng = np.random.default_rng(29)
+    worst = 0.0
+    for _ in range(60):
+        region = random_region(rng)
+        C = float(rng.uniform(0.5, 1.0))
+        ctx = bound_context(region, rw, C)
+        l_h = l_raw(region, rw, C, ctx.x_h)
+        for x in np.linspace(0.0, region.x_hi, 97):
+            x = float(x)
+            if x < ctx.x_h:
+                want = l_h
+            elif x <= ctx.x_hi_l:
+                want = l_raw(region, rw, C, x)
+            else:
+                want = 0.0
+            worst = max(worst, abs(l_bound(ctx, x) - want))
+    assert worst <= 1e-9
+
+
+def test_l_raw_where_first_ratio_piece_is_a_point(rw):
+    """Here the under ratio's piece [min(y, m - t), m - t] is the single level
+    m - t, and the line of that piece meets C within TOL of it although the
+    ratio there is 0.61; the smallest level meeting C is near 19."""
+    rng = np.random.default_rng(7)
+    for _ in range(11):
+        region = random_region(rng)
+    C, t = 0.999999, 12.401619610751732
+    p = l_raw(region, rw, C, t)
+    assert p == pytest.approx(_bisect_l(region, rw, C, t), abs=1e-9)
+    assert p == pytest.approx(18.9960, abs=1e-4)
+
+
+# (centre, semi-axes, rotation as a fraction of pi, segments): ellipse polygons
+# whose pointwise lower bound steps up from 0; the policy solved at 0.9 C* must
+# not fall faster than slope -1 next to the step
+STEP_ELLIPSES = [
+    ((6.291, 13.921), (3.342, 1.107), 0.3827, 15),
+    ((5.465, 15.801), (5.081, 1.762), 0.5961, 9),
+    ((6.173, 14.934), (3.824, 1.145), 0.4630, 20),
+]
+
+
+@pytest.mark.parametrize("centre, axes, turn, segments", STEP_ELLIPSES)
+def test_policy_at_lower_bound_step_is_valid(rw, centre, axes, turn, segments):
+    th = turn * np.pi
+    rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+    region = polygonize_ellipse(centre, (rot @ np.diag(axes) @ rot.T).tolist(), segments)
+    c_star = cstar_bisection(region, rw).c_star
+    sol = solve_pareto(region, rw, 0.9 * c_star)
+    assert sol.p_star.validate(rw.m, region.x_hi) == []

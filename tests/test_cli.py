@@ -187,3 +187,21 @@ def test_pareto_internal_error_exit_code(diff_region_file, monkeypatch, capsys):
     monkeypatch.setattr(pareto, "_left_part", skewed)
     assert main(["pareto", "--region", diff_region_file, "--consistency", "0.8"]) == 2
     assert "r_star" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd, flag", [
+    (cmd, flag) for cmd in ("cstar", "pareto", "curve")
+    for flag in (["--seed", "3"], ["--format", "json"])
+] + [("cstar", ["--out", "x.csv"])])
+def test_flags_without_effect_are_rejected(
+    diff_region_file, tmp_path, monkeypatch, capsys, cmd, flag
+):
+    monkeypatch.chdir(tmp_path)
+    args = [cmd, "--region", diff_region_file]
+    if cmd == "pareto":
+        args += ["--consistency", "0.8"]
+    with pytest.raises(SystemExit) as exc:
+        main(args + flag)
+    assert exc.value.code == 2
+    assert not (tmp_path / "x.csv").exists()
+    capsys.readouterr()

@@ -53,3 +53,12 @@ def test_call_at_nan_raises_out_of_domain(bps):
 
     with pytest.raises(OutOfDomain):
         PLFunction(bps)(float("nan"))
+
+
+def test_values_at_nan_raise_out_of_domain():
+    from plpareto.errors import OutOfDomain
+
+    pl = PLFunction(((0.0, 1.0), (2.0, 0.0)))
+    with pytest.raises(OutOfDomain):
+        pl.values([float("nan"), 1.0])
+    assert pl.values([1.0]).tolist() == [pl(1.0)]

@@ -193,3 +193,13 @@ def test_balance_point_matches_bisection_reference():
 def test_ratio_rejects_nan_level(fn):
     with pytest.raises(ValueError):
         fn(float("nan"), (3.0, 4.0), RW)
+
+
+@pytest.mark.parametrize("pt", [(float("nan"), 4.0), (4.0, float("nan")), (float("inf"), 4.0)])
+@pytest.mark.parametrize("fn", [
+    cp, cp_over, cp_under, cp_over_raw, cp_under_raw,
+    lambda p, pt, rw: hindsight_denominator(pt, rw),
+])
+def test_ratio_rejects_non_finite_tuple_point(fn, pt):
+    with pytest.raises(ValueError):
+        fn(3.0, pt, RW)
