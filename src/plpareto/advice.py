@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .region import MLRegion, build_polygon, polygonize_ellipse
+from .region import MLRegion, build_polygon, check_segments, polygonize_ellipse
 
 Point = tuple[float, float]
 
@@ -114,6 +114,7 @@ def ellipse_advice(samples, coverage: float = 1.0, segments: int = 64) -> MLRegi
     shape is inflated by 1/cos(pi/segments) so the inscribed polygon of the
     inflated ellipse still covers the original one.
     """
+    check_segments(segments)
     pts = np.asarray([(float(x), float(y)) for x, y in samples], dtype=float)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise ValueError("need at least one sample")

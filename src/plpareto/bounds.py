@@ -4,12 +4,22 @@ For a consistency target C the band [l_tilde, u] confines any policy that
 keeps every advice-region instance at ratio >= C; for a robustness target R
 the corridor [g_lower, g_upper] confines any policy that keeps the worst
 first-quadrant corners at ratio >= R.
+
+``bound_context`` works in two parts.  The part that does not depend on C
+(key points, the seed abscissae of both pointwise bound curves, the cuts of
+each seed interval at y = m, t + y = m and t = m, and the hindsight
+denominator at every seed and cut) is built once per region and ``Rewards``
+and reused while the same region is queried, so a C* search and the Pareto
+solve after it build it once.  Per C, only the curves' switch roots are
+computed.  The published curves l and l_tilde and their thresholds are
+built from the pointwise lower bound on first access: feasibility and the
+solver read only u and the floor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property
 
 from .errors import OutOfDomain, TargetOutOfRange
 from .plfunction import PLFunction
@@ -48,23 +58,23 @@ def g_corridor(rw: Rewards, R: float, x: float, side: str) -> float:
     return -R * min(x, rw.m) + rw.m
 
 
-def _u_terms(rw: Rewards, C: float, t: float, y: float) -> tuple[float, ...]:
-    """u at the lower-envelope point (t, y), then the switches (linear in t
-    between the seed kinks) whose roots are u's kinks: need = 0 and
-    m - need / r_low = min(m, y)."""
+def _u_terms(rw: Rewards, C: float, t: float, y: float, denom: float) -> tuple[float, ...]:
+    """u at the lower-envelope point (t, y) with hindsight denominator
+    ``denom``, then the switches (linear in t between the seed kinks) whose
+    roots are u's kinks: need = 0 and m - need / r_low = min(m, y)."""
     m = rw.m
-    need = C * hindsight_denominator((t, y), rw) - min(y, m) * rw.r_high
+    need = C * denom - min(y, m) * rw.r_high
     u = m if need <= 0.0 else min(m, max(min(m, y), m - need / rw.r_low))
     return u, need, need - (m - min(m, y)) * rw.r_low
 
 
-def _l_terms(rw: Rewards, C: float, t: float, y: float) -> tuple[float, ...]:
+def _l_terms(rw: Rewards, C: float, t: float, y: float, denom: float) -> tuple[float, ...]:
     """The nonzero branch min(m, y, max(0, p_b)) of l at the upper-envelope
-    point (t, y), then the switches whose roots are l's kinks: p_b = 0,
-    p_b = min(m, y) and, last, (under ratio at p = 0 - C + RATIO_SLACK) *
-    denominator, at or above 0 exactly where l is 0."""
+    point (t, y) with hindsight denominator ``denom``, then the switches whose
+    roots are l's kinks: p_b = 0, p_b = min(m, y) and, last, (under ratio at
+    p = 0 - C + RATIO_SLACK) * denominator, at or above 0 exactly where l is
+    0."""
     m = rw.m
-    denom = hindsight_denominator((t, y), rw)
     p_b = (C * denom - m * rw.r_low) / (rw.r_high - rw.r_low)
     zero = min(y, max(m - t, 0.0)) * rw.r_high + min(t, m) * rw.r_low - (C - RATIO_SLACK) * denom
     return min(m, y, max(0.0, p_b)), p_b, p_b - min(m, y), zero
@@ -73,13 +83,15 @@ def _l_terms(rw: Rewards, C: float, t: float, y: float) -> tuple[float, ...]:
 def u_raw(region: MLRegion, rw: Rewards, C: float, t: float) -> float:
     """Pointwise largest p in [0, m] keeping the over-protection ratio at the
     lower-envelope point (t, h_lower(t)) at least C."""
-    return _u_terms(rw, C, t, envelope(region, t, "lower"))[0]
+    y = envelope(region, t, "lower")
+    return _u_terms(rw, C, t, y, hindsight_denominator((t, y), rw))[0]
 
 
 def l_raw(region: MLRegion, rw: Rewards, C: float, t: float) -> float:
     """Pointwise smallest p in [0, m] keeping the under-protection ratio at the
     upper-envelope point (t, h_upper(t)) at least C."""
-    f = _l_terms(rw, C, t, envelope(region, t, "upper"))
+    y = envelope(region, t, "upper")
+    f = _l_terms(rw, C, t, y, hindsight_denominator((t, y), rw))
     return 0.0 if f[-1] >= 0.0 else f[0]
 
 
@@ -94,31 +106,52 @@ def _roots(t0: float, f0, t1: float, f1) -> list[tuple[float, int]]:
     ]
 
 
-def _curve(seeds, m: float, terms, steps: bool) -> PLFunction:
-    """A bound curve with breakpoints at its exact kinks.
+def _pieces(seeds, rw: Rewards):
+    """The target-independent part of a bound curve over the envelope points
+    ``seeds`` ((t, y), y linear between neighbours).
 
-    ``seeds`` are (t, y) envelope points, y linear between neighbours.  Each
-    seed interval is cut at the roots of y = m, t + y = m and t = m, where
-    the hindsight denominator has its kinks, and each piece at the roots of
-    the switches of ``terms(t, y)`` (value, *switches), which are linear
-    there.  With ``steps`` the curve is 0 where the last switch is >= 0 and
-    the value elsewhere, so it jumps at that switch's root: two breakpoints
-    at the same t.
+    Each seed interval is cut at the roots of y = m, t + y = m and t = m,
+    where the hindsight denominator has its kinks.  Returns the first point
+    as (t, y, denominator) and, per seed interval, (a, y_a, slope, ends):
+    the interval's left end, its envelope line and the (t, y, denominator)
+    of each piece's right end, left to right.
+    """
+    m = rw.m
+
+    def point(t, y):
+        return t, y, hindsight_denominator((t, y), rw)
+
+    intervals = []
+    for (a, ya), (b, yb) in zip(seeds, seeds[1:]):
+        slope = (yb - ya) / (b - a)
+        cuts = _roots(a, (ya - m, a + ya - m, a - m), b, (yb - m, b + yb - m, b - m))
+        ends = [point(t, ya + (t - a) * slope) for t, _ in sorted(cuts) if a < t < b]
+        intervals.append((a, ya, slope, tuple(ends) + (point(b, yb),)))
+    return point(*seeds[0]), tuple(intervals)
+
+
+def _curve(rw: Rewards, C: float, pieces, terms, steps: bool) -> PLFunction:
+    """A bound curve for target C with breakpoints at its exact kinks.
+
+    ``pieces`` is a ``_pieces`` result.  Each piece is cut at the roots of
+    the switches of ``terms(rw, C, t, y, denominator)`` (value, *switches),
+    which are linear there; only those roots need a fresh denominator.  With
+    ``steps`` the curve is 0 where the last switch is >= 0 and the value
+    elsewhere, so it jumps at that switch's root: two breakpoints at the same
+    t.
     """
     def value(f):
         return 0.0 if steps and f[-1] >= 0.0 else f[0]
 
-    t0, y0 = seeds[0]
-    f0 = terms(t0, y0)
+    (t0, y0, d0), intervals = pieces
+    f0 = terms(rw, C, t0, y0, d0)
     out = [(t0, value(f0))]
-    for (a, ya), (b, yb) in zip(seeds, seeds[1:]):
-        slope = (yb - ya) / (b - a)
-        cuts = _roots(a, (ya - m, a + ya - m, a - m), b, (yb - m, b + yb - m, b - m))
-        ends = [(t, ya + (t - a) * slope) for t, _ in sorted(cuts) if a < t < b] + [(b, yb)]
-        for t1, y1 in ends:
-            f1 = terms(t1, y1)
+    for a, ya, slope, ends in intervals:
+        for t1, y1, d1 in ends:
+            f1 = terms(rw, C, t1, y1, d1)
             for t, i in sorted(_roots(t0, f0[1:], t1, f1[1:])):
-                f = terms(t, ya + (t - a) * slope)
+                y = ya + (t - a) * slope
+                f = terms(rw, C, t, y, hindsight_denominator((t, y), rw))
                 if steps and i == len(f) - 2:
                     step = (0.0, f[0]) if f0[-1] >= 0.0 else (f[0], 0.0)
                     out += [(t, v) for v in step]
@@ -174,27 +207,39 @@ def _cone_floor(mbps):
 
 
 @dataclass(frozen=True)
-class BoundContext:
-    """Region, rewards and target C with cached thresholds and bound curves.
+class _Geometry:
+    """The part of a bound context that does not depend on the target C,
+    for one region and one ``Rewards``: key points, the freeze point x_hi_u
+    of the upper bound, x_H, and the ``_pieces`` of u (on the lower
+    envelope) and of the pointwise lower bound (on the upper envelope)."""
 
-    ``l``/``lt`` are the band's published lower-bound curves (zero beyond the
-    threshold x_hi_l).  ``floor`` is the exact necessary floor used by
-    feasibility and the solver: the pointwise bound tightened by monotonicity
-    (running max) and the slope -1 validity cone.  ``u`` is the pointwise
-    (unfrozen) upper bound.
+    kp: KeyPoints
+    x_hi_u: float
+    x_h: float
+    u_pieces: tuple
+    l_pieces: tuple
+
+
+@dataclass(frozen=True)
+class BoundContext:
+    """Region, rewards and target C with thresholds and bound curves.
+
+    ``u`` is the pointwise (unfrozen) upper bound and ``pw`` the pointwise
+    lower bound.  ``floor`` is the exact necessary floor used by feasibility
+    and the solver: ``pw`` tightened by monotonicity (running max) and the
+    slope -1 validity cone.  ``l``/``lt`` are the band's published
+    lower-bound curves (zero beyond the threshold x_hi_l); they, x_hi_l,
+    x_minus1 and x_lo_u are built from ``pw`` and ``u`` on first access,
+    since neither feasibility nor the solver reads them.
     """
 
     region: MLRegion
     rw: Rewards
     C: float
     kp: KeyPoints
-    x_lo_u: float
     x_hi_u: float
     x_h: float
-    x_hi_l: float
-    x_minus1: float
-    l: PLFunction = field(repr=False)
-    lt: PLFunction = field(repr=False)
+    pw: PLFunction = field(repr=False)
     floor: PLFunction = field(repr=False)
     u: PLFunction = field(repr=False)
 
@@ -205,6 +250,46 @@ class BoundContext:
     @property
     def u_bps(self) -> tuple[tuple[float, float], ...]:
         return self.u.breakpoints
+
+    @cached_property
+    def _published(self) -> tuple[float, PLFunction, float, PLFunction]:
+        return _published_curves(self.pw, self.x_h, self.region.x_hi)
+
+    @property
+    def x_hi_l(self) -> float:
+        return self._published[0]
+
+    @property
+    def l(self) -> PLFunction:
+        return self._published[1]
+
+    @property
+    def x_minus1(self) -> float:
+        return self._published[2]
+
+    @property
+    def lt(self) -> PLFunction:
+        return self._published[3]
+
+    @cached_property
+    def x_lo_u(self) -> float:
+        """Largest abscissa up to x_hi_u where even full protection keeps the
+        ratio at C."""
+        m, x_hi_u = self.rw.m, self.x_hi_u
+        x_lo_u = self.region.x_lo
+        u_bps = self.u.breakpoints
+        for (x1, y1), (x2, y2) in zip(u_bps, u_bps[1:]):
+            if x1 >= x_hi_u:
+                break
+            if x2 > x_hi_u:
+                x2, y2 = x_hi_u, self.u(x_hi_u)
+            if y2 >= m - 1e-9:
+                x_lo_u = x2
+            elif y1 >= m - 1e-9:
+                x_lo_u = x1 + (x2 - x1) * (y1 - m) / (y1 - y2)
+        if len(u_bps) == 1 and u_bps[0][1] >= m - 1e-9:
+            x_lo_u = x_hi_u
+        return x_lo_u
 
 
 def _seed_xs(region: MLRegion, rw: Rewards, kp: KeyPoints, lo: float, hi: float) -> list[float]:
@@ -222,10 +307,7 @@ def _seed_xs(region: MLRegion, rw: Rewards, kp: KeyPoints, lo: float, hi: float)
     return dedup
 
 
-def bound_context(region: MLRegion, rw: Rewards, C: float) -> BoundContext:
-    """Precompute thresholds and piecewise-linear bound curves for target C."""
-    if not 0.0 <= C <= 1.0:
-        raise TargetOutOfRange(f"consistency target {C} outside [0, 1]")
+def _build_geometry(region: MLRegion, rw: Rewards) -> _Geometry:
     m = rw.m
     kp = key_points(region, m)
     x_bar, x_lo = region.x_hi, region.x_lo
@@ -241,20 +323,58 @@ def bound_context(region: MLRegion, rw: Rewards, C: float) -> BoundContext:
         y_min = min(y for _, y in chain)
         x_hi_u = max([x for x, y in chain if y <= y_min + TOL] + [xL])
 
-    # pointwise bound curves on [x_lo, x_bar] from their exact kinks; the
-    # lower one also gets x_H as a seed
+    # seeds of the pointwise bound curves on [x_lo, x_bar]; the lower one
+    # also gets x_H
     x_h = kp.H[0]
     u_seeds = _seed_xs(region, rw, kp, x_lo, x_bar)
     l_seeds = sorted(set(u_seeds) | {min(max(x_h, x_lo), x_bar)})
-    pw = _curve([(t, region.upper(t)) for t in l_seeds], m, partial(_l_terms, rw, C), True)
-    u = _curve([(t, region.lower(t)) for t in u_seeds], m, partial(_u_terms, rw, C), False)
+    return _Geometry(
+        kp, x_hi_u, x_h,
+        _pieces([(t, region.lower(t)) for t in u_seeds], rw),
+        _pieces([(t, region.upper(t)) for t in l_seeds], rw),
+    )
+
+
+# (region, rw, geometry) of the last region seen.  A C* search, and a Pareto
+# solve after it on the same region, build the geometry once.  It is one
+# slot rather than a memo on each region because a geometry takes a few KB
+# and callers may keep many regions alive.
+_last_geometry: tuple | None = None
+
+
+def _geometry(region: MLRegion, rw: Rewards) -> _Geometry:
+    """The target-independent bound geometry of ``region`` for ``rw``,
+    reused while the region (the same object) and ``rw`` stay the same."""
+    global _last_geometry
+    last = _last_geometry
+    if last is not None and last[0] is region and last[1] == rw:
+        return last[2]
+    geo = _build_geometry(region, rw)
+    _last_geometry = (region, rw, geo)
+    return geo
+
+
+def bound_context(region: MLRegion, rw: Rewards, C: float) -> BoundContext:
+    """Thresholds and piecewise-linear bound curves for target C."""
+    if not 0.0 <= C <= 1.0:
+        raise TargetOutOfRange(f"consistency target {C} outside [0, 1]")
+    geo = _geometry(region, rw)
+    pw = _curve(rw, C, geo.l_pieces, _l_terms, True)
+    u = _curve(rw, C, geo.u_pieces, _u_terms, False)
 
     # exact necessary floor: monotone running max plus slope -1 cone,
     # extended constant down to x = 0
     floor_bps = _cone_floor(_running_max_bps(pw.breakpoints))
     if floor_bps[0][0] > 1e-12:
         floor_bps = [(0.0, floor_bps[0][1])] + floor_bps
+    return BoundContext(
+        region, rw, C, geo.kp, geo.x_hi_u, geo.x_h, pw, PLFunction(tuple(floor_bps)), u
+    )
 
+
+def _published_curves(pw: PLFunction, x_h: float, x_bar: float):
+    """(x_hi_l, l, x_minus1, lt): the band's published lower-bound curves and
+    their thresholds, from the pointwise lower bound ``pw``."""
     # published threshold x_hi_l: first abscissa at or beyond x_H where a zero
     # protection level already meets the target (fallback x_bar), and the
     # value the pointwise bound has just left of it (nonzero at a step)
@@ -309,27 +429,7 @@ def bound_context(region: MLRegion, rw: Rewards, C: float) -> BoundContext:
         else:
             lt_bps.append((x_bar, l_at_m1 - (x_bar - x_minus1)))
         lt = PLFunction(tuple(lt_bps))
-
-    # largest abscissa up to x_hi_u where even full protection keeps the
-    # ratio at C
-    x_lo_u = x_lo
-    u_bps = u.breakpoints
-    for (x1, y1), (x2, y2) in zip(u_bps, u_bps[1:]):
-        if x1 >= x_hi_u:
-            break
-        if x2 > x_hi_u:
-            x2, y2 = x_hi_u, u(x_hi_u)
-        if y2 >= m - 1e-9:
-            x_lo_u = x2
-        elif y1 >= m - 1e-9:
-            x_lo_u = x1 + (x2 - x1) * (y1 - m) / (y1 - y2)
-    if len(u_bps) == 1 and u_bps[0][1] >= m - 1e-9:
-        x_lo_u = x_hi_u
-
-    return BoundContext(
-        region, rw, C, kp, x_lo_u, x_hi_u, x_h, x_hi_l, x_minus1,
-        l, lt, PLFunction(tuple(floor_bps)), u,
-    )
+    return x_hi_l, l, x_minus1, lt
 
 
 def _check_domain(ctx: BoundContext, x: float) -> float:

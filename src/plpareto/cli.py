@@ -35,7 +35,7 @@ def load_region(path: str) -> MLRegion:
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise InputError(f"cannot read region file {path}: {exc}") from exc
     try:
         kind = data["type"]
@@ -48,7 +48,7 @@ def load_region(path: str) -> MLRegion:
         if kind == "point":
             return build_polygon([tuple(data["at"])])
         raise InputError(f"unknown region type {kind!r}")
-    except (KeyError, TypeError, ValueError, PlparetoError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, PlparetoError) as exc:
         raise InputError(f"malformed region file {path}: {exc}") from exc
 
 
@@ -67,7 +67,7 @@ def read_pl_csv(path: str):
     try:
         with open(path) as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise InputError(f"cannot read PL file {path}: {exc}") from exc
     meta: dict[str, float] = {}
     bps: list[tuple[float, float]] = []
@@ -123,6 +123,8 @@ def cmd_pareto(args) -> int:
 def cmd_curve(args) -> int:
     region = load_region(args.region)
     rw = _rewards(args)
+    if args.steps < 1:
+        raise InputError(f"--steps must be at least 1, got {args.steps}")
     targets = np.linspace(args.c_min, args.c_max, args.steps)
     rows = tradeoff_curve(region, rw, [float(c) for c in targets])
     lines = ["C,r_star"]
@@ -141,15 +143,17 @@ def cmd_simulate(args) -> int:
     try:
         with open(args.config) as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise InputError(f"cannot read config {args.config}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise InputError(f"config {args.config} is not a JSON object")
     try:
         model = DemandModel(**raw.pop("model", {}))
         rw = Rewards(raw.pop("r_low"), raw.pop("r_high"), raw.pop("m"))
         if args.seed is not None:
             raw["seed"] = args.seed
         cfg = ExperimentConfig(model=model, **raw)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed config {args.config}: {exc}") from exc
     report = run_experiment(cfg, rw)
     print(f"avg_cp={report.avg_cp} worst_cp={report.worst_cp}")

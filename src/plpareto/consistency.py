@@ -11,11 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bounds import FEAS_SLACK, band_gap, bound_context, rho
+from .bounds import FEAS_SLACK, _geometry, band_gap, bound_context, rho
 from .errors import EmptyCandidateSet, InfeasibleTarget, NoSolution, TargetOutOfRange
 from .plfunction import PLFunction
 from .ratios import Rewards, balance_point, cp_under_raw
-from .region import MLRegion, envelope, x_vertices
+from .region import MLRegion, envelope, kp_x_vertices
 
 
 @dataclass(frozen=True)
@@ -93,9 +93,10 @@ def _chain_crossings(chain, level: float, diagonal: bool) -> list[float]:
 def _enum_xs(region: MLRegion, rw: Rewards) -> list[float]:
     """Abscissae eligible as binding points: polygon vertices, lower-envelope
     crossings with x + y = m, both envelopes' crossings with y = m and
-    x + y = m, and x = m."""
+    x + y = m, and x = m.  The key points come from the region's memoised
+    bound geometry."""
     m = rw.m
-    xs = set(x_vertices(region, m))
+    xs = set(kp_x_vertices(region, _geometry(region, rw).kp))
     for chain in (region.lower.breakpoints, region.upper.breakpoints):
         xs.update(_chain_crossings(chain, m, diagonal=False))
         xs.update(_chain_crossings(chain, m, diagonal=True))

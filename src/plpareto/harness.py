@@ -7,6 +7,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field, asdict
+from numbers import Integral
 
 import numpy as np
 
@@ -17,6 +18,7 @@ from .engine import chunk_arrays, replay_ratios
 from .pareto import solve_pareto
 from .plfunction import PLFunction, constant_pl
 from .ratios import DemandPoint, Rewards, cp
+from .region import check_segments
 
 
 @dataclass(frozen=True)
@@ -42,6 +44,11 @@ class DemandModel:
             raise ValueError(f"unknown demand model kind {self.kind!r}")
         if not 0.0 <= self.weight <= 1.0:
             raise ValueError("mixture weight must lie in [0, 1]")
+        params = (self.main_low, self.main_high, self.mean, self.sd, self.cont_low, self.cont_high)
+        if not all(map(math.isfinite, params)):
+            raise ValueError("demand model parameters must be finite")
+        if self.sd < 0.0:
+            raise ValueError("sd must be nonnegative")
 
 
 def sample_demand(model: DemandModel, rng: np.random.Generator) -> DemandPoint:
@@ -161,6 +168,18 @@ class ExperimentConfig:
             raise ValueError(f"unknown advice kind {self.advice_kind!r}")
         if not 0.0 < self.c_rule <= 1.0:
             raise ValueError("c_rule must lie in (0, 1]")
+        if not 0.0 < self.z <= 1.0:
+            raise ValueError("coverage z must lie in (0, 1]")
+        if self.order not in ("adversarial", "stochastic"):
+            raise ValueError(f"unknown order {self.order!r}")
+        for name in ("n_samples", "K", "n_test", "seed", "n_perms"):
+            if not isinstance(getattr(self, name), Integral):
+                raise ValueError(f"{name} must be an integer")
+        if self.n_samples < 1:
+            raise ValueError("n_samples must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
+        check_segments(self.segments)
         if self.K < 1:
             raise ValueError("K must be at least 1")
         if self.n_test < 1:

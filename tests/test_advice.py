@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from plpareto import box_advice, contains, ellipse_advice, point_advice
+from plpareto.region import MAX_SEGMENTS
 
 
 def test_box_full_coverage_is_bounding_box():
@@ -73,3 +74,16 @@ def test_point_advice_is_mean():
     reg = point_advice([(1, 2), (3, 6)])
     assert reg.degenerate
     assert reg.vertices == ((2.0, 4.0),)
+
+
+def test_ellipse_advice_rejects_segment_count_over_the_cap(monkeypatch):
+    import plpareto.advice as advice
+
+    def unreachable(*a):
+        raise AssertionError("ellipse fitted")
+
+    monkeypatch.setattr(advice, "_mvee", unreachable)
+    with pytest.raises(ValueError, match="segments"):
+        ellipse_advice([(10.0, 10.0), (12.0, 11.0), (11.0, 14.0)], segments=MAX_SEGMENTS + 1)
+    with pytest.raises(ValueError, match="segments"):
+        ellipse_advice([(10.0, 10.0), (12.0, 11.0), (11.0, 14.0)], segments=0)

@@ -1,14 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import plpareto.bounds as bounds
 from plpareto import (
     PLFunction,
     Rewards,
     band_gap,
     bound_context,
+    box_advice,
+    build_polygon,
     cp_over_raw,
     cp_under_raw,
     cstar_bisection,
+    cstar_enumeration,
     envelope,
     g_corridor,
     hindsight_denominator,
@@ -351,3 +357,76 @@ def test_policy_at_lower_bound_step_is_valid(rw, centre, axes, turn, segments):
     c_star = cstar_bisection(region, rw).c_star
     sol = solve_pareto(region, rw, 0.9 * c_star)
     assert sol.p_star.validate(rw.m, region.x_hi) == []
+
+
+# -- the target-independent geometry, reused across a C* search ---------------
+
+
+def _families(rng):
+    """Seeded hulls, boxes, 64-gon ellipses, point regions and segment regions
+    (a vertical one among them)."""
+    out = [random_region(rng) for _ in range(6)]
+    out += [box_advice([tuple(rng.uniform(0.0, 30.0, 2)) for _ in range(8)]) for _ in range(4)]
+    out += [_ellipse(rng, 64) for _ in range(4)]
+    out += [build_polygon([tuple(rng.uniform(0.0, 30.0, 2))]) for _ in range(4)]
+    out += [build_polygon([tuple(p) for p in rng.uniform(0.0, 30.0, (2, 2))]) for _ in range(4)]
+    out.append(build_polygon([(7.0, 3.0), (7.0, 25.0)]))
+    return out
+
+
+def _published(ctx):
+    return (ctx.u.breakpoints, ctx.floor.breakpoints, ctx.l.breakpoints, ctx.lt.breakpoints,
+            ctx.x_lo_u, ctx.x_hi_u, ctx.x_h, ctx.x_hi_l, ctx.x_minus1)
+
+
+REWARDS = (Rewards(1.0 / 3.0, 1.0, 20.0), Rewards(0.2, 1.5, 30.0))
+
+
+@pytest.mark.parametrize("rw, other", [REWARDS, REWARDS[::-1]])
+def test_reused_geometry_gives_the_fresh_context(rw, other, monkeypatch):
+    """After a C* search on a region, its contexts (under the search's
+    rewards, then under other rewards) equal those built on fresh copies of
+    the region, each of which builds its geometry anew."""
+    calls = []
+    real = bounds.key_points
+    monkeypatch.setattr(bounds, "key_points", lambda *a: calls.append(a) or real(*a))
+    rng = np.random.default_rng(2023)
+    for region in _families(rng):
+        del calls[:]
+        c_star = cstar_bisection(region, rw).c_star
+        targets = (rho(rw), float(rng.uniform(0.5, 1.0)), c_star, 1.0)
+        warm = [_published(bound_context(region, rw, C)) for C in targets]
+        assert len(calls) == 1
+        warm += [_published(bound_context(region, other, C)) for C in targets]
+        fresh = [_published(bound_context(replace(region), r, C))
+                 for r in (rw, other) for C in targets]
+        assert warm == fresh
+
+
+def test_key_points_once_per_search_and_solve(rw, monkeypatch):
+    calls = []
+    real = bounds.key_points
+    monkeypatch.setattr(bounds, "key_points", lambda *a: calls.append(a) or real(*a))
+    rng = np.random.default_rng(8)
+    region = _ellipse(rng, 64)
+    c_star = cstar_bisection(region, rw).c_star
+    solve_pareto(region, rw, 0.9 * c_star)
+    assert len(calls) == 1
+    cstar_enumeration(random_region(rng), rw)
+    assert len(calls) == 2
+
+
+def test_published_curves_built_only_on_demand(rw, monkeypatch):
+    calls = []
+    real = bounds._published_curves
+    monkeypatch.setattr(bounds, "_published_curves", lambda *a: calls.append(a) or real(*a))
+    region = _ellipse(np.random.default_rng(9), 64)
+    res = cstar_bisection(region, rw)
+    assert calls == []
+    ctx = bound_context(region, rw, res.c_star)
+    l_bound(ctx, region.x_lo)
+    assert len(calls) == 1
+    # the other published curve and thresholds come from the same build
+    l_tilde(ctx, region.x_hi)
+    assert ctx.x_minus1 <= region.x_hi and ctx.x_hi_l <= region.x_hi
+    assert len(calls) == 1

@@ -205,3 +205,53 @@ def test_flags_without_effect_are_rejected(
     assert exc.value.code == 2
     assert not (tmp_path / "x.csv").exists()
     capsys.readouterr()
+
+
+def test_oversized_ellipse_exit_code_without_building(tmp_path, capsys, monkeypatch):
+    import plpareto.region as region
+    from plpareto.region import MAX_SEGMENTS
+
+    def unreachable(*a):
+        raise AssertionError("polygon built")
+
+    monkeypatch.setattr(region, "build_polygon", unreachable)
+    ell = tmp_path / "ell.json"
+    for segments in (MAX_SEGMENTS + 1, 4 * MAX_SEGMENTS):
+        ell.write_text(json.dumps({
+            "type": "ellipse", "center": [12, 12], "shape": [[2, 0], [0, 2]],
+            "segments": segments,
+        }))
+        assert main(["cstar", "--region", str(ell)]) == 2
+        assert "segments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    b"\xff\xfe{", b'{"type": "polygon", "vertices": [[1' + b"0" * 400 + b', 2]]}',
+    b'{"type": "ellipse", "center": [12, 12], "shape": [[2, 0], [0, 2]], "segments": 1e400}',
+])
+def test_unreadable_region_values_exit_code(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(text)
+    assert main(["cstar", "--region", str(bad)]) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("text", [b"[1, 2]", b'"config"', b"\xff\xfe{"])
+def test_simulate_config_not_an_object_exit_code(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(text)
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    capsys.readouterr()
+
+
+def test_validate_undecodable_file_exit_code(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"# m=20\n\xff\xfe,1\n")
+    assert main(["validate", str(bad)]) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("steps", ["0", "-1"])
+def test_curve_without_steps_exit_code(diff_region_file, capsys, steps):
+    assert main(["curve", "--region", diff_region_file, "--steps", steps]) == 2
+    assert "--steps" in capsys.readouterr().err

@@ -15,6 +15,7 @@ from plpareto import (
     sample_demand,
 )
 from plpareto.harness import write_report_csv, write_report_json
+from plpareto.region import MAX_SEGMENTS
 
 
 def test_demand_model_validation():
@@ -125,3 +126,21 @@ def test_evaluate_rejects_zero_perms(rw, order):
 def test_experiment_config_rejects_no_trials(K):
     with pytest.raises(ValueError):
         ExperimentConfig(K=K)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("segments", MAX_SEGMENTS + 1), ("segments", 2), ("segments", 64.0),
+    ("z", 0.0), ("z", 1.5), ("order", "random"), ("n_samples", 0), ("seed", -1),
+    ("K", 2.0), ("n_test", 1.5),
+])
+def test_experiment_config_rejects_fields_a_run_would_fail_on(field, value):
+    with pytest.raises(ValueError):
+        ExperimentConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field,value", [
+    ("sd", -1.0), ("main_high", float("inf")), ("cont_low", float("nan")),
+])
+def test_demand_model_rejects_parameters_sampling_would_fail_on(field, value):
+    with pytest.raises(ValueError):
+        DemandModel(**{field: value})

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from plpareto import (
+    build_polygon,
+    cstar_bisection,
     cstar_enumeration,
     envelope,
     no_advice_level,
     ordered_sequence,
     performance_ratio,
+    polygonize_ellipse,
     rho,
     run_sequence,
     solve_pareto,
@@ -109,3 +112,60 @@ def test_r_star_mismatch_raises_internal_error(rw, diff_region, monkeypatch):
     with pytest.raises(InternalError, match="r_star"):
         solve_pareto(diff_region, rw, 0.8)
     assert issubclass(InternalError, PlparetoError)
+
+
+# -- guarantee replay on degenerate regions and ellipse polygons --------------
+#
+# Criterion 5's replay on region families it does not draw: the Pareto policy
+# at 0.8, 0.9 and 1.0 times C* keeps every boundary instance of the region at
+# ratio >= C and every first-quadrant corner at ratio >= r_star.
+
+
+def _replay_worst(region, rw, c_star):
+    worst_cons = worst_rob = float("inf")
+    for frac in (0.8, 0.9, 1.0):
+        C = frac * c_star
+        sol = solve_pareto(region, rw, C)
+        assert sol.p_star.validate(rw.m, region.x_hi) == []
+        for x in np.linspace(region.x_lo, region.x_hi, 60):
+            for side in ("lower", "upper"):
+                y = envelope(region, float(x), side)
+                st = run_sequence(ordered_sequence(float(x), y), sol.p_star, rw)
+                worst_cons = min(worst_cons, performance_ratio(st, rw) - C)
+        for x in np.linspace(0.0, max(rw.m, region.x_hi) + 10.0, 40):
+            for y in (0.0, rw.m):
+                st = run_sequence(ordered_sequence(float(x), y), sol.p_star, rw)
+                worst_rob = min(worst_rob, performance_ratio(st, rw) - sol.r_star)
+    return worst_cons, worst_rob
+
+
+def _regions(kind, rng):
+    if kind == "point":
+        return [build_polygon([tuple(rng.uniform(0.0, 30.0, 2))]) for _ in range(20)]
+    if kind == "segment":
+        segs = [build_polygon([tuple(p) for p in rng.uniform(0.0, 30.0, (2, 2))])
+                for _ in range(18)]
+        x = float(rng.uniform(0.0, 30.0))
+        segs.append(build_polygon([(x, 2.0), (x, 26.0)]))  # vertical
+        segs.append(build_polygon([(3.0, 12.0), (27.0, 12.0)]))  # horizontal
+        return segs
+    out = []
+    for _ in range(12):
+        c = rng.uniform(5.0, 25.0, 2)
+        a, b = rng.uniform(1.0, 6.0, 2)
+        th = float(rng.uniform(0.0, np.pi))
+        rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+        out.append(polygonize_ellipse(tuple(c), (rot @ np.diag([a, b]) @ rot.T).tolist(), 64))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["point", "segment", "ellipse64"])
+def test_pareto_guarantees_replay(rw, kind):
+    rng = np.random.default_rng(5306)
+    worst_cons = worst_rob = float("inf")
+    for region in _regions(kind, rng):
+        # bisection's C* is the feasible end of its bracket, as the harness uses it
+        c_star = cstar_bisection(region, rw).c_star
+        cons, rob = _replay_worst(region, rw, c_star)
+        worst_cons, worst_rob = min(worst_cons, cons), min(worst_rob, rob)
+    assert worst_cons >= -1e-6 and worst_rob >= -1e-6, (worst_cons, worst_rob)

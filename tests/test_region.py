@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from plpareto import build_polygon, contains, envelope, key_points, polygonize_ellipse, x_vertices
 from plpareto.errors import NegativeCoordinate, NotPSD, OutOfDomain
+from plpareto.region import MAX_SEGMENTS
 
 coord = st.floats(0.0, 50.0, allow_nan=False, allow_infinity=False)
 points = st.lists(st.tuples(coord, coord), min_size=1, max_size=20)
@@ -150,3 +151,30 @@ def test_polygonize_ellipse_rejects_non_finite(center, shape):
     # NegativeCoordinate
     with pytest.raises(ValueError, match="non-finite"):
         polygonize_ellipse(center, shape)
+
+
+@pytest.mark.parametrize("segments", [MAX_SEGMENTS + 1, 2, 64.0, "64"])
+def test_polygonize_ellipse_rejects_segment_count_before_building(segments, monkeypatch):
+    import plpareto.region as region
+
+    def unreachable(*a):
+        raise AssertionError("polygon built")
+
+    monkeypatch.setattr(region, "build_polygon", unreachable)
+    monkeypatch.setattr(region, "_clip_quadrant", unreachable)
+    with pytest.raises(ValueError, match="segments"):
+        polygonize_ellipse((10.0, 10.0), [[2.0, 0.0], [0.0, 2.0]], segments)
+    # a zero shape, which needs no polygon, is checked too
+    with pytest.raises(ValueError, match="segments"):
+        polygonize_ellipse((10.0, 10.0), [[0.0, 0.0], [0.0, 0.0]], segments)
+
+
+def test_polygonize_ellipse_accepts_the_largest_segment_count():
+    reg = polygonize_ellipse((10.0, 10.0), [[2.0, 0.0], [0.0, 2.0]], MAX_SEGMENTS)
+    assert len(reg.vertices) == MAX_SEGMENTS
+
+
+@pytest.mark.parametrize("center", [(), (10.0,), (10.0, 10.0, 1.0)])
+def test_polygonize_ellipse_rejects_centre_of_wrong_length(center):
+    with pytest.raises(ValueError):
+        polygonize_ellipse(center, [[2.0, 0.0], [0.0, 2.0]])
