@@ -25,7 +25,6 @@ from .consistency import (
 from .engine import (
     Arrival,
     EngineState,
-    hindsight_opt,
     offer,
     ordered_sequence,
     performance_ratio,
@@ -34,7 +33,6 @@ from .engine import (
 )
 from .errors import (
     BranchMismatch,
-    EmptyCandidateSet,
     InfeasibleTarget,
     InternalError,
     NegativeCoordinate,

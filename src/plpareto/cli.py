@@ -24,6 +24,8 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INFEASIBLE = 3
 EXIT_INVALID_PL = 4
+# most targets ``curve --steps`` may sweep; each one is a Pareto solve
+MAX_STEPS = 10_000
 
 
 class InputError(Exception):
@@ -123,8 +125,8 @@ def cmd_pareto(args) -> int:
 def cmd_curve(args) -> int:
     region = load_region(args.region)
     rw = _rewards(args)
-    if args.steps < 1:
-        raise InputError(f"--steps must be at least 1, got {args.steps}")
+    if not 1 <= args.steps <= MAX_STEPS:
+        raise InputError(f"--steps must be in [1, {MAX_STEPS}], got {args.steps}")
     targets = np.linspace(args.c_min, args.c_max, args.steps)
     rows = tradeoff_curve(region, rw, [float(c) for c in targets])
     lines = ["C,r_star"]

@@ -12,10 +12,10 @@ import math
 from dataclasses import dataclass
 
 from .bounds import FEAS_SLACK, _geometry, band_gap, bound_context, rho
-from .errors import EmptyCandidateSet, InfeasibleTarget, NoSolution, TargetOutOfRange
+from .errors import InfeasibleTarget, NoSolution, TargetOutOfRange
 from .plfunction import PLFunction
 from .ratios import Rewards, balance_point, cp_under_raw
-from .region import MLRegion, envelope, kp_x_vertices
+from .region import MLRegion, envelope
 
 
 @dataclass(frozen=True)
@@ -40,21 +40,12 @@ def feasible(region: MLRegion, rw: Rewards, C: float) -> bool:
     return _check(region, rw, C)[0]
 
 
-def cstar_bisection(region: MLRegion, rw: Rewards, epsilon: float = 1e-6) -> CStarResult:
-    """Maximum consistency by bisection on [rho, 1]; returns the feasible end.
-
-    The loop stops once the bracket is ``epsilon`` wide or has no float left
-    between its ends, so it ends for every finite ``epsilon > 0``.
-    """
-    if not (math.isfinite(epsilon) and epsilon > 0.0):
-        raise TargetOutOfRange(f"epsilon must be finite and positive, got {epsilon}")
-    lo = rho(rw)
-    n_checks = 1
-    ok, witness = _check(region, rw, 1.0)
-    if ok:
-        return CStarResult(1.0, "bisect", witness, (), n_checks)
-    hi = 1.0
-    witness = None  # the witness at lo, once a midpoint was feasible
+def _bisect(region: MLRegion, rw: Rewards, lo: float, hi: float, epsilon: float,
+            n_checks: int, witness: float | None) -> tuple[float, float, int]:
+    """Bisect the bracket [lo, hi], lo feasible and hi not, down to width
+    ``epsilon`` or to no float left between its ends, so it ends for every
+    ``epsilon >= 0``.  ``witness`` belongs to lo, or is None to compute it
+    when no midpoint is feasible.  Returns (lo, its witness, n_checks)."""
     while hi - lo > epsilon:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
@@ -67,60 +58,47 @@ def cstar_bisection(region: MLRegion, rw: Rewards, epsilon: float = 1e-6) -> CSt
             hi = mid
     if witness is None:
         witness = band_gap(bound_context(region, rw, lo))[1]
-    return CStarResult(lo, "bisect", witness, (), n_checks)
+    return lo, witness, n_checks
 
 
-def _chain_crossings(chain, level: float, diagonal: bool) -> list[float]:
-    """Abscissae where a piecewise-linear chain crosses y = level
-    (or x + y = level when ``diagonal``)."""
-    out: list[float] = []
-
-    def g(p):
-        return (p[0] + p[1] if diagonal else p[1]) - level
-
-    for p1, p2 in zip(chain, chain[1:]):
-        f1, f2 = g(p1), g(p2)
-        if f1 == 0.0:
-            out.append(p1[0])
-        if f1 * f2 < 0:
-            t = f1 / (f1 - f2)
-            out.append(p1[0] + t * (p2[0] - p1[0]))
-    if chain and g(chain[-1]) == 0.0:
-        out.append(chain[-1][0])
-    return out
+def cstar_bisection(region: MLRegion, rw: Rewards, epsilon: float = 1e-6) -> CStarResult:
+    """Maximum consistency by bisection on [rho, 1]; returns the feasible end."""
+    if not (math.isfinite(epsilon) and epsilon > 0.0):
+        raise TargetOutOfRange(f"epsilon must be finite and positive, got {epsilon}")
+    ok, witness = _check(region, rw, 1.0)
+    if ok:
+        return CStarResult(1.0, "bisect", witness, (), 1)
+    c, witness, n_checks = _bisect(region, rw, rho(rw), 1.0, epsilon, 1, None)
+    return CStarResult(c, "bisect", witness, (), n_checks)
 
 
 def _enum_xs(region: MLRegion, rw: Rewards) -> list[float]:
-    """Abscissae eligible as binding points: polygon vertices, lower-envelope
-    crossings with x + y = m, both envelopes' crossings with y = m and
-    x + y = m, and x = m.  The key points come from the region's memoised
-    bound geometry."""
-    m = rw.m
-    xs = set(kp_x_vertices(region, _geometry(region, rw).kp))
-    for chain in (region.lower.breakpoints, region.upper.breakpoints):
-        xs.update(_chain_crossings(chain, m, diagonal=False))
-        xs.update(_chain_crossings(chain, m, diagonal=True))
-    if region.x_lo < m < region.x_hi:
-        xs.add(m)
+    """Abscissae eligible as binding points: the ends of the pieces of both
+    bound curves in the region's bound geometry, that is the key-point
+    vertices, x_H, x = m and both envelopes' crossings with y = m and
+    x + y = m."""
+    geo = _geometry(region, rw)
+    xs = set()
+    for (t0, _, _), intervals in (geo.u_pieces, geo.l_pieces):
+        xs.add(t0)
+        xs.update(t for _, _, _, ends in intervals for t, _, _ in ends)
     out: list[float] = []
     for x in sorted(xs):
-        if region.x_lo - 1e-9 <= x <= region.x_hi + 1e-9:
-            x = min(max(x, region.x_lo), region.x_hi)
-            if not out or x - out[-1] > 1e-9:
-                out.append(x)
+        if not out or x - out[-1] > 1e-9:
+            out.append(x)
     return out
 
 
-def _pair_candidates(region: MLRegion, rw: Rewards, xs1, xs2) -> list[float]:
-    """Balancing ratios for admissible (under, over) abscissa pairs.
+def _pair_candidates(region: MLRegion, rw: Rewards, xs) -> list[float]:
+    """Balancing ratios for admissible (under, over) pairs of abscissae xs.
 
     Each pair balances the under ratio at an upper-envelope point against the
     over ratio at a lower-envelope point, shifted by the slope -1 cone when
     the over point lies to the right.
     """
     cands: list[float] = []
-    overs = [(x2, envelope(region, x2, "lower")) for x2 in xs2]
-    for x1 in xs1:
+    overs = [(x2, envelope(region, x2, "lower")) for x2 in xs]
+    for x1 in xs:
         y1 = envelope(region, x1, "upper")
         under = (x1, y1)
         for x2, y2 in overs:
@@ -157,58 +135,31 @@ def cstar_enumeration(region: MLRegion, rw: Rewards) -> CStarResult:
     Feasibility is monotone in C (the pointwise upper bound u falls and the
     floor rises as C grows), so the descending candidates are an infeasible
     prefix and then a feasible suffix, and a binary search finds the first
-    feasible one in at most ceil(log2 n) + 1 checks.  If it is not tight (its
-    minimum band gap stays positive), a short internal bisection locates the
-    binding abscissa and pairs involving it are balanced as well.
+    feasible one in at most ceil(log2 n) + 1 checks.  1.0 is always the
+    first candidate.  If the first feasible one is below it and not tight
+    (its minimum band gap stays positive), C* lies between it and the
+    candidate above; if none is feasible, between rho and the smallest
+    candidate.  That bracket is bisected to float resolution: at most about
+    60 more checks, since C* >= rho >= 1/2.
     """
     xs = _enum_xs(region, rw)
-    cands = _merge_candidates([1.0] + _pair_candidates(region, rw, xs, xs))
-    if not cands:
-        raise EmptyCandidateSet("no balancing candidates found")
-
-    n_checks = 0
-
-    def best_feasible(cs):
-        nonlocal n_checks
-        lo, hi, hit = 0, len(cs), None  # the first feasible index is in [lo, hi]
-        while lo < hi:
-            mid = (lo + hi) // 2
-            n_checks += 1
-            gap, witness = band_gap(bound_context(region, rw, cs[mid]))
-            if gap >= -FEAS_SLACK:
-                hi, hit = mid, (cs[mid], gap, witness)
-            else:
-                lo = mid + 1
-        return hit
-
-    for rounds_left in range(6, -1, -1):
-        hit = best_feasible(cands)
-        if hit is None:
-            raise EmptyCandidateSet("no balancing candidate was feasible")
-        c0, gap0, witness = hit
-        above = [c for c in cands if c > c0 + 1e-12]
-        if not rounds_left or c0 >= 1.0 - 1e-12 or not above or gap0 <= 1e-9:
-            return CStarResult(c0, "enum", witness, tuple(cands), n_checks)
-        # candidate not tight: localize the binding abscissa between c0 and
-        # the smallest infeasible candidate, then balance pairs through it
-        lo, hi, w = c0, min(above), witness
-        for _ in range(50):
-            if hi - lo <= 1e-11:
-                break
-            mid = 0.5 * (lo + hi)
-            n_checks += 1
-            gap, w = band_gap(bound_context(region, rw, mid))
-            if gap >= -FEAS_SLACK:
-                lo = mid
-            else:
-                hi = mid
-        new_xs = [min(max(w, region.x_lo), region.x_hi)]
-        fresh = _pair_candidates(region, rw, new_xs, xs + new_xs)
-        fresh += _pair_candidates(region, rw, xs, new_xs)
-        merged = _merge_candidates(cands + fresh)
-        if len(merged) == len(cands):
-            return CStarResult(c0, "enum", witness, tuple(cands), n_checks)
-        cands = merged
+    cands = _merge_candidates([1.0] + _pair_candidates(region, rw, xs))
+    lo, hi, n_checks, hit = 0, len(cands), 0, None  # first feasible index in [lo, hi]
+    while lo < hi:
+        mid = (lo + hi) // 2
+        n_checks += 1
+        gap, witness = band_gap(bound_context(region, rw, cands[mid]))
+        if gap >= -FEAS_SLACK:
+            hi, hit = mid, (gap, witness)
+        else:
+            lo = mid + 1
+    if hit is None:
+        c, witness, n_checks = _bisect(region, rw, rho(rw), cands[-1], 0.0, n_checks, None)
+    elif hi > 0 and hit[0] > 1e-9:
+        c, witness, n_checks = _bisect(region, rw, cands[hi], cands[hi - 1], 0.0, n_checks, hit[1])
+    else:
+        c, witness = cands[hi], hit[1]
+    return CStarResult(c, "enum", witness, tuple(cands), n_checks)
 
 
 def consistent_pl(region: MLRegion, rw: Rewards, C: float) -> PLFunction:

@@ -75,14 +75,9 @@ def run_sequence(arrivals, pl: PLFunction, rw: Rewards) -> EngineState:
     return state
 
 
-def hindsight_opt(x: float, y: float, rw: Rewards) -> float:
-    """Best achievable reward knowing the totals (x low, y high) in advance."""
-    return hindsight_denominator((x, y), rw)
-
-
 def performance_ratio(state: EngineState, rw: Rewards) -> float:
     """Realized reward over hindsight optimum; 1 on empty sequences."""
-    opt = hindsight_opt(state.low_seen, state.high_seen, rw)
+    opt = hindsight_denominator((state.low_seen, state.high_seen), rw)
     if opt <= 0.0:
         return 1.0
     return state.reward / opt

@@ -33,9 +33,5 @@ class InfeasibleTarget(PlparetoError):
     """The requested consistency target exceeds the maximum achievable one."""
 
 
-class EmptyCandidateSet(PlparetoError):
-    """Vertex-pair enumeration produced no balancing candidates."""
-
-
 class InternalError(PlparetoError):
     """A computed result broke an invariant the solver relies on."""

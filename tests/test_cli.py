@@ -1,8 +1,9 @@
 import json
+import time
 
 import pytest
 
-from plpareto.cli import main, read_pl_csv, write_pl_csv
+from plpareto.cli import MAX_STEPS, main, read_pl_csv, write_pl_csv
 from plpareto import PLFunction, Rewards
 
 
@@ -254,4 +255,13 @@ def test_validate_undecodable_file_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("steps", ["0", "-1"])
 def test_curve_without_steps_exit_code(diff_region_file, capsys, steps):
     assert main(["curve", "--region", diff_region_file, "--steps", steps]) == 2
+    assert "--steps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("steps", [str(MAX_STEPS + 1), "1000000000000"])
+def test_curve_too_many_steps_exit_code(diff_region_file, capsys, steps):
+    # rejected before the targets are allocated or any Pareto solve runs
+    start = time.perf_counter()
+    assert main(["curve", "--region", diff_region_file, "--steps", steps]) == 2
+    assert time.perf_counter() - start < 2.0
     assert "--steps" in capsys.readouterr().err

@@ -3,8 +3,10 @@ import signal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plpareto import (
+    build_polygon,
     consistent_pl,
     cstar_bisection,
     cstar_enumeration,
@@ -12,6 +14,8 @@ from plpareto import (
     feasible,
     ordered_sequence,
     performance_ratio,
+    polygonize_ellipse,
+    Rewards,
     rho,
     run_sequence,
 )
@@ -134,64 +138,42 @@ def test_bisection_builds_one_context_per_check(rw, sum_region, diff_region, mon
 
 def _cstar_enumeration_scan(region, rw):
     """Reference: cstar_enumeration with the linear scan that tested the
-    descending candidates one at a time, from the top."""
+    descending candidates one at a time, from the top, then the same bracket
+    bisection when the first feasible one is not tight or none is."""
     from plpareto.bounds import FEAS_SLACK, band_gap, bound_context
-    from plpareto.consistency import CStarResult, _enum_xs, _merge_candidates, _pair_candidates
-    from plpareto.errors import EmptyCandidateSet
+    from plpareto.consistency import (
+        CStarResult, _bisect, _enum_xs, _merge_candidates, _pair_candidates)
 
     xs = _enum_xs(region, rw)
-    cands = _merge_candidates([1.0] + _pair_candidates(region, rw, xs, xs))
-    if not cands:
-        raise EmptyCandidateSet("no balancing candidates found")
-    n_checks = 0
+    cands = _merge_candidates([1.0] + _pair_candidates(region, rw, xs))
+    for k, c in enumerate(cands):
+        gap, witness = band_gap(bound_context(region, rw, c))
+        if gap >= -FEAS_SLACK:
+            if k > 0 and gap > 1e-9:
+                c, witness, _ = _bisect(region, rw, c, cands[k - 1], 0.0, k + 1, witness)
+            return CStarResult(c, "enum", witness, tuple(cands), k + 1)
+    c, witness, _ = _bisect(region, rw, rho(rw), cands[-1], 0.0, len(cands), None)
+    return CStarResult(c, "enum", witness, tuple(cands), len(cands))
 
-    def best_feasible(cs):
-        nonlocal n_checks
-        for c in cs:
-            n_checks += 1
-            gap, witness = band_gap(bound_context(region, rw, c))
-            if gap >= -FEAS_SLACK:
-                return c, gap, witness
-        return None
 
-    for _ in range(6):
-        hit = best_feasible(cands)
-        if hit is None:
-            raise EmptyCandidateSet("no balancing candidate was feasible")
-        c0, gap0, witness = hit
-        above = [c for c in cands if c > c0 + 1e-12]
-        if c0 >= 1.0 - 1e-12 or not above or gap0 <= 1e-9:
-            return CStarResult(c0, "enum", witness, tuple(cands), n_checks)
-        lo, hi = c0, min(above)
-        w = witness
-        for _ in range(50):
-            if hi - lo <= 1e-11:
-                break
-            mid = 0.5 * (lo + hi)
-            n_checks += 1
-            gap, w = band_gap(bound_context(region, rw, mid))
-            if gap >= -FEAS_SLACK:
-                lo = mid
-            else:
-                hi = mid
-        new_xs = [min(max(w, region.x_lo), region.x_hi)]
-        fresh = _pair_candidates(region, rw, new_xs, xs + new_xs)
-        fresh += _pair_candidates(region, rw, xs, new_xs)
-        merged = _merge_candidates(cands + fresh)
-        if len(merged) == len(cands):
-            return CStarResult(c0, "enum", witness, tuple(cands), n_checks)
-        cands = merged
-    hit = best_feasible(cands)
-    if hit is None:
-        raise EmptyCandidateSet("no balancing candidate was feasible")
-    c0, _, witness = hit
-    return CStarResult(c0, "enum", witness, tuple(cands), n_checks)
+def _ellipse(centre, semi_axes, turn, segments):
+    # polygonized ellipse with the given semi-axes, rotated by turn * pi
+    t = turn * math.pi
+    rot = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+    shape = rot @ np.diag(semi_axes) @ rot.T
+    return polygonize_ellipse(centre, shape.tolist(), segments)
+
+
+# near-circular ellipses on which no balancing candidate is feasible: C* lies
+# between rho and the smallest candidate
+NO_FEASIBLE_CANDIDATE = [
+    ((13.179, 22.452), (5.935, 5.932), 0.4872, 18),
+    ((12.67, 13.17), (1.23, 1.24), 0.501, 14),
+]
 
 
 def _enum_regions():
     # random hulls, boxes and 8-20-segment ellipse polygons, seeded
-    from plpareto import build_polygon, polygonize_ellipse
-
     rng = np.random.default_rng(57)
     regions = [random_region(rng) for _ in range(12)]
     for _ in range(8):
@@ -202,71 +184,82 @@ def _enum_regions():
         b = rng.uniform(-0.9, 0.9) * math.sqrt(a * c)
         centre = tuple(rng.uniform(4.0, 24.0, size=2))
         regions.append(polygonize_ellipse(centre, [[a, b], [b, c]], 8 + k % 13))
-    # near-circular 18-gon on which no candidate is feasible (EmptyCandidateSet)
-    t = 0.4872 * math.pi
-    rot = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
-    shape = rot @ np.diag([5.935, 5.932]) @ rot.T
-    regions.append(polygonize_ellipse((13.179, 22.452), shape.tolist(), 18))
+    regions += [_ellipse(*spec) for spec in NO_FEASIBLE_CANDIDATE]
     return regions
 
 
-def test_enum_binary_search_matches_linear_scan(rw, monkeypatch):
-    import plpareto.consistency as consistency
-    from plpareto.errors import EmptyCandidateSet
-
-    pair_calls = []
-    real_pairs = consistency._pair_candidates
-    monkeypatch.setattr(consistency, "_pair_candidates",
-                        lambda *a: pair_calls.append(1) or real_pairs(*a))
+def test_enum_binary_search_matches_linear_scan(rw):
     n_plain = 0
-    for region in _enum_regions():
-        try:
-            ref = _cstar_enumeration_scan(region, rw)
-        except EmptyCandidateSet as exc:
-            with pytest.raises(EmptyCandidateSet, match=str(exc)):
-                cstar_enumeration(region, rw)
-            continue
-        pair_calls.clear()
+    regions = _enum_regions()
+    for region in regions:
+        ref = _cstar_enumeration_scan(region, rw)
         res = cstar_enumeration(region, rw)
         assert (res.c_star, res.witness_x, res.candidate_set) == (
             ref.c_star, ref.witness_x, ref.candidate_set)
-        if len(pair_calls) == 1:  # no refinement round ran
+        if res.c_star in res.candidate_set:  # no bracket was bisected
             n_plain += 1
             assert res.n_checks <= math.ceil(math.log2(len(res.candidate_set))) + 1
-    assert n_plain >= 30
+    # the candidate set holds C* on every region but the reproducers
+    assert n_plain == len(regions) - len(NO_FEASIBLE_CANDIDATE)
+    for spec in NO_FEASIBLE_CANDIDATE:
+        region = _ellipse(*spec)
+        res = cstar_enumeration(region, rw)
+        assert res.c_star < min(res.candidate_set)
+        assert abs(res.c_star - cstar_bisection(region, rw, epsilon=1e-13).c_star) <= 1e-12
 
 
-@pytest.mark.parametrize("rounds", ["one", "cap"])
-def test_enum_refinement_matches_linear_scan(rw, monkeypatch, rounds):
-    # C* is taken out of the first candidate set and a smaller candidate put
-    # in, so the refinement rounds run: with "one" the first round balances
-    # C* back in; with "cap" every round also offers a new candidate halfway
-    # to C*, so the best one is never tight and the six-round cap ends it
+@pytest.mark.parametrize("drop", ["tight", "feasible"])
+def test_enum_bisects_between_candidates(rw, monkeypatch, drop):
+    # C* is the smallest candidate on these regions.  With "tight" the
+    # candidates within 1e-9 of it are taken out and one halfway down to rho
+    # put in, so the first feasible candidate is not tight; with "feasible"
+    # every feasible one is taken out, so none is feasible.  Either way the
+    # bracket above it is bisected, to float resolution like cstar_bisection
+    # at epsilon 1e-13: both land up to about 2e-11 above the exact
+    # balancing C*, where the band gap is still within FEAS_SLACK of 0.
     import plpareto.consistency as consistency
-    from plpareto import rho
 
     real_pairs = consistency._pair_candidates
     for region in _enum_regions()[:3]:
         c_star = cstar_enumeration(region, rw).c_star
-        offered = []
-
-        def pairs(region_, rw_, xs1, xs2):
-            out = real_pairs(region_, rw_, xs1, xs2)
-            if xs1 is xs2:
-                offered[:] = [0.5 * (rho(rw) + c_star)]
-            elif rounds == "one":
-                return out
-            elif len(xs1) == 1:
-                offered.append(0.5 * (offered[-1] + c_star))
-            return [c for c in out if abs(c - c_star) > 1e-9] + offered[-1:]
-
-        monkeypatch.setattr(consistency, "_pair_candidates", pairs)
-        ref = _cstar_enumeration_scan(region, rw)
+        assert c_star < 1.0
+        extra = [0.5 * (rho(rw) + c_star)] if drop == "tight" else []
+        monkeypatch.setattr(consistency, "_pair_candidates", lambda *a: extra + [
+            c for c in real_pairs(*a) if c > c_star + 1e-9 or drop == "tight" and c < c_star - 1e-9])
         res = cstar_enumeration(region, rw)
         monkeypatch.setattr(consistency, "_pair_candidates", real_pairs)
-        assert (res.c_star, res.witness_x, res.candidate_set) == (
-            ref.c_star, ref.witness_x, ref.candidate_set)
-        if rounds == "one":
-            assert res.c_star == c_star
+        if drop == "tight":
+            assert min(res.candidate_set) == extra[0] < res.c_star
         else:
-            assert res.c_star == offered[-1] < c_star and len(offered) == 7
+            assert res.c_star < min(res.candidate_set)
+        assert abs(res.c_star - cstar_bisection(region, rw, epsilon=1e-13).c_star) <= 1e-12
+        assert abs(res.c_star - c_star) <= 1e-9
+        assert res.n_checks <= math.ceil(math.log2(len(res.candidate_set))) + 1 + 60
+        assert feasible(region, rw, res.c_star)
+
+coord = st.floats(0.0, 30.0)
+point = st.tuples(coord, coord)
+ellipse = st.tuples(
+    st.tuples(st.floats(4.0, 24.0), st.floats(4.0, 24.0)),
+    st.floats(0.5, 6.0), st.floats(0.5, 6.0), st.floats(0.0, 1.0), st.integers(8, 32),
+).map(lambda e: _ellipse(e[0], (e[1], e[2]), e[3], e[4]))
+near_circle = st.tuples(
+    st.tuples(st.floats(4.0, 24.0), st.floats(4.0, 24.0)),
+    st.floats(0.5, 6.0), st.floats(-1e-3, 1e-3), st.floats(0.0, 1.0), st.integers(8, 32),
+).map(lambda e: _ellipse(e[0], (e[1], e[1] * (1.0 + e[2])), e[3], e[4]))
+box = st.tuples(point, point).map(lambda b: build_polygon([
+    (x, y) for x in sorted({b[0][0], b[1][0]}) for y in sorted({b[0][1], b[1][1]})]))
+regions = st.one_of(
+    st.lists(point, min_size=3, max_size=20).map(build_polygon),
+    box, ellipse, near_circle,
+    point.map(lambda p: build_polygon([p])),
+    st.tuples(point, point).map(lambda s: build_polygon(list(s))),
+)
+
+
+@given(regions)
+@settings(max_examples=100, deadline=None)
+def test_enum_matches_bisection_property(region):
+    rw = Rewards(1.0 / 3.0, 1.0, 20.0)
+    res = cstar_enumeration(region, rw)
+    assert abs(res.c_star - cstar_bisection(region, rw, epsilon=1e-12).c_star) <= 1e-9

@@ -8,7 +8,6 @@ from plpareto import (
     Rewards,
     constant_pl,
     cp,
-    hindsight_opt,
     ordered_sequence,
     performance_ratio,
     run_sequence,
