@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -100,6 +101,8 @@ def _rewards(args) -> Rewards:
 def cmd_cstar(args) -> int:
     region = load_region(args.region)
     rw = _rewards(args)
+    if not (math.isfinite(args.epsilon) and args.epsilon > 0.0):
+        raise InputError(f"--epsilon must be finite and positive, got {args.epsilon}")
     if args.method == "enum":
         res = cstar_enumeration(region, rw)
     else:
@@ -127,6 +130,8 @@ def cmd_curve(args) -> int:
     rw = _rewards(args)
     if not 1 <= args.steps <= MAX_STEPS:
         raise InputError(f"--steps must be in [1, {MAX_STEPS}], got {args.steps}")
+    if not (math.isfinite(args.c_min) and math.isfinite(args.c_max)):
+        raise InputError(f"--c-min and --c-max must be finite, got {args.c_min} and {args.c_max}")
     targets = np.linspace(args.c_min, args.c_max, args.steps)
     rows = tradeoff_curve(region, rw, [float(c) for c in targets])
     lines = ["C,r_star"]
@@ -190,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cstar", help="maximum achievable consistency")
     common(p)
-    p.add_argument("--method", choices=["bisect", "enum"], default="bisect")
+    p.add_argument("--method", choices=["bisect", "enum"], default="enum")
     p.add_argument("--epsilon", type=float, default=1e-6)
     p.set_defaults(fn=cmd_cstar)
 

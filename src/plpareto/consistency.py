@@ -11,10 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bounds import FEAS_SLACK, _geometry, band_gap, bound_context, rho
-from .errors import InfeasibleTarget, NoSolution, TargetOutOfRange
+from .errors import InfeasibleTarget, TargetOutOfRange
 from .plfunction import PLFunction
-from .ratios import Rewards, balance_point, cp_under_raw
+from .ratios import BRANCH_TOL, Rewards
 from .region import MLRegion, envelope
 
 
@@ -89,33 +91,84 @@ def _enum_xs(region: MLRegion, rw: Rewards) -> list[float]:
     return out
 
 
+# float arithmetic as in Python: a tiny denominator overflows to inf silently
+@np.errstate(all="ignore")
+def _balance_ratios(xu, yu, xo, yo, shift, rw: Rewards) -> tuple[np.ndarray, np.ndarray]:
+    """Under ratio at the balancing level of each (under point, over point,
+    shift), and a mask that is False where ``ratios.balance_point`` raises
+    NoSolution (the ratio there means nothing).
+
+    This is ``balance_point`` then ``cp_under_raw`` on arrays: the interval
+    and its NoSolution rules, a root at an end, else the kinks m - x_u and
+    m - x_o + shift in ascending order and the linear root of the piece where
+    the gap changes sign.  The IEEE operations are theirs, in their order, so
+    the values equal the scalar ones bit for bit.
+    """
+    m, rh, rl = rw.m, rw.r_high, rw.r_low
+    # both points' denominators and the parts of their numerators free of p
+    den_u = np.minimum(yu, m) * rh + np.minimum(xu, np.maximum(m - yu, 0.0)) * rl
+    cap_u = np.minimum(yu, np.maximum(m - xu, 0.0))
+    top_o = np.minimum(yo, m) * rh
+    den_o = top_o + np.minimum(xo, np.maximum(m - yo, 0.0)) * rl
+    safe_u, safe_o = np.where(den_u > 0.0, den_u, 1.0), np.where(den_o > 0.0, den_o, 1.0)
+
+    def under(p):
+        num = np.maximum(p, cap_u) * rh + np.minimum(xu, m - p) * rl
+        return np.where(den_u > 0.0, num / safe_u, 1.0)
+
+    def gap(p):
+        num = top_o + np.minimum(xo, np.maximum(m - (p - shift), 0.0)) * rl
+        return under(p) - np.where(den_o > 0.0, num / safe_o, 1.0)
+
+    lo = np.maximum(0.0, np.minimum(yo, m) + shift)
+    hi = np.minimum(m, yu)
+    empty = lo > hi + BRANCH_TOL
+    lo = np.minimum(lo, hi)
+    flo, fhi = gap(lo), gap(hi)
+    unsolved = empty | (flo > 1e-9) | (fhi < -1e-9)
+    p = np.where(flo >= 0.0, lo, hi)
+    inner = ~(flo >= 0.0) & ~(fhi <= 0.0)
+    k1, k2 = m - xu, m - xo + shift
+    # a kink that moves hi ends the scalar loop: the next one is not below hi
+    for t in (np.minimum(k1, k2), np.maximum(k1, k2)):
+        ft = gap(t)
+        inside = (lo < t) & (t < hi)
+        up, down = inside & (ft >= 0.0), inside & ~(ft >= 0.0)
+        hi, fhi = np.where(up, t, hi), np.where(up, ft, fhi)
+        lo, flo = np.where(down, t, lo), np.where(down, ft, flo)
+    root = lo - flo * (hi - lo) / (fhi - flo)
+    return under(np.where(inner, root, p)), ~unsolved
+
+
+# most (under, over) pairs balanced at once: bounds the temporaries of
+# _pair_candidates to a few MB whatever the abscissa count
+_PAIR_BLOCK = 1 << 16
+
+
 def _pair_candidates(region: MLRegion, rw: Rewards, xs) -> list[float]:
-    """Balancing ratios for admissible (under, over) pairs of abscissae xs.
+    """Balancing ratios for admissible (under, over) pairs of abscissae xs,
+    in row-major (under, over) order.
 
     Each pair balances the under ratio at an upper-envelope point against the
     over ratio at a lower-envelope point, shifted by the slope -1 cone when
-    the over point lies to the right.
+    the over point lies to the right.  The envelopes are evaluated once per
+    abscissa, the cone test is a mask, and ``_balance_ratios`` balances the
+    admissible pairs in blocks of at most about _PAIR_BLOCK pairs.
     """
-    cands: list[float] = []
-    overs = [(x2, envelope(region, x2, "lower")) for x2 in xs]
-    for x1 in xs:
-        y1 = envelope(region, x1, "upper")
-        under = (x1, y1)
-        for x2, y2 in overs:
-            if x2 <= x1:
-                if y1 < y2:
-                    continue
-                shift = 0.0
-            else:
-                if y1 - y2 < x2 - x1:
-                    continue
-                shift = x2 - x1
-            try:
-                p_b = balance_point(under, (x2, y2), shift, rw)
-            except NoSolution:
-                continue
-            cands.append(cp_under_raw(p_b, under, rw))
-    return cands
+    x = np.array(xs, dtype=float)
+    yu = np.array([envelope(region, v, "upper") for v in xs])
+    yl = np.array([envelope(region, v, "lower") for v in xs])
+    rows = max(1, _PAIR_BLOCK // x.size)
+    out: list[float] = []
+    for r0 in range(0, x.size, rows):
+        x1, y1 = x[r0:r0 + rows, None], yu[r0:r0 + rows, None]
+        right = x > x1
+        ok = np.where(right, ~(y1 - yl < x - x1), ~(y1 < yl))
+        i, j = np.nonzero(ok)
+        shift = np.where(right[ok], x[j] - x1[i, 0], 0.0)
+        c, solved = _balance_ratios(x1[i, 0], y1[i, 0], x[j], yl[j], shift, rw)
+        out.extend(c[solved].tolist())
+    return out
 
 
 def _merge_candidates(cands) -> list[float]:
@@ -132,33 +185,40 @@ def _merge_candidates(cands) -> list[float]:
 def cstar_enumeration(region: MLRegion, rw: Rewards) -> CStarResult:
     """Maximum consistency as the largest feasible balancing candidate.
 
-    Feasibility is monotone in C (the pointwise upper bound u falls and the
-    floor rises as C grows), so the descending candidates are an infeasible
-    prefix and then a feasible suffix, and a binary search finds the first
-    feasible one in at most ceil(log2 n) + 1 checks.  1.0 is always the
-    first candidate.  If the first feasible one is below it and not tight
-    (its minimum band gap stays positive), C* lies between it and the
-    candidate above; if none is feasible, between rho and the smallest
-    candidate.  That bracket is bisected to float resolution: at most about
-    60 more checks, since C* >= rho >= 1/2.
+    Each admissible pair's balancing value caps the consistency of every
+    valid policy (the under ratio rises and the over ratio falls with the
+    level, and the slope >= -1 cone ties the pair's two levels), so C* is at
+    most the smallest candidate: when that one is feasible and tight (its
+    minimum band gap within 1e-9 of 0) it is C*, found in one check.  If it
+    is infeasible, C* lies between rho and it.  If it is feasible but not
+    tight, which the cap rules out up to rounding, the descending candidates
+    are searched: feasibility is monotone in C, so they are an infeasible
+    prefix and a feasible suffix, and a binary search finds the first
+    feasible one; when it is below 1.0 and not tight, C* lies between it and
+    the candidate above.  A bracket is bisected to float resolution:
+    at most about 60 more checks, since C* >= rho >= 1/2.
     """
     xs = _enum_xs(region, rw)
     cands = _merge_candidates([1.0] + _pair_candidates(region, rw, xs))
-    lo, hi, n_checks, hit = 0, len(cands), 0, None  # first feasible index in [lo, hi]
-    while lo < hi:
-        mid = (lo + hi) // 2
-        n_checks += 1
-        gap, witness = band_gap(bound_context(region, rw, cands[mid]))
-        if gap >= -FEAS_SLACK:
-            hi, hit = mid, (gap, witness)
-        else:
-            lo = mid + 1
-    if hit is None:
-        c, witness, n_checks = _bisect(region, rw, rho(rw), cands[-1], 0.0, n_checks, None)
-    elif hi > 0 and hit[0] > 1e-9:
-        c, witness, n_checks = _bisect(region, rw, cands[hi], cands[hi - 1], 0.0, n_checks, hit[1])
+    n_checks, hi = 1, len(cands) - 1
+    gap, witness = band_gap(bound_context(region, rw, cands[hi]))
+    if gap < -FEAS_SLACK:
+        c, witness, n_checks = _bisect(region, rw, rho(rw), cands[hi], 0.0, n_checks, None)
+        return CStarResult(c, "enum", witness, tuple(cands), n_checks)
+    if gap > 1e-9:
+        lo = 0  # the first feasible index lies in [lo, hi]
+        while lo < hi:
+            mid = (lo + hi) // 2
+            n_checks += 1
+            g, w = band_gap(bound_context(region, rw, cands[mid]))
+            if g >= -FEAS_SLACK:
+                hi, gap, witness = mid, g, w
+            else:
+                lo = mid + 1
+    if hi > 0 and gap > 1e-9:
+        c, witness, n_checks = _bisect(region, rw, cands[hi], cands[hi - 1], 0.0, n_checks, witness)
     else:
-        c, witness = cands[hi], hit[1]
+        c = cands[hi]
     return CStarResult(c, "enum", witness, tuple(cands), n_checks)
 
 

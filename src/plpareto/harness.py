@@ -13,7 +13,7 @@ import numpy as np
 
 from .advice import box_advice, ellipse_advice, point_advice
 from .bounds import no_advice_level
-from .consistency import cstar_bisection
+from .consistency import cstar_enumeration
 from .engine import chunk_arrays, replay_ratios
 from .pareto import solve_pareto
 from .plfunction import PLFunction, constant_pl
@@ -161,7 +161,6 @@ class ExperimentConfig:
     seed: int = 0
     n_perms: int = 100
     segments: int = 64
-    epsilon: float = 1e-6
 
     def __post_init__(self) -> None:
         if self.advice_kind not in ("box", "ellipse", "point", "none", "grid"):
@@ -186,8 +185,6 @@ class ExperimentConfig:
             raise ValueError("n_test must be at least 1")
         if self.n_perms < 1:
             raise ValueError("n_perms must be at least 1")
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
-            raise ValueError("epsilon must be finite and positive")
 
 
 def _grid_policy(samples, rw: Rewards) -> PLFunction:
@@ -214,7 +211,7 @@ def _trial_policy(cfg: ExperimentConfig, rw: Rewards, samples) -> PLFunction:
         region = ellipse_advice(pts, cfg.z, cfg.segments)
     else:
         region = point_advice(pts)
-    c_star = cstar_bisection(region, rw, cfg.epsilon).c_star
+    c_star = cstar_enumeration(region, rw).c_star
     return solve_pareto(region, rw, cfg.c_rule * c_star).p_star
 
 

@@ -131,6 +131,8 @@ def balance_point(under_pt, over_pt, shift: float, rw: Rewards) -> float:
     interval (p <= y_u) its only kinks are m - x_u and m - x_o + shift, so the
     root is the linear root of the piece where it changes sign.  Raises
     NoSolution when the interval is empty or the difference never changes sign.
+    ``consistency._balance_ratios`` runs these steps on arrays of pairs, and
+    this scalar form is its test oracle: a change here must be made there too.
     """
     if shift < 0:
         raise ValueError("shift must be nonnegative")

@@ -1,5 +1,6 @@
 import json
 import time
+import warnings
 
 import pytest
 
@@ -130,6 +131,32 @@ def test_simulate_bad_config_values_exit_code(tmp_path, capsys, bad):
 def test_cstar_zero_epsilon_exit_code(diff_region_file, capsys):
     assert main(["cstar", "--region", diff_region_file, "--epsilon", "0"]) == 2
     assert "epsilon" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["enum", "bisect"])
+@pytest.mark.parametrize("eps", ["-1e-6", "nan", "inf"])
+def test_cstar_bad_epsilon_exit_code(diff_region_file, capsys, method, eps):
+    # checked where it arrives, also when the method does not use it
+    assert main(["cstar", "--region", diff_region_file, "--method", method,
+                 f"--epsilon={eps}"]) == 2
+    assert "epsilon" in capsys.readouterr().err
+
+
+def test_cstar_defaults_to_exact_enumeration(diff_region_file, capsys):
+    assert main(["cstar", "--region", diff_region_file]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("c_star=0.909090909 method=enum ")
+    assert "n_checks=1" in out
+
+
+@pytest.mark.parametrize("targets", [["--c-min=nan"], ["--c-max=inf"],
+                                     ["--c-min=-inf", "--c-max=0.9"]])
+def test_curve_non_finite_targets_exit_code(diff_region_file, capsys, targets):
+    # rejected before np.linspace, which warns on them
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["curve", "--region", diff_region_file, *targets]) == 2
+    assert "finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

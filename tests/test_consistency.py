@@ -237,24 +237,56 @@ def test_enum_bisects_between_candidates(rw, monkeypatch, drop):
         assert res.n_checks <= math.ceil(math.log2(len(res.candidate_set))) + 1 + 60
         assert feasible(region, rw, res.c_star)
 
+def test_enum_searches_above_a_smallest_candidate_that_is_not_tight(rw, monkeypatch):
+    # C* is taken out of the candidates and two feasible ones below it put
+    # in, so the smallest is feasible but not tight.  The binary search must
+    # then find the largest feasible candidate, and the bracket above it
+    # holds C*; a bracket above the smallest would end at the other one.
+    import plpareto.consistency as consistency
+
+    real_pairs = consistency._pair_candidates
+    for region in _enum_regions()[:3]:
+        c_star = cstar_enumeration(region, rw).c_star
+        extra = [0.5 * (rho(rw) + c_star), c_star - 1e-3]
+        monkeypatch.setattr(consistency, "_pair_candidates", lambda *a: extra + [
+            c for c in real_pairs(*a) if abs(c - c_star) > 1e-9])
+        res = cstar_enumeration(region, rw)
+        monkeypatch.setattr(consistency, "_pair_candidates", real_pairs)
+        assert min(res.candidate_set) == extra[0] and extra[1] in res.candidate_set
+        assert abs(res.c_star - c_star) <= 1e-9
+        assert res.n_checks <= 1 + math.ceil(math.log2(len(res.candidate_set))) + 60
+
+
 coord = st.floats(0.0, 30.0)
 point = st.tuples(coord, coord)
-ellipse = st.tuples(
-    st.tuples(st.floats(4.0, 24.0), st.floats(4.0, 24.0)),
-    st.floats(0.5, 6.0), st.floats(0.5, 6.0), st.floats(0.0, 1.0), st.integers(8, 32),
-).map(lambda e: _ellipse(e[0], (e[1], e[2]), e[3], e[4]))
+
+
+def _ellipses(max_segments):
+    return st.tuples(
+        st.tuples(st.floats(4.0, 24.0), st.floats(4.0, 24.0)),
+        st.floats(0.5, 6.0), st.floats(0.5, 6.0), st.floats(0.0, 1.0),
+        st.integers(8, max_segments),
+    ).map(lambda e: _ellipse(e[0], (e[1], e[2]), e[3], e[4]))
+
+
 near_circle = st.tuples(
     st.tuples(st.floats(4.0, 24.0), st.floats(4.0, 24.0)),
     st.floats(0.5, 6.0), st.floats(-1e-3, 1e-3), st.floats(0.0, 1.0), st.integers(8, 32),
 ).map(lambda e: _ellipse(e[0], (e[1], e[1] * (1.0 + e[2])), e[3], e[4]))
 box = st.tuples(point, point).map(lambda b: build_polygon([
     (x, y) for x in sorted({b[0][0], b[1][0]}) for y in sorted({b[0][1], b[1][1]})]))
-regions = st.one_of(
-    st.lists(point, min_size=3, max_size=20).map(build_polygon),
-    box, ellipse, near_circle,
-    point.map(lambda p: build_polygon([p])),
-    st.tuples(point, point).map(lambda s: build_polygon(list(s))),
-)
+
+
+def _regions(ellipse):
+    return st.one_of(
+        st.lists(point, min_size=3, max_size=20).map(build_polygon),
+        box, ellipse, near_circle,
+        point.map(lambda p: build_polygon([p])),
+        st.tuples(point, point).map(lambda s: build_polygon(list(s))),
+    )
+
+
+regions = _regions(_ellipses(32))
 
 
 @given(regions)
@@ -263,3 +295,117 @@ def test_enum_matches_bisection_property(region):
     rw = Rewards(1.0 / 3.0, 1.0, 20.0)
     res = cstar_enumeration(region, rw)
     assert abs(res.c_star - cstar_bisection(region, rw, epsilon=1e-12).c_star) <= 1e-9
+
+
+def _scalar_pair_candidates(region, rw, xs):
+    """Oracle: the Python pair loop that consistency._pair_candidates ran
+    before it balanced all pairs in numpy, kept verbatim."""
+    from plpareto.errors import NoSolution
+    from plpareto.ratios import balance_point, cp_under_raw
+
+    cands: list[float] = []
+    overs = [(x2, envelope(region, x2, "lower")) for x2 in xs]
+    for x1 in xs:
+        y1 = envelope(region, x1, "upper")
+        under = (x1, y1)
+        for x2, y2 in overs:
+            if x2 <= x1:
+                if y1 < y2:
+                    continue
+                shift = 0.0
+            else:
+                if y1 - y2 < x2 - x1:
+                    continue
+                shift = x2 - x1
+            try:
+                p_b = balance_point(under, (x2, y2), shift, rw)
+            except NoSolution:
+                continue
+            cands.append(cp_under_raw(p_b, under, rw))
+    return cands
+
+
+REWARD_SETTINGS = [Rewards(1.0 / 3.0, 1.0, 20.0), Rewards(0.2, 1.5, 30.0)]
+pair_regions = _regions(_ellipses(64))
+
+
+@given(pair_regions, st.sampled_from(REWARD_SETTINGS))
+@settings(max_examples=150, deadline=None)
+def test_pair_candidates_match_scalar_oracle(region, rw):
+    from plpareto.consistency import _enum_xs, _pair_candidates
+
+    xs = _enum_xs(region, rw)
+    assert _pair_candidates(region, rw, xs) == _scalar_pair_candidates(region, rw, xs)
+
+
+@given(st.lists(st.tuples(point, point, st.one_of(st.just(0.0), st.floats(0.0, 15.0))),
+                min_size=1, max_size=40),
+       st.sampled_from(REWARD_SETTINGS))
+@settings(max_examples=150, deadline=None)
+def test_balance_ratios_match_balance_point(triples, rw):
+    # any (under, over, shift), admissible or not: unsolved exactly where the
+    # scalar balance_point raises NoSolution
+    from plpareto.consistency import _balance_ratios
+    from plpareto.errors import NoSolution
+    from plpareto.ratios import balance_point, cp_under_raw
+
+    xu, yu, xo, yo, shift = (np.array(v) for v in zip(*[(*u, *o, s) for u, o, s in triples]))
+    ratios, solved = _balance_ratios(xu, yu, xo, yo, shift, rw)
+    for (u, o, s), c, ok in zip(triples, ratios.tolist(), solved.tolist()):
+        try:
+            want = cp_under_raw(balance_point(u, o, s, rw), u, rw)
+        except NoSolution:
+            assert not ok
+        else:
+            assert ok and c == want
+
+
+def test_pair_candidates_in_blocks_match_scalar_oracle(rw, monkeypatch):
+    # blocks of one under-row, and of a few rows that do not divide the count
+    import plpareto.consistency as consistency
+
+    for block in (1, 37):
+        monkeypatch.setattr(consistency, "_PAIR_BLOCK", block)
+        for region in _enum_regions()[::5]:
+            xs = consistency._enum_xs(region, rw)
+            assert consistency._pair_candidates(region, rw, xs) == \
+                _scalar_pair_candidates(region, rw, xs)
+
+
+def test_enum_checks_the_smallest_candidate_once(rw):
+    # every admissible pair's balancing value bounds C* from above, so when
+    # C* is a candidate it is the smallest one, and one check finds it
+    regions = _enum_regions()
+    n_plain = 0
+    for region in regions:
+        res = cstar_enumeration(region, rw)
+        if res.c_star in res.candidate_set:
+            n_plain += 1
+            assert res.c_star == min(res.candidate_set)
+            assert res.n_checks == 1
+    assert n_plain == len(regions) - len(NO_FEASIBLE_CANDIDATE)
+
+
+def test_enum_on_the_largest_ellipse_is_fast_and_small(rw):
+    import time
+    import tracemalloc
+
+    from plpareto.region import MAX_SEGMENTS
+
+    def region():
+        return polygonize_ellipse((10.0, 10.0), [[2.0, 0.0], [0.0, 2.0]], MAX_SEGMENTS)
+
+    start = time.perf_counter()
+    res = cstar_enumeration(region(), rw)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 2.0
+    assert res.n_checks == 1
+    # a fresh region object, so its bound geometry is built under the trace too
+    fresh = region()
+    tracemalloc.start()
+    try:
+        cstar_enumeration(fresh, rw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
