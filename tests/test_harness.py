@@ -106,9 +106,14 @@ def test_report_writers(tmp_path, rw):
     assert payload["avg_cp"] == pytest.approx(rep.avg_cp)
 
 
-@pytest.mark.parametrize("field,value", [("n_test", 0), ("n_perms", 0)])
+@pytest.mark.parametrize("field,value", [
+    ("n_test", 0), ("n_perms", 0), ("epsilon", 0.0), ("epsilon", -1e-6),
+    ("epsilon", float("nan")), ("epsilon", float("inf")),
+])
 def test_experiment_config_rejects_bad_values(field, value):
-    with pytest.raises(ValueError):
+    # epsilon is no longer a field, so any value of it is refused as an
+    # unknown argument (TypeError, exit 2 at the CLI)
+    with pytest.raises(TypeError if field == "epsilon" else ValueError):
         ExperimentConfig(**{field: value})
 
 
