@@ -41,6 +41,7 @@ from .errors import (
     OutOfDomain,
     PlparetoError,
     TargetOutOfRange,
+    TooManyChunks,
 )
 from .advice import box_advice, ellipse_advice, point_advice
 from .harness import (

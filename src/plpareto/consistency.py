@@ -172,13 +172,18 @@ def _pair_candidates(region: MLRegion, rw: Rewards, xs) -> list[float]:
 
 
 def _merge_candidates(cands) -> list[float]:
+    """The candidates in [0, 1 + 1e-9], descending, those above 1.0 taken as
+    1.0, without near-duplicates: going down, a candidate is kept only when
+    it lies more than 1e-10 below the last one kept.  The range test also
+    drops NaN and the infinities."""
+    c = np.asarray(cands, dtype=float)
+    c = np.sort(c[(c >= 0.0) & (c <= 1.0 + 1e-9)])
     dedup: list[float] = []
-    for c in sorted(cands, reverse=True):
-        if not (math.isfinite(c) and 0.0 <= c <= 1.0 + 1e-9):
-            continue
-        c = min(c, 1.0)
-        if not dedup or dedup[-1] - c > 1e-10:
-            dedup.append(c)
+    last = math.inf
+    for v in np.minimum(c[::-1], 1.0).tolist():
+        if last - v > 1e-10:
+            dedup.append(v)
+            last = v
     return dedup
 
 

@@ -18,8 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import TooManyChunks
 from .plfunction import PLFunction
-from .ratios import Rewards, hindsight_denominator
+from .ratios import DemandPoint, Rewards, hindsight_denominator
+
+# most whole unit chunks one demand point may split into for stochastic
+# replay; a batch of replays holds one padded row per chunk
+MAX_CHUNKS = 10_000
 
 
 @dataclass(frozen=True)
@@ -95,16 +100,23 @@ def ordered_sequence(x: float, y: float) -> list[Arrival]:
 
 def chunk_arrays(x: float, y: float) -> tuple[np.ndarray, np.ndarray]:
     """Sizes and low-kind flags of the unit chunks of (x, y): low units, low
-    fractional remainder, high units, high fractional remainder."""
-    sizes: list[float] = []
-    is_low: list[bool] = []
-    for low, total in ((True, x), (False, y)):
-        n = int(total)
+    fractional remainder, high units, high fractional remainder.
+
+    Raises ValueError unless x and y are finite and nonnegative, and
+    ``TooManyChunks`` before allocating anything when their whole units
+    together exceed ``MAX_CHUNKS``.
+    """
+    DemandPoint(x, y)
+    n_low, n_high = int(x), int(y)
+    if n_low + n_high > MAX_CHUNKS:
+        raise TooManyChunks(
+            f"demand ({x!r}, {y!r}) splits into more than MAX_CHUNKS = {MAX_CHUNKS} unit chunks")
+    parts = []
+    for n, total in ((n_low, x), (n_high, y)):
         frac = total - n
-        part = [1.0] * n + ([frac] if frac > 1e-12 else [])
-        sizes += part
-        is_low += [low] * len(part)
-    return np.array(sizes, dtype=float), np.array(is_low, dtype=bool)
+        parts.append(np.append(np.ones(n), frac) if frac > 1e-12 else np.ones(n))
+    sizes = np.concatenate(parts)
+    return sizes, np.arange(sizes.size) < parts[0].size
 
 
 def unit_chunks(x: float, y: float) -> list[Arrival]:
@@ -112,6 +124,16 @@ def unit_chunks(x: float, y: float) -> list[Arrival]:
     sizes, is_low = chunk_arrays(x, y)
     return [Arrival("low" if low else "high", size)
             for size, low in zip(sizes.tolist(), is_low.tolist())]
+
+
+def _step_sum(a: np.ndarray) -> np.ndarray:
+    """Column sums of a C-order (steps, n) array, adding the rows one after
+    another as a loop over the steps does.  np.add.reduce over axis 0 adds
+    whole rows in that order, except for a single column, which it sums
+    pairwise."""
+    if a.shape[1] == 1:
+        return np.cumsum(a, axis=0)[-1]
+    return np.add.reduce(a, axis=0)
 
 
 def replay_ratios(pl: PLFunction, rw: Rewards, sizes, is_low) -> np.ndarray:
@@ -124,42 +146,44 @@ def replay_ratios(pl: PLFunction, rw: Rewards, sizes, is_low) -> np.ndarray:
     ``performance_ratio(run_sequence(column, pl, rw), rw)``: every step
     applies offer's floating-point operations in offer's order.
     """
-    s = np.asarray(sizes, dtype=float)
-    low = np.asarray(is_low, dtype=bool)
+    s = np.ascontiguousarray(sizes, dtype=float)
+    low = np.ascontiguousarray(is_low, dtype=bool)
     n_steps, n = s.shape
     if n_steps == 0:
         return np.ones(n)
+    # the kinds as 0.0/1.0: multiplying a size or an acceptance by them is
+    # exact, and far cheaper than a bool operand or a where= mask
+    low_f = low.astype(float)
+    high_f = 1.0 - low_f
+    y = _step_sum(s * high_f)
     # running low demand, then (in the same buffer) the capacity above the
     # protection level before the sequence's low acceptances; +inf on high
     # steps, where offer's low-chunk formula min(remaining, min(max(cap, 0),
     # size)) reduces to its high-chunk formula min(size, remaining)
-    head = s * low
-    for j in range(1, n_steps):
-        head[j] += head[j - 1]
+    head = s * low_f
+    np.cumsum(head, axis=0, out=head)
     x = head[-1].copy()
-    level = pl.values(head[low])
+    at = np.flatnonzero(low)
+    level = pl.values(head.take(at))
     np.subtract(rw.m, level, out=level)
     head.fill(np.inf)
-    head[low] = level
-    high = ~low
+    head.put(at, level)
 
+    # step j overwrites head[j] with its acceptances
     remaining = np.full(n, float(rw.m))
     low_accepted = np.zeros(n)
-    y = np.zeros(n)
-    reward = np.zeros(n)
-    a = np.empty(n)
-    gain = np.empty(n)
+    a_low = np.empty(n)
     for j in range(n_steps):
-        np.add(y, s[j], out=y, where=high[j])
-        np.subtract(head[j], low_accepted, out=a)
+        a = head[j]
+        np.subtract(a, low_accepted, out=a)
         np.maximum(a, 0.0, out=a)
         np.minimum(a, s[j], out=a)
         np.minimum(remaining, a, out=a)
-        np.add(low_accepted, a, out=low_accepted, where=low[j])
-        np.multiply(a, rw.r_high, out=gain)
-        np.multiply(a, rw.r_low, out=gain, where=low[j])
-        reward += gain
+        np.multiply(a, low_f[j], out=a_low)
+        low_accepted += a_low
         remaining -= a
+    head *= low_f * rw.r_low + high_f * rw.r_high
+    reward = _step_sum(head)
 
     m = rw.m  # hindsight_denominator, elementwise
     opt = np.minimum(y, m) * rw.r_high + np.minimum(x, np.maximum(m - y, 0.0)) * rw.r_low

@@ -33,5 +33,9 @@ class InfeasibleTarget(PlparetoError):
     """The requested consistency target exceeds the maximum achievable one."""
 
 
+class TooManyChunks(PlparetoError):
+    """A demand point splits into more unit chunks than replay allows."""
+
+
 class InternalError(PlparetoError):
     """A computed result broke an invariant the solver relies on."""

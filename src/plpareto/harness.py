@@ -86,12 +86,16 @@ _BLOCK_ROWS = 512
 _ORDERED_LOW = np.array([True, False])
 
 
-def _blocks(chunks, reps, draw):
+def _blocks(chunks, reps, rng):
     """Zero-padded (steps, replays) sizes and is_low arrays, at most
     _BLOCK_ROWS replays each.
 
-    Replay r plays the chunks ``chunks[r // reps]`` in the order
-    ``draw(n_chunks)``; the draws are made in replay order.
+    Replay r plays the chunks ``chunks[r // reps]``, in their given order
+    when ``rng`` is None, else in a random order.  One ``rng.permuted`` call
+    on stacked ``arange`` rows draws the orders of one instance's replays in
+    a block.  It shuffles the rows one after another as ``rng.permutation``
+    does, so the orders and the generator's state are those of one
+    ``rng.permutation`` call per replay, in replay order.
     """
     n_rows = len(chunks) * reps
     for start in range(0, n_rows, _BLOCK_ROWS):
@@ -103,9 +107,11 @@ def _blocks(chunks, reps, draw):
         for i in instances:
             a, b = max(start, i * reps) - start, min(stop, (i + 1) * reps) - start
             c_sizes, c_low = chunks[i]
-            order = np.array([draw(c_sizes.size) for _ in range(b - a)]).T
-            sizes[:c_sizes.size, a:b] = c_sizes[order]
-            is_low[:c_sizes.size, a:b] = c_low[order]
+            order = np.broadcast_to(np.arange(c_sizes.size), (b - a, c_sizes.size))
+            if rng is not None:
+                order = rng.permuted(order, axis=1)
+            sizes[:c_sizes.size, a:b] = c_sizes[order.T]
+            is_low[:c_sizes.size, a:b] = c_low[order.T]
         yield sizes, is_low
 
 
@@ -114,12 +120,17 @@ def evaluate(policy: PLFunction, testset, order: str, rw: Rewards,
     """Score a policy on a test set under adversarial or stochastic order.
 
     Every replay goes through the batched kernel ``engine.replay_ratios``;
-    the ratios equal those of ``run_sequence`` replays bit for bit, and the
-    stochastic order draws one ``rng.permutation`` per replay, in the order
-    the scalar loop did.
+    the ratios equal those of ``run_sequence`` replays bit for bit.  The
+    stochastic order replays ``n_perms`` random orders of each instance's
+    unit chunks, drawn with one ``rng.permuted`` call per instance and
+    block, and gets the orders and generator state of one
+    ``rng.permutation`` per replay, in the order the scalar loop drew them.
+    An instance may split into at most ``engine.MAX_CHUNKS`` whole units.
     """
     if order not in ("adversarial", "stochastic"):
         raise ValueError("order must be 'adversarial' or 'stochastic'")
+    if not isinstance(n_perms, Integral):
+        raise ValueError("n_perms must be an integer")
     if n_perms < 1:
         raise ValueError("n_perms must be at least 1")
     testset = list(testset)
@@ -129,19 +140,17 @@ def evaluate(policy: PLFunction, testset, order: str, rw: Rewards,
         if rng is None:
             rng = np.random.default_rng(0)
         chunks = [chunk_arrays(pt.x, pt.y) for pt in testset]
-        reps, draw = n_perms, rng.permutation
+        reps = n_perms
     else:
         chunks = [(np.array([pt.x, pt.y]), _ORDERED_LOW) for pt in testset]
-        reps, draw = 1, np.arange
+        reps, rng = 1, None
     per_row = np.concatenate([
         replay_ratios(policy, rw, sizes, is_low)
-        for sizes, is_low in _blocks(chunks, reps, draw)
+        for sizes, is_low in _blocks(chunks, reps, rng)
     ]).reshape(len(testset), reps)
     # a running sum over replays, as the scalar reference adds them up;
     # np.mean sums pairwise and rounds differently
-    total = np.zeros(len(testset))
-    for j in range(reps):
-        total += per_row[:, j]
+    total = np.cumsum(per_row, axis=1)[:, -1]
     ratios = tuple((total / reps).tolist())
     return EvalReport(sum(ratios) / len(ratios), min(ratios), ratios)
 

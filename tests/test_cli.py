@@ -128,6 +128,18 @@ def test_simulate_bad_config_values_exit_code(tmp_path, capsys, bad):
     capsys.readouterr()
 
 
+def test_simulate_too_many_chunks_exit_code(tmp_path, capsys):
+    # stochastic replay of demand around 1e9 would split each point into a
+    # billion unit chunks; the engine refuses it before allocating them
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "m": 20.0, "r_low": 1 / 3, "r_high": 1.0, "model": {"main_high": 1e9},
+        "advice_kind": "none", "order": "stochastic", "K": 1, "n_test": 5,
+    }))
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert "MAX_CHUNKS" in capsys.readouterr().err
+
+
 def test_cstar_zero_epsilon_exit_code(diff_region_file, capsys):
     assert main(["cstar", "--region", diff_region_file, "--epsilon", "0"]) == 2
     assert "epsilon" in capsys.readouterr().err

@@ -19,6 +19,7 @@ from plpareto import (
     rho,
     run_sequence,
 )
+from plpareto.consistency import _merge_candidates
 from plpareto.errors import InfeasibleTarget, TargetOutOfRange
 from conftest import random_region
 
@@ -358,6 +359,47 @@ def test_balance_ratios_match_balance_point(triples, rw):
             assert not ok
         else:
             assert ok and c == want
+
+
+def _loop_merge_candidates(cands):
+    """Oracle: the Python loop that consistency._merge_candidates ran before
+    it sorted and filtered in numpy, kept verbatim."""
+    dedup: list[float] = []
+    for c in sorted(cands, reverse=True):
+        if not (math.isfinite(c) and 0.0 <= c <= 1.0 + 1e-9):
+            continue
+        c = min(c, 1.0)
+        if not dedup or dedup[-1] - c > 1e-10:
+            dedup.append(c)
+    return dedup
+
+
+# candidate clusters: a value, then values just below it, around the 1e-10
+# merge distance and around the 1.0 + 1e-9 cut, with NaN, infinities,
+# negatives and signed zeros
+_merge_values = st.one_of(
+    st.floats(0.0, 1.0), st.just(1.0), st.floats(1.0, 1.0 + 2e-9),
+    st.sampled_from([1.0 + 1e-9, 1.0 + 1.0000001e-9, 0.0, -0.0, -1e-300, -0.5,
+                     math.inf, -math.inf, math.nan]),
+)
+_merge_clusters = st.lists(
+    st.tuples(_merge_values, st.lists(
+        st.sampled_from([0.0, 1e-11, 4e-11, 5e-11, 1e-10, 1.0000001e-10, 1.5e-10, 3e-10]),
+        max_size=6)),
+    max_size=12)
+
+
+@given(_merge_clusters, st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_merge_candidates_match_loop_oracle(clusters, random):
+    cands = [v - d for v, ds in clusters for d in [0.0, *ds]]
+    random.shuffle(cands)
+    got = _merge_candidates(cands)
+    # Python's sort leaves a list holding NaN out of order (every comparison
+    # with NaN is false), so the oracle gets the list without its NaNs, which
+    # _merge_candidates drops before it sorts
+    assert got == _loop_merge_candidates([c for c in cands if not math.isnan(c)])
+    assert got == sorted(got, reverse=True)
 
 
 def test_pair_candidates_in_blocks_match_scalar_oracle(rw, monkeypatch):

@@ -131,6 +131,16 @@ def test_evaluate_rejects_zero_perms(rw, order):
                  np.random.default_rng(0), n_perms=0)
 
 
+@pytest.mark.parametrize("order", ["adversarial", "stochastic"])
+@pytest.mark.parametrize("n_perms", [2.5, 3.0, "3", None])
+def test_evaluate_rejects_non_integer_perms(rw, order, n_perms):
+    with pytest.raises(ValueError, match="n_perms must be an integer"):
+        evaluate(constant_pl(8.0, 20.0), [DemandPoint(5.0, 5.0)], order, rw,
+                 np.random.default_rng(0), n_perms=n_perms)
+    with pytest.raises(ValueError, match="n_perms must be an integer"):
+        ExperimentConfig(n_perms=n_perms)
+
+
 @pytest.mark.parametrize("K", [0, -1])
 def test_experiment_config_rejects_no_trials(K):
     with pytest.raises(ValueError):

@@ -21,7 +21,8 @@ from plpareto import (
     solve_pareto,
     unit_chunks,
 )
-from plpareto.engine import chunk_arrays, replay_ratios
+from plpareto.engine import MAX_CHUNKS, chunk_arrays, replay_ratios
+from plpareto.errors import TooManyChunks
 from plpareto import harness
 
 from conftest import random_region
@@ -138,6 +139,59 @@ def test_chunk_arrays_match_unit_chunks():
         chunks = unit_chunks(x, y)
         assert sizes.tolist() == [c.size for c in chunks]
         assert is_low.tolist() == [c.kind == "low" for c in chunks]
+
+
+def test_chunk_arrays_cap():
+    # the cap counts whole units; fractional remainders ride along
+    sizes, is_low = chunk_arrays(MAX_CHUNKS - 4000 + 0.5, 4000.75)
+    assert sizes.size == MAX_CHUNKS + 2 and is_low.sum() == MAX_CHUNKS - 4000 + 1
+    for x, y in ((MAX_CHUNKS + 1.0, 0.0), (0.0, MAX_CHUNKS + 1.5), (6000.0, 4001.0), (1e9, 0.0)):
+        with pytest.raises(TooManyChunks):
+            chunk_arrays(x, y)
+
+
+@pytest.mark.parametrize("x,y", [(-3.5, 2.0), (2.0, -0.25), (float("nan"), 1.0), (float("inf"), 0.0)])
+def test_chunk_arrays_rejects_bad_demand(x, y):
+    with pytest.raises(ValueError, match="demand must be"):
+        unit_chunks(x, y)
+
+
+def test_evaluate_stochastic_rejects_too_many_chunks():
+    pl = constant_pl(8.0, 20.0)
+    with pytest.raises(TooManyChunks):
+        evaluate(pl, [DemandPoint(1e9, 0.0)], "stochastic", RW, np.random.default_rng(0), 3)
+    # the adversarial order replays two chunks whatever the totals: 12 of
+    # the low demand is served, against 20 in hindsight
+    assert evaluate(pl, [DemandPoint(1e9, 0.0)], "adversarial", RW).worst_cp == pytest.approx(0.6)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 62])
+@pytest.mark.parametrize("rows", [1, 7, 600])
+def test_permuted_rows_equal_sequential_permutations(n, rows):
+    # _blocks draws a block's orders of one instance with one rng.permuted
+    # call; it must give the rows, and leave the generator in the state, of
+    # one rng.permutation call per row
+    one, each = np.random.default_rng(n * 1000 + rows), np.random.default_rng(n * 1000 + rows)
+    got = one.permuted(np.broadcast_to(np.arange(n), (rows, n)), axis=1)
+    want = np.array([each.permutation(n) for _ in range(rows)]).reshape(rows, n)
+    assert got.tolist() == want.tolist()
+    assert one.random() == each.random()
+
+
+def test_kernel_equals_scalar_replay_single_column():
+    # np.add.reduce sums a lone column pairwise, not step by step
+    pl = PLFunction(((0.0, 14.0), (6.0, 11.0), (18.0, 5.0)))
+    rng = np.random.default_rng(4)
+    for x, y in ((17.3, 12.6), (31.7, 3.2), (2.9, 28.4)):
+        sizes, is_low = chunk_arrays(x, y)
+        chunks = unit_chunks(x, y)
+        perm = rng.permutation(len(chunks))
+        got = replay_ratios(pl, RW, sizes[perm, None], is_low[perm, None]).tolist()
+        assert got == [scalar_ratio([chunks[i] for i in perm], pl)]
+    testset = [DemandPoint(17.3, 12.6)]
+    got = evaluate(pl, testset, "stochastic", RW, np.random.default_rng(9), n_perms=1)
+    assert got.per_instance == scalar_evaluate(pl, testset, "stochastic",
+                                               np.random.default_rng(9), 1)
 
 
 def test_empty_batch_ratios_are_one():
