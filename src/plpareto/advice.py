@@ -55,48 +55,88 @@ def box_advice(samples, coverage: float = 1.0) -> MLRegion:
     return build_polygon([(x1, y1), (x2, y1), (x2, y2), (x1, y2)])
 
 
-def _mvee(points: np.ndarray, tol: float = 1e-9, max_iter: int = 20000):
-    """Minimum-volume enclosing ellipse {u : (u-c)^T A (u-c) <= 1}.
-
-    Frank-Wolfe iteration with away steps on the dual weights; returns
-    (center, A) or None when the points are (near) collinear.
-    """
-    n, d = points.shape
-    q = np.column_stack([points, np.ones(n)])
-    u = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
-        x = q.T @ (q * u[:, None])
-        try:
-            inv = np.linalg.inv(x)
-        except np.linalg.LinAlgError:
+def _newton_weights(u, kappa, vq, pts, support):
+    """u after a Newton step u_S += a - (sum a / sum b) b on log det X(u), where
+    (K_S o K_S) [a b] = [kappa_S 1] and K_ij = q_i^T X^-1 q_j, or None when the
+    system is singular or the step would leave the simplex."""
+    rows = [[(pts[i][0] * vq[j][0] + pts[i][1] * vq[j][1] + vq[j][2]) ** 2 for j in support]
+            + [kappa[i], 1.0] for i in support]
+    # PSD (Schur product): no pivoting; K is affine invariant and K_ii is near 3 on S
+    for col in range(len(rows)):
+        piv = rows[col]
+        if piv[col] <= 1e-10:
             return None
-        kappa = np.einsum("ij,jk,ik->i", q, inv, q)
-        j_max = int(np.argmax(kappa))
-        k_max = kappa[j_max]
-        support = u > 1e-12
-        j_min = int(np.argmin(np.where(support, kappa, np.inf)))
-        k_min = kappa[j_min]
-        err = max(k_max / (d + 1) - 1.0, 1.0 - k_min / (d + 1))
-        if err <= tol:
+        rows = [r if r is piv else [v - r[col] / piv[col] * w for v, w in zip(r, piv)] for r in rows]
+    a, b = ([r[h] / r[i] for i, r in enumerate(rows)] for h in (-2, -1))
+    new = {i: u[i] + ai - math.fsum(a) / math.fsum(b) * bi for i, ai, bi in zip(support, a, b)}
+    return [new.get(i, w) for i, w in enumerate(u)] if min(new.values()) > 0.0 else None
+
+
+def _mvee_weights(pts, tol, max_iter):
+    """The dual weights of ``_mvee``, or None when X(u) is singular."""
+    u = [1.0 / len(pts)] * len(pts)
+    trigger, newton = 1e-3, 0
+    for _ in range(max_iter):
+        a = b = c = e = f = s = 0.0  # X(u) = [[a, b, c], [b, e, f], [c, f, s]]
+        for (x, y), w in zip(pts, u):
+            a, b, c, e, f, s = a + w * x * x, b + w * x * y, c + w * x, e + w * y * y, f + w * y, s + w
+        c11, c12, c13 = e * s - f * f, c * f - b * s, b * f - c * e
+        det = a * c11 + b * c12 + c * c13
+        if not det > 0.0:
+            return None
+        v11, v12, v13, v22, v23, v33 = (
+            v / det for v in (c11, c12, c13, a * s - c * c, b * c - a * f, a * e - b * b))
+        vq = [(v11 * x + v12 * y + v13, v12 * x + v22 * y + v23, v13 * x + v23 * y + v33)
+              for x, y in pts]
+        kappa = [x * p + y * q + r for (x, y), (p, q, r) in zip(pts, vq)]
+        support = [i for i, w in enumerate(u) if w > 1e-12]
+        j_max = max(range(len(u)), key=kappa.__getitem__)
+        j_min = min(support, key=kappa.__getitem__)
+        up, down = kappa[j_max] / 3.0 - 1.0, 1.0 - kappa[j_min] / 3.0
+        if max(up, down) <= tol:
             break
-        if k_max / (d + 1) - 1.0 >= 1.0 - k_min / (d + 1):
-            j, k = j_max, k_max
-        else:
-            j, k = j_min, k_min
+        if not newton and max(up, down) < trigger:
+            newton, trigger = 8, trigger / 100.0  # Newton steps per attempt
+        off = max([k for k, w in zip(kappa, u) if w <= 1e-12], default=0.0) / 3.0 - 1.0
+        if newton and off <= tol and (step := _newton_weights(u, kappa, vq, pts, support)):
+            u, newton = step, newton - 1
+            continue
+        newton = 0
+        j = j_max if up >= down else j_min
+        k = kappa[j]
         if abs(k - 1.0) <= 1e-15:
             break
-        lam = (k - d - 1.0) / ((d + 1) * (k - 1.0))
-        lam = max(lam, -u[j] / (1.0 - u[j]) if u[j] < 1.0 else lam)
-        u = (1.0 - lam) * u
-        u[j] += lam
-        u = np.maximum(u, 0.0)
-        u /= u.sum()
+        lam = (k - 3.0) / (3.0 * (k - 1.0))
+        lam = max(lam, -u[j] / (1.0 - u[j])) if u[j] < 1.0 else lam
+        u = [max((1.0 - lam) * w + (lam if i == j else 0.0), 0.0) for i, w in enumerate(u)]
+        total = math.fsum(u)
+        u = [w / total for w in u]
+    return u
+
+
+def _mvee(points: np.ndarray, tol: float = 1e-9, max_iter: int = 20000):
+    """Minimum-volume enclosing ellipse {u : (u-c)^T A (u-c) <= 1} of 2-D
+    points: (center, A), or None when they are (near) collinear.
+
+    Its weights u maximise log det X(u), X(u) = sum u_i q_i q_i^T, q_i = (p_i, 1).
+    Each pass builds X(u) and its inverse afresh in plain floats and stops when
+    kappa_i = q_i^T X^-1 q_i <= 3 (1 + tol) for all i, and >= 3 (1 - tol) on the
+    support.  Else it takes a Frank-Wolfe step with away steps (Todd & Yildirim
+    2007) or, once that error first falls below 1e-3, up to 8 Newton steps on the
+    support (``_newton_weights``) until one fails or a point off the support
+    violates the stop test; each attempt lowers that trigger 100x.  Every step
+    counts against ``max_iter``.  The shape is rescaled to contain every point.
+    """
+    u = _mvee_weights(points.tolist(), tol, max_iter)
+    if u is None:
+        return None
+    u = np.array(u)
     c = points.T @ u
     cov = points.T @ (points * u[:, None]) - np.outer(c, c)
     det = np.linalg.det(cov)
-    if not np.isfinite(det) or det <= 1e-18 * max(1.0, float(np.trace(cov)) ** d):
+    if not np.isfinite(det) or det <= 1e-18 * max(1.0, float(np.trace(cov)) ** 2):
         return None
-    a = np.linalg.inv(cov) / d
+    a = np.linalg.inv(cov) / 2
     # rescale so every sample is inside despite finite-precision convergence
     dev = points - c
     dmax = float(np.max(np.einsum("ij,jk,ik->i", dev, a, dev)))

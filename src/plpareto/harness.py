@@ -83,20 +83,25 @@ class EvalReport:
 # replays per kernel call: bounds the batch's arrays whatever n_test and n_perms
 _BLOCK_ROWS = 512
 # chunk kinds of the adversarial order: all low demand, then all high demand
-_ORDERED_LOW = np.array([True, False])
+_ORDERED_LOW = np.array([[True], [False]])
 
 
 def _blocks(chunks, reps, rng):
     """Zero-padded (steps, replays) sizes and is_low arrays, at most
     _BLOCK_ROWS replays each.
 
-    Replay r plays the chunks ``chunks[r // reps]``, in their given order
-    when ``rng`` is None, else in a random order.  One ``rng.permuted`` call
-    on stacked ``arange`` rows draws the orders of one instance's replays in
-    a block.  It shuffles the rows one after another as ``rng.permutation``
-    does, so the orders and the generator's state are those of one
-    ``rng.permutation`` call per replay, in replay order.
+    With ``rng`` None, a block is a slice of the (2, n) array ``chunks`` of
+    the test set's x and y.  Else replay r plays ``chunks[r // reps]`` in a
+    random order.  One ``rng.permuted`` call on stacked ``arange`` rows draws
+    the orders of one instance's replays in a block.  It shuffles the rows one
+    after another as ``rng.permutation`` does, so the orders and the
+    generator's state are those of one ``rng.permutation`` call per replay.
     """
+    if rng is None:
+        for start in range(0, chunks.shape[1], _BLOCK_ROWS):
+            sizes = chunks[:, start:start + _BLOCK_ROWS]
+            yield sizes, np.broadcast_to(_ORDERED_LOW, sizes.shape)
+        return
     n_rows = len(chunks) * reps
     for start in range(0, n_rows, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n_rows)
@@ -108,8 +113,7 @@ def _blocks(chunks, reps, rng):
             a, b = max(start, i * reps) - start, min(stop, (i + 1) * reps) - start
             c_sizes, c_low = chunks[i]
             order = np.broadcast_to(np.arange(c_sizes.size), (b - a, c_sizes.size))
-            if rng is not None:
-                order = rng.permuted(order, axis=1)
+            order = rng.permuted(order, axis=1)
             sizes[:c_sizes.size, a:b] = c_sizes[order.T]
             is_low[:c_sizes.size, a:b] = c_low[order.T]
         yield sizes, is_low
@@ -142,7 +146,7 @@ def evaluate(policy: PLFunction, testset, order: str, rw: Rewards,
         chunks = [chunk_arrays(pt.x, pt.y) for pt in testset]
         reps = n_perms
     else:
-        chunks = [(np.array([pt.x, pt.y]), _ORDERED_LOW) for pt in testset]
+        chunks = np.array([[pt.x for pt in testset], [pt.y for pt in testset]])
         reps, rng = 1, None
     per_row = np.concatenate([
         replay_ratios(policy, rw, sizes, is_low)

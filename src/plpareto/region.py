@@ -153,10 +153,6 @@ class KeyPoints:
 
     L: Point
     H: Point
-    x_lo: float
-    x_hi: float
-    y_lo: float
-    y_hi: float
     r0: tuple[Point, ...]
 
 
@@ -216,7 +212,7 @@ def key_points(region: MLRegion, m: float) -> KeyPoints:
     for p in sorted(r0):
         if not dedup or abs(p[0] - dedup[-1][0]) > TOL:
             dedup.append(p)
-    return KeyPoints(L, H, region.x_lo, region.x_hi, region.y_lo, region.y_hi, tuple(dedup))
+    return KeyPoints(L, H, tuple(dedup))
 
 
 def x_vertices(region: MLRegion, m: float) -> tuple[float, ...]:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from plpareto import box_advice, contains, ellipse_advice, point_advice
+from plpareto import advice, box_advice, contains, ellipse_advice, point_advice
+from plpareto.harness import DemandModel, sample_demand
 from plpareto.region import MAX_SEGMENTS
 
 
@@ -87,3 +88,100 @@ def test_ellipse_advice_rejects_segment_count_over_the_cap(monkeypatch):
         ellipse_advice([(10.0, 10.0), (12.0, 11.0), (11.0, 14.0)], segments=MAX_SEGMENTS + 1)
     with pytest.raises(ValueError, match="segments"):
         ellipse_advice([(10.0, 10.0), (12.0, 11.0), (11.0, 14.0)], segments=0)
+
+
+def mvee_oracle(points, tol=1e-9, max_iter=20000):
+    """The numpy fit that ``advice._mvee`` replaced: Frank-Wolfe with away
+    steps only, one numpy inverse and einsum per pass.  Returns (center, A,
+    passes), or None when the points are (near) collinear."""
+    n, d = points.shape
+    q = np.column_stack([points, np.ones(n)])
+    u = np.full(n, 1.0 / n)
+    for passes in range(max_iter):
+        x = q.T @ (q * u[:, None])
+        try:
+            inv = np.linalg.inv(x)
+        except np.linalg.LinAlgError:
+            return None
+        kappa = np.einsum("ij,jk,ik->i", q, inv, q)
+        j_max = int(np.argmax(kappa))
+        k_max = kappa[j_max]
+        support = u > 1e-12
+        j_min = int(np.argmin(np.where(support, kappa, np.inf)))
+        k_min = kappa[j_min]
+        err = max(k_max / (d + 1) - 1.0, 1.0 - k_min / (d + 1))
+        if err <= tol:
+            break
+        if k_max / (d + 1) - 1.0 >= 1.0 - k_min / (d + 1):
+            j, k = j_max, k_max
+        else:
+            j, k = j_min, k_min
+        if abs(k - 1.0) <= 1e-15:
+            break
+        lam = (k - d - 1.0) / ((d + 1) * (k - 1.0))
+        lam = max(lam, -u[j] / (1.0 - u[j]) if u[j] < 1.0 else lam)
+        u = (1.0 - lam) * u
+        u[j] += lam
+        u = np.maximum(u, 0.0)
+        u /= u.sum()
+    c = points.T @ u
+    cov = points.T @ (points * u[:, None]) - np.outer(c, c)
+    det = np.linalg.det(cov)
+    if not np.isfinite(det) or det <= 1e-18 * max(1.0, float(np.trace(cov)) ** d):
+        return None
+    a = np.linalg.inv(cov) / d
+    dev = points - c
+    dmax = float(np.max(np.einsum("ij,jk,ik->i", dev, a, dev)))
+    if dmax > 0.0:
+        a = a / dmax
+    return c, a, passes
+
+
+# Frank-Wolfe plus Newton steps that every fit below must finish within; the
+# largest count on the seeded corpus is 149
+MVEE_STEP_BOUND = 500
+
+
+def check_mvee_fit(pts):
+    """``_mvee`` on pts against the stop test, the oracle and the samples;
+    returns its weights and the oracle's pass count."""
+    u = advice._mvee_weights(pts.tolist(), 1e-9, MVEE_STEP_BOUND)
+    assert u is not None
+    u = np.array(u)
+    # the stop test on fresh numpy arithmetic, met within MVEE_STEP_BOUND steps
+    q = np.column_stack([pts, np.ones(len(pts))])
+    kappa = np.einsum("ij,jk,ik->i", q, np.linalg.inv(q.T @ (q * u[:, None])), q)
+    assert kappa.max() <= 3 * (1 + 1e-9)
+    assert kappa[u > 1e-12].min() >= 3 * (1 - 1e-9)
+    c, a = advice._mvee(pts)
+    want_c, want_a, passes = mvee_oracle(pts)
+    assert np.linalg.norm(c - want_c) <= 1e-7 * np.linalg.norm(want_c)
+    assert np.linalg.norm(a - want_a) <= 1e-7 * np.linalg.norm(want_a)
+    dev = pts - c
+    assert np.einsum("ij,jk,ik->i", dev, a, dev).max() <= 1.0 + 1e-12
+    return u, passes
+
+
+def test_mvee_matches_numpy_oracle_on_demand_samples():
+    rng = np.random.default_rng(2024)
+    model = DemandModel()
+    for _ in range(400):
+        check_mvee_fit(np.array([(p.x, p.y) for p in (sample_demand(model, rng) for _ in range(10))]))
+
+
+# ten samples of DemandModel() on which the oracle takes 13,061 passes: the
+# optimal support has 5 points, where the away-step iteration converges only
+# linearly
+SLOW_FIT = [
+    (17.353960594646693, 10.980780212559889), (12.061340339787463, 19.328055305028364),
+    (12.71376768780938, 16.041518162350883), (18.598775667917113, 11.615255219374024),
+    (14.427376457777884, 11.243756804355016), (14.799994691975034, 22.576274521907134),
+    (0.5895337143639023, 16.64184897452863), (18.794754649366205, 15.672581931241123),
+    (13.965366207443152, 10.117924446208043), (14.353629655740715, 16.96558418931895),
+]
+
+
+def test_mvee_slow_oracle_case():
+    u, passes = check_mvee_fit(np.array(SLOW_FIT))
+    assert passes > 10_000
+    assert 4 <= (u > 1e-12).sum() <= 5

@@ -222,13 +222,51 @@ def test_evaluate_equals_scalar_reference_across_blocks():
                                                np.random.default_rng(8), n_perms)
 
 
+
+def per_instance_adversarial_blocks(testset):
+    """The adversarial blocks as _blocks built them per instance: one
+    broadcast ``arange`` order and one gather of (x, y) per instance."""
+    chunks = [(np.array([pt.x, pt.y]), np.array([True, False])) for pt in testset]
+    for start in range(0, len(chunks), harness._BLOCK_ROWS):
+        stop = min(start + harness._BLOCK_ROWS, len(chunks))
+        sizes = np.zeros((2, stop - start))
+        is_low = np.zeros((2, stop - start), dtype=bool)
+        for i in range(start, stop):
+            c_sizes, c_low = chunks[i]
+            order = np.broadcast_to(np.arange(c_sizes.size), (1, c_sizes.size))
+            sizes[:, i - start:i - start + 1] = c_sizes[order.T]
+            is_low[:, i - start:i - start + 1] = c_low[order.T]
+        yield sizes, is_low
+
+
+@pytest.mark.parametrize("n_test", [1, 511, 512, 513, 1100])
+def test_adversarial_blocks_equal_per_instance_construction(n_test):
+    # n_test around _BLOCK_ROWS = 512: one block, a full block, a full block
+    # plus one replay, and a partial third block
+    xy = np.random.default_rng(n_test).uniform(0, 35, size=(n_test, 2))
+    xy[::7, 0] = 0.0
+    xy[::5, 1] = 0.0
+    testset = [DemandPoint(float(x), float(y)) for x, y in xy]
+    got = list(harness._blocks(xy.T.copy(), 1, None))
+    want = list(per_instance_adversarial_blocks(testset))
+    assert len(got) == len(want) == -(-n_test // harness._BLOCK_ROWS)
+    for (g_sizes, g_low), (w_sizes, w_low) in zip(got, want):
+        assert g_sizes.shape == w_sizes.shape and g_low.shape == w_low.shape
+        assert (g_sizes == w_sizes).all() and (g_low == w_low).all()
+    pl = PLFunction(((0.0, 14.0), (6.0, 11.0), (18.0, 5.0)))
+    assert evaluate(pl, testset, "adversarial", RW).per_instance == scalar_evaluate(
+        pl, testset, "adversarial", None, 1)
+
+
 # run_experiment(...).per_trial for ExperimentConfig(advice_kind=kind,
 # order=order, K=3, n_test=12, n_perms=6, z=0.9, c_rule=0.9, seed=2024) and
 # Rewards(1/3, 1, 20).  The ratios were first recorded with the scalar replay
 # (one run_sequence per sequence) before evaluate was batched; the box and
 # ellipse rows were re-captured when the trials' C* changed from bisection's
 # feasible end to the exact value by enumeration (ratios moved by up to
-# 5.7e-7).
+# 5.7e-7).  The ellipse rows were re-captured again when the MVEE fit gained
+# its Newton polish and stopped at another point within its tolerance
+# (ratios moved by up to 9.0e-11).
 GOLDEN = {
     ('none', 'adversarial'): ((0.7144100949456819, 0.6355028278161113), (0.7144100949456819, 0.6355028278161113), (0.7144100949456819, 0.6355028278161113)),
     ('none', 'stochastic'): ((0.8079382996702819, 0.7606301584837866), (0.8112403740117423, 0.7345810450225545), (0.8022180362233066, 0.7301801727486364)),
@@ -238,8 +276,8 @@ GOLDEN = {
     ('grid', 'stochastic'): ((0.9559863723731424, 0.8826428164112655), (0.9617539907995903, 0.907356815270781), (0.9628677718176899, 0.9205142933515681)),
     ('box', 'adversarial'): ((0.8708681427476458, 0.7935683416896209), (0.912918522364174, 0.8177992363080998), (0.9324843155122834, 0.8417941500140098)),
     ('box', 'stochastic'): ((0.885349946623386, 0.8054323079853777), (0.9147844967319693, 0.8177992363080998), (0.9326594664603315, 0.8417941500140099)),
-    ('ellipse', 'adversarial'): ((0.8783043201151938, 0.794392171180388), (0.9015972000718823, 0.8146005749732669), (0.9355765875909133, 0.8531787239437152)),
-    ('ellipse', 'stochastic'): ((0.8886477534042738, 0.8059815276458892), (0.9090052747543775, 0.8146005749732669), (0.9408341135724948, 0.8531787239437153)),
+    ('ellipse', 'adversarial'): ((0.8783043200255674, 0.7943921711499202), (0.9015972000763592, 0.8146005749771226), (0.9355765876058845, 0.8531787239862709)),
+    ('ellipse', 'stochastic'): ((0.8886477533594835, 0.8059815276255774), (0.9090052747579646, 0.8146005749771227), (0.9408341136019706, 0.8531787239862708)),
 }
 
 
