@@ -98,25 +98,35 @@ def ordered_sequence(x: float, y: float) -> list[Arrival]:
     return out
 
 
-def chunk_arrays(x: float, y: float) -> tuple[np.ndarray, np.ndarray]:
-    """Sizes and low-kind flags of the unit chunks of (x, y): low units, low
-    fractional remainder, high units, high fractional remainder.
+def chunk_runs(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """Unit chunks of the demand arrays x and y as (n, 4) run sizes (1.0, low
+    remainder, 1.0, high remainder) and lengths (whole low units, 0 or 1,
+    whole high units, 0 or 1); a remainder of at most 1e-12 is no chunk.
 
-    Raises ValueError unless x and y are finite and nonnegative, and
-    ``TooManyChunks`` before allocating anything when their whole units
-    together exceed ``MAX_CHUNKS``.
+    At the first bad instance, raises ValueError unless x and y are finite
+    and nonnegative, and ``TooManyChunks`` before allocating any chunk when
+    the whole units together exceed ``MAX_CHUNKS``.
     """
-    DemandPoint(x, y)
-    n_low, n_high = int(x), int(y)
-    if n_low + n_high > MAX_CHUNKS:
+    xy = np.array([x, y], dtype=float)
+    ok = (np.isfinite(xy) & (xy >= 0.0)).all(axis=0)
+    units = np.floor(np.where(ok, xy, 0.0))
+    bad = ~ok | (units.sum(axis=0) > MAX_CHUNKS)
+    if bad.any():
+        bx, by = xy[:, bad.argmax()].tolist()
+        DemandPoint(bx, by)
         raise TooManyChunks(
-            f"demand ({x!r}, {y!r}) splits into more than MAX_CHUNKS = {MAX_CHUNKS} unit chunks")
-    parts = []
-    for n, total in ((n_low, x), (n_high, y)):
-        frac = total - n
-        parts.append(np.append(np.ones(n), frac) if frac > 1e-12 else np.ones(n))
-    sizes = np.concatenate(parts)
-    return sizes, np.arange(sizes.size) < parts[0].size
+            f"demand ({bx!r}, {by!r}) splits into more than MAX_CHUNKS = {MAX_CHUNKS} unit chunks")
+    frac = xy - units
+    sizes = np.stack([np.ones_like(frac[0]), frac[0], np.ones_like(frac[0]), frac[1]], axis=1)
+    lengths = np.stack([units[0], frac[0] > 1e-12, units[1], frac[1] > 1e-12], axis=1)
+    return sizes, lengths.astype(np.intp)
+
+
+def chunk_arrays(x: float, y: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sizes and low-kind flags of the unit chunks of (x, y), in
+    ``unit_chunks`` order; raises as ``chunk_runs`` does."""
+    sizes, lengths = chunk_runs([x], [y])
+    return np.repeat(sizes[0], lengths[0]), np.arange(lengths.sum()) < lengths[0, :2].sum()
 
 
 def unit_chunks(x: float, y: float) -> list[Arrival]:

@@ -14,7 +14,7 @@ import numpy as np
 from .advice import box_advice, ellipse_advice, point_advice
 from .bounds import no_advice_level
 from .consistency import cstar_enumeration
-from .engine import chunk_arrays, replay_ratios
+from .engine import chunk_runs, replay_ratios
 from .pareto import solve_pareto
 from .plfunction import PLFunction, constant_pl
 from .ratios import DemandPoint, Rewards, cp
@@ -49,6 +49,9 @@ class DemandModel:
             raise ValueError("demand model parameters must be finite")
         if self.sd < 0.0:
             raise ValueError("sd must be nonnegative")
+        for low, high in ((self.main_low, self.main_high), (self.cont_low, self.cont_high)):
+            if not 0.0 <= high - low < math.inf:
+                raise ValueError("each uniform range needs low <= high and a finite high - low")
 
 
 def sample_demand(model: DemandModel, rng: np.random.Generator) -> DemandPoint:
@@ -64,6 +67,20 @@ def sample_demand(model: DemandModel, rng: np.random.Generator) -> DemandPoint:
             v = rng.uniform(model.cont_low, model.cont_high)
         coords.append(max(0.0, float(v)))
     return DemandPoint(coords[0], coords[1])
+
+
+def _sample_points(model: DemandModel, n: int, rng: np.random.Generator) -> list[DemandPoint]:
+    """The points and generator state of ``n`` calls of ``sample_demand``.  A
+    uniform-mixture coordinate takes two doubles, the pick and u, and is
+    ``low + (high - low) * u`` as in ``Generator.uniform``: one bulk draw.
+    A normal draw takes a varying number of doubles, so that model loops."""
+    if model.kind != "uniform-mixture":
+        return [sample_demand(model, rng) for _ in range(n)]
+    pick, u = rng.random(4 * n).reshape(n, 2, 2).transpose(2, 0, 1)
+    v = np.where(pick < model.weight,
+                 model.main_low + (model.main_high - model.main_low) * u,
+                 model.cont_low + (model.cont_high - model.cont_low) * u)
+    return [DemandPoint(x, y) for x, y in np.where(v > 0.0, v, 0.0).tolist()]
 
 
 @dataclass(frozen=True)
@@ -91,32 +108,35 @@ def _blocks(chunks, reps, rng):
     _BLOCK_ROWS replays each.
 
     With ``rng`` None, a block is a slice of the (2, n) array ``chunks`` of
-    the test set's x and y.  Else replay r plays ``chunks[r // reps]`` in a
-    random order.  One ``rng.permuted`` call on stacked ``arange`` rows draws
-    the orders of one instance's replays in a block.  It shuffles the rows one
-    after another as ``rng.permutation`` does, so the orders and the
-    generator's state are those of one ``rng.permutation`` call per replay.
+    the test set's x and y.  Else replay r plays instance r // reps's
+    ``engine.chunk_runs`` chunks in a random order, held as indices into the
+    test set's chunk list: one ``rng.permuted`` call per instance shuffles
+    its columns one after another as ``rng.permutation`` does, so the orders
+    and the generator's state are those of one call per replay.
     """
     if rng is None:
         for start in range(0, chunks.shape[1], _BLOCK_ROWS):
             sizes = chunks[:, start:start + _BLOCK_ROWS]
             yield sizes, np.broadcast_to(_ORDERED_LOW, sizes.shape)
         return
-    n_rows = len(chunks) * reps
+    sizes, lengths = chunks
+    # every chunk of the test set in instance order, then a 0.0 for padding
+    table = np.append(np.repeat(sizes.ravel(), lengths.ravel()), 0.0)
+    ids = np.arange(table.size)[:, None]
+    n = lengths.sum(axis=1)
+    ends = np.cumsum(n)
+    low_ends = ends - lengths[:, 2:].sum(axis=1)
+    n_rows = n.size * reps
     for start in range(0, n_rows, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n_rows)
-        instances = range(start // reps, (stop - 1) // reps + 1)
-        width = max(chunks[i][0].size for i in instances)
-        sizes = np.zeros((width, stop - start))
-        is_low = np.zeros((width, stop - start), dtype=bool)
-        for i in instances:
+        inst = np.arange(start, stop) // reps
+        idx = np.full((n[inst].max(), stop - start), table.size - 1)
+        for i in range(inst[0], inst[-1] + 1):
             a, b = max(start, i * reps) - start, min(stop, (i + 1) * reps) - start
-            c_sizes, c_low = chunks[i]
-            order = np.broadcast_to(np.arange(c_sizes.size), (b - a, c_sizes.size))
-            order = rng.permuted(order, axis=1)
-            sizes[:c_sizes.size, a:b] = c_sizes[order.T]
-            is_low[:c_sizes.size, a:b] = c_low[order.T]
-        yield sizes, is_low
+            cols = idx[:n[i], a:b]
+            cols[...] = ids[ends[i] - n[i]:ends[i]]
+            rng.permuted(cols, axis=0, out=cols)
+        yield table.take(idx), idx < low_ends[inst]
 
 
 def evaluate(policy: PLFunction, testset, order: str, rw: Rewards,
@@ -125,11 +145,12 @@ def evaluate(policy: PLFunction, testset, order: str, rw: Rewards,
 
     Every replay goes through the batched kernel ``engine.replay_ratios``;
     the ratios equal those of ``run_sequence`` replays bit for bit.  The
-    stochastic order replays ``n_perms`` random orders of each instance's
-    unit chunks, drawn with one ``rng.permuted`` call per instance and
-    block, and gets the orders and generator state of one
-    ``rng.permutation`` per replay, in the order the scalar loop drew them.
-    An instance may split into at most ``engine.MAX_CHUNKS`` whole units.
+    stochastic order counts every instance's unit chunks at once
+    (``engine.chunk_runs``) and replays ``n_perms`` random orders of them,
+    drawn with one ``rng.permuted`` call per instance and block: the orders
+    and generator state of one ``rng.permutation`` per replay, in the order
+    the scalar loop drew them.  An instance may split into at most
+    ``engine.MAX_CHUNKS`` whole units.
     """
     if order not in ("adversarial", "stochastic"):
         raise ValueError("order must be 'adversarial' or 'stochastic'")
@@ -140,14 +161,12 @@ def evaluate(policy: PLFunction, testset, order: str, rw: Rewards,
     testset = list(testset)
     if not testset:
         return EvalReport(None, None, ())
+    xy = [pt.x for pt in testset], [pt.y for pt in testset]
     if order == "stochastic":
-        if rng is None:
-            rng = np.random.default_rng(0)
-        chunks = [chunk_arrays(pt.x, pt.y) for pt in testset]
-        reps = n_perms
+        chunks, reps = chunk_runs(*xy), n_perms
+        rng = np.random.default_rng(0) if rng is None else rng
     else:
-        chunks = np.array([[pt.x for pt in testset], [pt.y for pt in testset]])
-        reps, rng = 1, None
+        chunks, reps, rng = np.array(xy), 1, None
     per_row = np.concatenate([
         replay_ratios(policy, rw, sizes, is_low)
         for sizes, is_low in _blocks(chunks, reps, rng)
@@ -232,17 +251,18 @@ def run_experiment(cfg: ExperimentConfig, rw: Rewards) -> EvalReport:
     """K advice-drawing trials scored on one shared test set.
 
     Reported Avg CP is the mean over trials of the per-trial average ratio;
-    Worst CP is the mean over trials of the per-trial minimum ratio.
+    Worst CP is the mean over trials of the per-trial minimum ratio.  Points
+    are those of ``sample_demand``, drawn in bulk for a uniform mixture.
     """
     master = np.random.SeedSequence(cfg.seed)
     test_ss, *trial_ss = master.spawn(cfg.K + 1)
     test_rng = np.random.default_rng(test_ss)
-    testset = [sample_demand(cfg.model, test_rng) for _ in range(cfg.n_test)]
+    testset = _sample_points(cfg.model, cfg.n_test, test_rng)
 
     per_trial = []
     for ss in trial_ss:
         rng = np.random.default_rng(ss)
-        samples = [sample_demand(cfg.model, rng) for _ in range(cfg.n_samples)]
+        samples = _sample_points(cfg.model, cfg.n_samples, rng)
         policy = _trial_policy(cfg, rw, samples)
         rep = evaluate(policy, testset, cfg.order, rw, rng, cfg.n_perms)
         per_trial.append((rep.avg_cp, rep.worst_cp))

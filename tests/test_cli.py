@@ -140,6 +140,16 @@ def test_simulate_too_many_chunks_exit_code(tmp_path, capsys):
     assert "MAX_CHUNKS" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model", [{"main_high": 5.0}, {"main_low": -1.7e308, "main_high": 1.7e308}])
+def test_simulate_bad_demand_range_exit_code(tmp_path, capsys, model):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "m": 20.0, "r_low": 1 / 3, "r_high": 1.0, "model": model, "advice_kind": "none", "K": 1,
+    }))
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert "low <= high" in capsys.readouterr().err
+
+
 def test_cstar_zero_epsilon_exit_code(diff_region_file, capsys):
     assert main(["cstar", "--region", diff_region_file, "--epsilon", "0"]) == 2
     assert "epsilon" in capsys.readouterr().err

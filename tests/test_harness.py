@@ -14,6 +14,7 @@ from plpareto import (
     run_experiment,
     sample_demand,
 )
+from plpareto import harness
 from plpareto.harness import write_report_csv, write_report_json
 from plpareto.region import MAX_SEGMENTS
 
@@ -163,3 +164,46 @@ def test_experiment_config_rejects_fields_a_run_would_fail_on(field, value):
 def test_demand_model_rejects_parameters_sampling_would_fail_on(field, value):
     with pytest.raises(ValueError):
         DemandModel(**{field: value})
+
+
+@pytest.mark.parametrize("kw", [
+    {"main_high": 5.0}, {"cont_low": 31.0},
+    {"main_low": -1.7e308, "main_high": 1.7e308}, {"cont_low": -1.7e308, "cont_high": 1.7e308},
+    {"kind": "normal-mixture", "main_high": 5.0},
+])
+def test_demand_model_rejects_bad_ranges(kw):
+    # rng.uniform would raise on them mid-run; the bulk sampler would not
+    with pytest.raises(ValueError, match="low <= high"):
+        DemandModel(**kw)
+
+
+SAMPLER_MODELS = {
+    "default": DemandModel(),
+    "weight 0": DemandModel(weight=0.0),
+    "weight 1": DemandModel(weight=1.0),
+    "low == high": DemandModel(main_low=12.5, main_high=12.5, cont_low=3.0, cont_high=3.0),
+    "negative bounds": DemandModel(main_low=-5.0, main_high=3.0, cont_low=-30.0, cont_high=-0.0),
+    "normal-mixture": DemandModel(kind="normal-mixture", mean=0.5),
+}
+
+
+@pytest.mark.parametrize("n", [1, 10, 100])
+@pytest.mark.parametrize("name", sorted(SAMPLER_MODELS))
+def test_bulk_sampler_equals_sample_demand_loop(name, n):
+    # the points, bit for bit and with the sign of zero, and the generator
+    # state afterwards; normal-mixture takes the scalar loop itself
+    model = SAMPLER_MODELS[name]
+    for seed in range(30):
+        one, each = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = harness._sample_points(model, n, one)
+        want = [sample_demand(model, each) for _ in range(n)]
+        assert [(p.x.hex(), p.y.hex()) for p in got] == [(p.x.hex(), p.y.hex()) for p in want]
+        assert one.bit_generator.state == each.bit_generator.state
+
+
+def test_run_experiment_samples_uniform_mixture_in_bulk(rw, monkeypatch):
+    def scalar(*args):
+        raise AssertionError("sample_demand called")
+    monkeypatch.setattr(harness, "sample_demand", scalar)
+    cfg = ExperimentConfig(advice_kind="box", order="stochastic", K=2, n_test=5, n_perms=3)
+    assert len(run_experiment(cfg, rw).per_trial) == 2

@@ -21,7 +21,7 @@ from plpareto import (
     solve_pareto,
     unit_chunks,
 )
-from plpareto.engine import MAX_CHUNKS, chunk_arrays, replay_ratios
+from plpareto.engine import MAX_CHUNKS, chunk_arrays, chunk_runs, replay_ratios
 from plpareto.errors import TooManyChunks
 from plpareto import harness
 
@@ -156,6 +156,16 @@ def test_chunk_arrays_rejects_bad_demand(x, y):
         unit_chunks(x, y)
 
 
+def test_chunk_runs_raises_for_the_first_bad_instance():
+    # the per-instance loop raised the error of the first bad instance
+    with pytest.raises(TooManyChunks, match=r"\(1000000000\.0, 0\.0\)"):
+        chunk_runs([2.5, 1e9, float("nan")], [1.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="demand must be finite"):
+        chunk_runs([2.5, float("nan"), 1e9], [1.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="demand must be nonnegative"):
+        chunk_runs([2.5, 3.0], [-1.0, float("inf")])
+
+
 def test_evaluate_stochastic_rejects_too_many_chunks():
     pl = constant_pl(8.0, 20.0)
     with pytest.raises(TooManyChunks):
@@ -176,6 +186,25 @@ def test_permuted_rows_equal_sequential_permutations(n, rows):
     want = np.array([each.permutation(n) for _ in range(rows)]).reshape(rows, n)
     assert got.tolist() == want.tolist()
     assert one.random() == each.random()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 62])
+@pytest.mark.parametrize("cols", [1, 7, 600])
+def test_permuted_column_view_equals_sequential_permutations(n, cols):
+    # _blocks shuffles an instance's columns of a block's (steps, replays)
+    # index matrix in place; that must give the columns, and leave the
+    # generator in the state, of one rng.permutation call per column, and
+    # must not touch the matrix outside the view
+    one, each = np.random.default_rng(n * 1000 + cols), np.random.default_rng(n * 1000 + cols)
+    idx = np.full((n + 3, cols + 5), -1)
+    view = idx[:n, 2:2 + cols]
+    view[...] = np.arange(n)[:, None]
+    one.permuted(view, axis=0, out=view)
+    want = np.array([each.permutation(n) for _ in range(cols)]).reshape(cols, n)
+    assert view.T.tolist() == want.tolist()
+    assert one.bit_generator.state == each.bit_generator.state
+    view[...] = -1
+    assert (idx == -1).all()
 
 
 def test_kernel_equals_scalar_replay_single_column():
@@ -221,6 +250,92 @@ def test_evaluate_equals_scalar_reference_across_blocks():
     assert got.per_instance == scalar_evaluate(pl, testset, "stochastic",
                                                np.random.default_rng(8), n_perms)
 
+
+def loop_chunk_arrays(x, y):
+    """chunk_arrays as it was written per instance, before chunk_runs."""
+    DemandPoint(x, y)
+    parts = []
+    for total in (x, y):
+        n, frac = int(total), total - int(total)
+        parts.append(np.append(np.ones(n), frac) if frac > 1e-12 else np.ones(n))
+    sizes = np.concatenate(parts)
+    return sizes, np.arange(sizes.size) < parts[0].size
+
+
+def per_instance_stochastic_blocks(testset, reps, rng):
+    """The stochastic blocks as _blocks built them per instance: one
+    loop_chunk_arrays per instance and one rng.permuted call on stacked
+    arange rows per instance and block, gathered into the block."""
+    chunks = [loop_chunk_arrays(pt.x, pt.y) for pt in testset]
+    n_rows = len(chunks) * reps
+    for start in range(0, n_rows, harness._BLOCK_ROWS):
+        stop = min(start + harness._BLOCK_ROWS, n_rows)
+        instances = range(start // reps, (stop - 1) // reps + 1)
+        width = max(chunks[i][0].size for i in instances)
+        sizes = np.zeros((width, stop - start))
+        is_low = np.zeros((width, stop - start), dtype=bool)
+        for i in instances:
+            a, b = max(start, i * reps) - start, min(stop, (i + 1) * reps) - start
+            c_sizes, c_low = chunks[i]
+            order = np.broadcast_to(np.arange(c_sizes.size), (b - a, c_sizes.size))
+            order = rng.permuted(order, axis=1)
+            sizes[:c_sizes.size, a:b] = c_sizes[order.T]
+            is_low[:c_sizes.size, a:b] = c_low[order.T]
+        yield sizes, is_low
+
+
+def check_stochastic_blocks(testset, reps, seed):
+    one, each = np.random.default_rng(seed), np.random.default_rng(seed)
+    xy = [pt.x for pt in testset], [pt.y for pt in testset]
+    got = list(harness._blocks(chunk_runs(*xy), reps, one))
+    want = list(per_instance_stochastic_blocks(testset, reps, each))
+    assert len(got) == len(want) == -(-len(testset) * reps // harness._BLOCK_ROWS)
+    for (g_sizes, g_low), (w_sizes, w_low) in zip(got, want):
+        assert g_sizes.shape == w_sizes.shape and g_low.shape == w_low.shape
+        assert g_sizes.dtype == w_sizes.dtype and g_low.dtype == w_low.dtype
+        assert (g_sizes == w_sizes).all() and (g_low == w_low).all()
+    assert one.bit_generator.state == each.bit_generator.state
+
+
+STOCHASTIC_TESTSETS = {
+    "integer": [(3.0, 4.0), (17.0, 2.0), (1.0, 1.0)],
+    "tiny fractions": [(2.0 + 5e-13, 3.0 + 2e-12), (5e-13, 2e-12), (2e-12, 5e-13), (4.0, 5e-13)],
+    "empty": [(0.0, 0.0), (3.5, 1.25), (0.0, 0.0)],
+    "all empty": [(0.0, 0.0), (5e-13, 0.0)],
+    "x only": [(7.25, 0.0), (12.0, 0.0), (0.5, 0.0)],
+    "y only": [(0.0, 7.25), (0.0, 12.0), (0.0, 0.5)],
+    "mixed": [(12.5, 9.25), (0.0, 0.0), (3.0, 17.5), (0.75, 0.0), (0.0, 22.0), (31.7, 3.2)],
+}
+
+
+def test_chunk_arrays_equal_per_instance_loop():
+    for x, y in [pt for case in STOCHASTIC_TESTSETS.values() for pt in case]:
+        for got, want in zip(chunk_arrays(x, y), loop_chunk_arrays(x, y)):
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("reps", [1, 7, 512 + 37])
+@pytest.mark.parametrize("case", sorted(STOCHASTIC_TESTSETS))
+def test_stochastic_blocks_equal_per_instance_construction(case, reps):
+    testset = [DemandPoint(x, y) for x, y in STOCHASTIC_TESTSETS[case]]
+    check_stochastic_blocks(testset, reps, reps * 31 + len(case))
+
+
+def test_stochastic_blocks_at_max_chunks():
+    # whole units summing to exactly MAX_CHUNKS, with and without remainders
+    testset = [DemandPoint(MAX_CHUNKS - 4000 + 0.5, 4000.25), DemandPoint(2.0, 3.0),
+               DemandPoint(MAX_CHUNKS - 1.0, 1.0)]
+    check_stochastic_blocks(testset, 2, 5)
+
+
+@pytest.mark.parametrize("n_test,reps", [(511, 1), (512, 1), (513, 1), (73, 7), (74, 7), (147, 7)])
+def test_stochastic_blocks_at_the_block_edge(n_test, reps):
+    # 511, 512 and 513 replays, and instances that straddle a block edge
+    xy = np.random.default_rng(n_test).uniform(0, 35, size=(n_test, 2))
+    xy[::7, 0] = 0.0
+    xy[::5, 1] = 0.0
+    xy[::11] = np.floor(xy[::11])
+    check_stochastic_blocks([DemandPoint(float(x), float(y)) for x, y in xy], reps, n_test)
 
 
 def per_instance_adversarial_blocks(testset):
