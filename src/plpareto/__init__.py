@@ -32,7 +32,6 @@ from .engine import (
     unit_chunks,
 )
 from .errors import (
-    BranchMismatch,
     InfeasibleTarget,
     InternalError,
     NegativeCoordinate,
@@ -59,9 +58,7 @@ from .ratios import (
     Rewards,
     balance_point,
     cp,
-    cp_over,
     cp_over_raw,
-    cp_under,
     cp_under_raw,
     hindsight_denominator,
 )

@@ -24,7 +24,7 @@ from functools import cached_property
 from .errors import OutOfDomain, TargetOutOfRange
 from .plfunction import PLFunction
 from .ratios import Rewards, hindsight_denominator
-from .region import TOL, MLRegion, KeyPoints, envelope, key_points, kp_x_vertices
+from .region import TOL, MLRegion, KeyPoints, dedup_sorted, envelope, key_points, kp_x_vertices
 
 # a band gap at or above -FEAS_SLACK counts as feasible
 FEAS_SLACK = 1e-9
@@ -55,6 +55,8 @@ def g_corridor(rw: Rewards, R: float, x: float, side: str) -> float:
     if side == "lower":
         ratio = rw.r_low / rw.r_high
         return max(0.0, rw.m * (R - ratio) / (1.0 - ratio))
+    if side != "upper":
+        raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
     return -R * min(x, rw.m) + rw.m
 
 
@@ -299,12 +301,7 @@ def _seed_xs(region: MLRegion, rw: Rewards, kp: KeyPoints, lo: float, hi: float)
             xs.add(min(max(x, lo), hi))
     if lo < rw.m < hi:
         xs.add(rw.m)
-    out = sorted(xs)
-    dedup = [out[0]]
-    for x in out[1:]:
-        if x - dedup[-1] > 1e-12:
-            dedup.append(x)
-    return dedup
+    return dedup_sorted(sorted(xs), 1e-12)
 
 
 def _build_geometry(region: MLRegion, rw: Rewards) -> _Geometry:

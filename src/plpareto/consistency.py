@@ -16,8 +16,8 @@ import numpy as np
 from .bounds import FEAS_SLACK, _geometry, band_gap, bound_context, rho
 from .errors import InfeasibleTarget, TargetOutOfRange
 from .plfunction import PLFunction
-from .ratios import BRANCH_TOL, Rewards
-from .region import MLRegion, envelope
+from .ratios import Rewards, balance_levels
+from .region import MLRegion, dedup_sorted, envelope
 
 
 @dataclass(frozen=True)
@@ -84,60 +84,7 @@ def _enum_xs(region: MLRegion, rw: Rewards) -> list[float]:
     for (t0, _, _), intervals in (geo.u_pieces, geo.l_pieces):
         xs.add(t0)
         xs.update(t for _, _, _, ends in intervals for t, _, _ in ends)
-    out: list[float] = []
-    for x in sorted(xs):
-        if not out or x - out[-1] > 1e-9:
-            out.append(x)
-    return out
-
-
-# float arithmetic as in Python: a tiny denominator overflows to inf silently
-@np.errstate(all="ignore")
-def _balance_ratios(xu, yu, xo, yo, shift, rw: Rewards) -> tuple[np.ndarray, np.ndarray]:
-    """Under ratio at the balancing level of each (under point, over point,
-    shift), and a mask that is False where ``ratios.balance_point`` raises
-    NoSolution (the ratio there means nothing).
-
-    This is ``balance_point`` then ``cp_under_raw`` on arrays: the interval
-    and its NoSolution rules, a root at an end, else the kinks m - x_u and
-    m - x_o + shift in ascending order and the linear root of the piece where
-    the gap changes sign.  The IEEE operations are theirs, in their order, so
-    the values equal the scalar ones bit for bit.
-    """
-    m, rh, rl = rw.m, rw.r_high, rw.r_low
-    # both points' denominators and the parts of their numerators free of p
-    den_u = np.minimum(yu, m) * rh + np.minimum(xu, np.maximum(m - yu, 0.0)) * rl
-    cap_u = np.minimum(yu, np.maximum(m - xu, 0.0))
-    top_o = np.minimum(yo, m) * rh
-    den_o = top_o + np.minimum(xo, np.maximum(m - yo, 0.0)) * rl
-    safe_u, safe_o = np.where(den_u > 0.0, den_u, 1.0), np.where(den_o > 0.0, den_o, 1.0)
-
-    def under(p):
-        num = np.maximum(p, cap_u) * rh + np.minimum(xu, m - p) * rl
-        return np.where(den_u > 0.0, num / safe_u, 1.0)
-
-    def gap(p):
-        num = top_o + np.minimum(xo, np.maximum(m - (p - shift), 0.0)) * rl
-        return under(p) - np.where(den_o > 0.0, num / safe_o, 1.0)
-
-    lo = np.maximum(0.0, np.minimum(yo, m) + shift)
-    hi = np.minimum(m, yu)
-    empty = lo > hi + BRANCH_TOL
-    lo = np.minimum(lo, hi)
-    flo, fhi = gap(lo), gap(hi)
-    unsolved = empty | (flo > 1e-9) | (fhi < -1e-9)
-    p = np.where(flo >= 0.0, lo, hi)
-    inner = ~(flo >= 0.0) & ~(fhi <= 0.0)
-    k1, k2 = m - xu, m - xo + shift
-    # a kink that moves hi ends the scalar loop: the next one is not below hi
-    for t in (np.minimum(k1, k2), np.maximum(k1, k2)):
-        ft = gap(t)
-        inside = (lo < t) & (t < hi)
-        up, down = inside & (ft >= 0.0), inside & ~(ft >= 0.0)
-        hi, fhi = np.where(up, t, hi), np.where(up, ft, fhi)
-        lo, flo = np.where(down, t, lo), np.where(down, ft, flo)
-    root = lo - flo * (hi - lo) / (fhi - flo)
-    return under(np.where(inner, root, p)), ~unsolved
+    return dedup_sorted(sorted(xs), 1e-9)
 
 
 # most (under, over) pairs balanced at once: bounds the temporaries of
@@ -152,8 +99,8 @@ def _pair_candidates(region: MLRegion, rw: Rewards, xs) -> list[float]:
     Each pair balances the under ratio at an upper-envelope point against the
     over ratio at a lower-envelope point, shifted by the slope -1 cone when
     the over point lies to the right.  The envelopes are evaluated once per
-    abscissa, the cone test is a mask, and ``_balance_ratios`` balances the
-    admissible pairs in blocks of at most about _PAIR_BLOCK pairs.
+    abscissa, the cone test is a mask, and ``ratios.balance_levels`` balances
+    the admissible pairs in blocks of at most about _PAIR_BLOCK pairs.
     """
     x = np.array(xs, dtype=float)
     yu = np.array([envelope(region, v, "upper") for v in xs])
@@ -166,7 +113,7 @@ def _pair_candidates(region: MLRegion, rw: Rewards, xs) -> list[float]:
         ok = np.where(right, ~(y1 - yl < x - x1), ~(y1 < yl))
         i, j = np.nonzero(ok)
         shift = np.where(right[ok], x[j] - x1[i, 0], 0.0)
-        c, solved = _balance_ratios(x1[i, 0], y1[i, 0], x[j], yl[j], shift, rw)
+        _, c, solved = balance_levels(x1[i, 0], y1[i, 0], x[j], yl[j], shift, rw)
         out.extend(c[solved].tolist())
     return out
 
@@ -178,13 +125,7 @@ def _merge_candidates(cands) -> list[float]:
     drops NaN and the infinities."""
     c = np.asarray(cands, dtype=float)
     c = np.sort(c[(c >= 0.0) & (c <= 1.0 + 1e-9)])
-    dedup: list[float] = []
-    last = math.inf
-    for v in np.minimum(c[::-1], 1.0).tolist():
-        if last - v > 1e-10:
-            dedup.append(v)
-            last = v
-    return dedup
+    return dedup_sorted(np.minimum(c[::-1], 1.0).tolist(), 1e-10, descending=True)
 
 
 def cstar_enumeration(region: MLRegion, rw: Rewards) -> CStarResult:

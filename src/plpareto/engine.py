@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import TooManyChunks
 from .plfunction import PLFunction
-from .ratios import DemandPoint, Rewards, hindsight_denominator
+from .ratios import DemandPoint, Rewards, hindsight_denominator, hindsight_denominators
 
 # most whole unit chunks one demand point may split into for stochastic
 # replay; a batch of replays holds one padded row per chunk
@@ -195,8 +195,7 @@ def replay_ratios(pl: PLFunction, rw: Rewards, sizes, is_low) -> np.ndarray:
     head *= low_f * rw.r_low + high_f * rw.r_high
     reward = _step_sum(head)
 
-    m = rw.m  # hindsight_denominator, elementwise
-    opt = np.minimum(y, m) * rw.r_high + np.minimum(x, np.maximum(m - y, 0.0)) * rw.r_low
+    opt = hindsight_denominators(x, y, rw)
     out = np.ones(n)
     pos = opt > 0.0
     out[pos] = reward[pos] / opt[pos]

@@ -17,10 +17,6 @@ class NotPSD(PlparetoError):
     """An ellipse shape matrix was not symmetric positive semi-definite."""
 
 
-class BranchMismatch(PlparetoError):
-    """A protection level was passed to the wrong compatible-ratio branch."""
-
-
 class NoSolution(PlparetoError):
     """The balancing equation has no root on the candidate interval."""
 

@@ -92,10 +92,6 @@ class EvalReport:
     per_instance: tuple[float, ...] = ()
     per_trial: tuple[tuple[float, float], ...] = ()
 
-    @property
-    def empty(self) -> bool:
-        return self.avg_cp is None
-
 
 # replays per kernel call: bounds the batch's arrays whatever n_test and n_perms
 _BLOCK_ROWS = 512

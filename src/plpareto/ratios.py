@@ -4,6 +4,9 @@ For the ordered instance "x units of low-reward demand followed by y units of
 high-reward demand", a fixed protection level p earns a known fraction of the
 hindsight-optimal reward.  Two closed forms cover the over-protection branch
 (p at or above the realized high demand) and the under-protection branch.
+``balance_levels`` solves the balancing equation between an under ratio and
+an over ratio for arrays of point pairs; ``balance_point`` is its one-pair
+form.
 """
 
 from __future__ import annotations
@@ -11,7 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BranchMismatch, NoSolution
+import numpy as np
+
+from .errors import NoSolution
 
 BRANCH_TOL = 1e-12
 
@@ -91,75 +96,77 @@ def cp_under_raw(p: float, pt, rw: Rewards) -> float:
     return num / denom
 
 
-def _check_p(p: float, rw: Rewards) -> None:
-    if not -BRANCH_TOL <= p <= rw.m + BRANCH_TOL:
-        raise ValueError(f"protection level {p} outside [0, {rw.m}]")
-
-
-def cp_over(p: float, pt, rw: Rewards) -> float:
-    """Ratio when the protection level sits at or above the realized high demand."""
-    _check_p(p, rw)
-    _, y = _as_point(pt)
-    if p < min(rw.m, y) - BRANCH_TOL:
-        raise BranchMismatch(f"p={p} under-protects y={y}")
-    return cp_over_raw(p, pt, rw)
-
-
-def cp_under(p: float, pt, rw: Rewards) -> float:
-    """Ratio when the protection level sits strictly below the realized high demand."""
-    _check_p(p, rw)
-    _, y = _as_point(pt)
-    if p >= min(rw.m, y) - BRANCH_TOL:
-        raise BranchMismatch(f"p={p} over-protects y={y}")
-    return cp_under_raw(p, pt, rw)
-
-
 def cp(p: float, pt, rw: Rewards) -> float:
     """Branch dispatch: over-protection at and above min(m, y), else under."""
-    _check_p(p, rw)
+    if not -BRANCH_TOL <= p <= rw.m + BRANCH_TOL:
+        raise ValueError(f"protection level {p} outside [0, {rw.m}]")
     _, y = _as_point(pt)
     if p >= min(rw.m, y) - BRANCH_TOL:
         return cp_over_raw(p, pt, rw)
     return cp_under_raw(p, pt, rw)
 
 
+def hindsight_denominators(x, y, rw: Rewards):
+    """``hindsight_denominator`` of the instances (x, y), elementwise."""
+    m = rw.m
+    return np.minimum(y, m) * rw.r_high + np.minimum(x, np.maximum(m - y, 0.0)) * rw.r_low
+
+
+# float arithmetic as in Python: a tiny denominator overflows to inf silently
+@np.errstate(all="ignore")
+def balance_levels(xu, yu, xo, yo, shift, rw: Rewards):
+    """Level p equalizing the under ratio at (xu, yu) with the over ratio at
+    (xo, yo) evaluated at p - shift, for arrays of pairs; returns p, the
+    under ratio at p, and a mask that is False where p means nothing.
+
+    The difference is non-decreasing and piecewise linear in p; on the
+    interval [min(yo, m) + shift, min(m, yu)] its only kinks are m - xu and
+    m - xo + shift.  A pair is unsolved when the interval is empty or the
+    difference does not change sign on it.  Otherwise p is an end, or the
+    linear root of the piece where the difference changes sign.
+    """
+    m, rh, rl = rw.m, rw.r_high, rw.r_low
+    # both points' denominators and the parts of their numerators free of p
+    den_u, den_o = hindsight_denominators(xu, yu, rw), hindsight_denominators(xo, yo, rw)
+    cap_u, top_o = np.minimum(yu, np.maximum(m - xu, 0.0)), np.minimum(yo, m) * rh
+    safe_u, safe_o = np.where(den_u > 0.0, den_u, 1.0), np.where(den_o > 0.0, den_o, 1.0)
+
+    def under(p):
+        num = np.maximum(p, cap_u) * rh + np.minimum(xu, m - p) * rl
+        return np.where(den_u > 0.0, num / safe_u, 1.0)
+
+    def gap(p):
+        num = top_o + np.minimum(xo, np.maximum(m - (p - shift), 0.0)) * rl
+        return under(p) - np.where(den_o > 0.0, num / safe_o, 1.0)
+
+    lo = np.maximum(0.0, np.minimum(yo, m) + shift)
+    hi = np.minimum(m, yu)
+    empty = lo > hi + BRANCH_TOL
+    lo = np.minimum(lo, hi)
+    flo, fhi = gap(lo), gap(hi)
+    unsolved = empty | (flo > 1e-9) | (fhi < -1e-9)
+    p = np.where(flo >= 0.0, lo, hi)
+    inner = ~(flo >= 0.0) & ~(fhi <= 0.0)
+    k1, k2 = m - xu, m - xo + shift
+    # the kinks in ascending order: once one moves hi, the next is not below it
+    for t in (np.minimum(k1, k2), np.maximum(k1, k2)):
+        ft = gap(t)
+        inside = (lo < t) & (t < hi)
+        up, down = inside & (ft >= 0.0), inside & ~(ft >= 0.0)
+        hi, fhi = np.where(up, t, hi), np.where(up, ft, fhi)
+        lo, flo = np.where(down, t, lo), np.where(down, ft, flo)
+    root = lo - flo * (hi - lo) / (fhi - flo)
+    p = np.where(inner, root, p)
+    return p, under(p), ~unsolved
+
+
 def balance_point(under_pt, over_pt, shift: float, rw: Rewards) -> float:
     """Protection level p equalizing the under ratio at ``under_pt`` with the
-    over ratio at ``over_pt`` evaluated at p - shift.
-
-    The difference is non-decreasing and piecewise linear in p; inside the
-    interval (p <= y_u) its only kinks are m - x_u and m - x_o + shift, so the
-    root is the linear root of the piece where it changes sign.  Raises
-    NoSolution when the interval is empty or the difference never changes sign.
-    ``consistency._balance_ratios`` runs these steps on arrays of pairs, and
-    this scalar form is its test oracle: a change here must be made there too.
-    """
-    if shift < 0:
-        raise ValueError("shift must be nonnegative")
-    m = rw.m
-    x_u, y_u = _as_point(under_pt)
-    x_o, y_o = _as_point(over_pt)
-    lo = max(0.0, min(y_o, m) + shift)
-    hi = min(m, y_u)
-    if lo > hi + BRANCH_TOL:
-        raise NoSolution("empty balancing interval")
-    lo = min(lo, hi)
-
-    def f(p: float) -> float:
-        return cp_under_raw(p, under_pt, rw) - cp_over_raw(p - shift, over_pt, rw)
-
-    flo, fhi = f(lo), f(hi)
-    if flo > 1e-9 or fhi < -1e-9:
-        raise NoSolution("balancing difference does not change sign")
-    if flo >= 0.0:
-        return lo
-    if fhi <= 0.0:
-        return hi
-    for t in sorted((m - x_u, m - x_o + shift)):
-        if lo < t < hi:
-            ft = f(t)
-            if ft >= 0.0:
-                hi, fhi = t, ft
-                break
-            lo, flo = t, ft
-    return lo - flo * (hi - lo) / (fhi - flo)
+    over ratio at ``over_pt`` evaluated at p - shift: ``balance_levels`` of
+    one pair.  Raises NoSolution where that pair is unsolved."""
+    if not shift >= 0.0:
+        raise ValueError(f"shift must be nonnegative, got {shift}")
+    p, _, solved = balance_levels(*_as_point(under_pt), *_as_point(over_pt), shift, rw)
+    if not solved:
+        raise NoSolution("the balancing difference has no root on its interval")
+    return float(p)

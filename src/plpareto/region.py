@@ -138,13 +138,27 @@ def _area(poly: list[Point]) -> float:
     return 0.5 * s
 
 
-def envelope(region: MLRegion, x: float, side: str, cap: float | None = None) -> float:
-    """Evaluate the lower or upper envelope at x, optionally capped at ``cap``."""
+def dedup_sorted(values, gap: float, descending: bool = False) -> list[float]:
+    """The sorted finite floats ``values`` without near-duplicates: a value is
+    kept only when it lies more than ``gap`` beyond the last one kept.  The
+    key -v of the descending case gives (-v) - (-last) == last - v exactly."""
+    sign, out, last = (-1.0 if descending else 1.0), [], -math.inf
+    for v in values:
+        k = sign * v
+        if k - last > gap:
+            out.append(v)
+            last = k
+    return out
+
+
+def envelope(region: MLRegion, x: float, side: str) -> float:
+    """Evaluate the lower or upper envelope at x."""
+    if side not in ("lower", "upper"):
+        raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
     lo, hi = region.x_lo, region.x_hi
     if x < lo - TOL or x > hi + TOL:
         raise OutOfDomain(f"x={x} outside [{lo}, {hi}]")
-    val = (region.lower if side == "lower" else region.upper)(min(max(x, lo), hi))
-    return val if cap is None else min(val, cap)
+    return (region.lower if side == "lower" else region.upper)(min(max(x, lo), hi))
 
 
 @dataclass(frozen=True)
@@ -159,8 +173,8 @@ class KeyPoints:
 def key_points(region: MLRegion, m: float) -> KeyPoints:
     """Locate L (lowest capped-y, smallest x), H (highest capped-y, largest x)
     and the intersections of the lower envelope with the line x + y = m."""
-    if m <= 0:
-        raise ValueError("capacity must be positive")
+    if not 0.0 < m < math.inf:
+        raise ValueError(f"capacity must be positive and finite, got {m}")
     verts = region.vertices
 
     def capped(p: Point) -> float:
@@ -208,11 +222,8 @@ def key_points(region: MLRegion, m: float) -> KeyPoints:
         elif f1 * f2 < 0:
             t = f1 / (f1 - f2)
             r0.append((x1 + t * (x2 - x1), y1 + t * (y2 - y1)))
-    dedup: list[Point] = []
-    for p in sorted(r0):
-        if not dedup or abs(p[0] - dedup[-1][0]) > TOL:
-            dedup.append(p)
-    return KeyPoints(L, H, tuple(dedup))
+    first = {p[0]: p for p in reversed(sorted(r0))}  # the first point at each x
+    return KeyPoints(L, H, tuple(first[x] for x in dedup_sorted(sorted(first), TOL)))
 
 
 def x_vertices(region: MLRegion, m: float) -> tuple[float, ...]:
@@ -223,12 +234,7 @@ def x_vertices(region: MLRegion, m: float) -> tuple[float, ...]:
 
 def kp_x_vertices(region: MLRegion, kp: KeyPoints) -> tuple[float, ...]:
     """``x_vertices`` from the region's already computed key points."""
-    xs = sorted({p[0] for p in region.vertices} | {p[0] for p in kp.r0})
-    out: list[float] = []
-    for x in xs:
-        if not out or x - out[-1] > TOL:
-            out.append(x)
-    return tuple(out)
+    return tuple(dedup_sorted(sorted({p[0] for p in region.vertices + kp.r0}), TOL))
 
 
 def check_segments(segments) -> None:
@@ -284,6 +290,8 @@ def _clip_quadrant(poly: list[Point]) -> list[Point]:
 
 def contains(region: MLRegion, x: float, y: float, tol: float = TOL) -> bool:
     """Membership test with absolute tolerance on coordinates."""
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise OutOfDomain(f"({x}, {y}) is not a finite point")
     if region.degenerate:
         if len(region.vertices) == 1:
             px, py = region.vertices[0]

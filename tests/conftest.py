@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from plpareto import MLRegion, Rewards, build_polygon
+from plpareto.errors import NoSolution
+from plpareto.ratios import BRANCH_TOL, _as_point, cp_over_raw, cp_under_raw
 
 
 @pytest.fixture
@@ -25,3 +27,44 @@ def random_region(rng: np.random.Generator, lo: float = 0.0, hi: float = 30.0) -
     n = int(rng.integers(5, 13))
     pts = rng.uniform(lo, hi, size=(n, 2))
     return build_polygon([tuple(p) for p in pts])
+
+
+def scalar_balance_point(under_pt, over_pt, shift: float, rw: Rewards) -> float:
+    """Oracle: the scalar balancing solver that ``ratios.balance_point`` was
+    before it became the one-pair form of ``ratios.balance_levels``, kept
+    verbatim.
+
+    The difference is non-decreasing and piecewise linear in p; inside the
+    interval (p <= y_u) its only kinks are m - x_u and m - x_o + shift, so the
+    root is the linear root of the piece where it changes sign.  Raises
+    NoSolution when the interval is empty or the difference never changes sign.
+    """
+    if shift < 0:
+        raise ValueError("shift must be nonnegative")
+    m = rw.m
+    x_u, y_u = _as_point(under_pt)
+    x_o, y_o = _as_point(over_pt)
+    lo = max(0.0, min(y_o, m) + shift)
+    hi = min(m, y_u)
+    if lo > hi + BRANCH_TOL:
+        raise NoSolution("empty balancing interval")
+    lo = min(lo, hi)
+
+    def f(p: float) -> float:
+        return cp_under_raw(p, under_pt, rw) - cp_over_raw(p - shift, over_pt, rw)
+
+    flo, fhi = f(lo), f(hi)
+    if flo > 1e-9 or fhi < -1e-9:
+        raise NoSolution("balancing difference does not change sign")
+    if flo >= 0.0:
+        return lo
+    if fhi <= 0.0:
+        return hi
+    for t in sorted((m - x_u, m - x_o + shift)):
+        if lo < t < hi:
+            ft = f(t)
+            if ft >= 0.0:
+                hi, fhi = t, ft
+                break
+            lo, flo = t, ft
+    return lo - flo * (hi - lo) / (fhi - flo)

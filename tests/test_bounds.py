@@ -195,6 +195,11 @@ def test_g_corridor_rejects_nan_abscissa(rw):
             g_corridor(rw, 0.5, float("nan"), side)
 
 
+def test_g_corridor_rejects_unknown_side(rw):
+    with pytest.raises(ValueError):
+        g_corridor(rw, 0.5, 3.0, "bogus")
+
+
 # -- exact kinks against the midpoint probe they replace ---------------------
 #
 # Verbatim copies of the probe and of the pointwise lower bound that built the

@@ -1,5 +1,6 @@
 import math
 import signal
+import struct
 
 import numpy as np
 import pytest
@@ -21,7 +22,11 @@ from plpareto import (
 )
 from plpareto.consistency import _merge_candidates
 from plpareto.errors import InfeasibleTarget, TargetOutOfRange
-from conftest import random_region
+from conftest import random_region, scalar_balance_point
+
+
+def _bits(v: float) -> bytes:
+    return struct.pack("<d", v)
 
 
 def test_rho_always_feasible(rw, sum_region, diff_region):
@@ -302,7 +307,7 @@ def _scalar_pair_candidates(region, rw, xs):
     """Oracle: the Python pair loop that consistency._pair_candidates ran
     before it balanced all pairs in numpy, kept verbatim."""
     from plpareto.errors import NoSolution
-    from plpareto.ratios import balance_point, cp_under_raw
+    from plpareto.ratios import cp_under_raw
 
     cands: list[float] = []
     overs = [(x2, envelope(region, x2, "lower")) for x2 in xs]
@@ -319,7 +324,7 @@ def _scalar_pair_candidates(region, rw, xs):
                     continue
                 shift = x2 - x1
             try:
-                p_b = balance_point(under, (x2, y2), shift, rw)
+                p_b = scalar_balance_point(under, (x2, y2), shift, rw)
             except NoSolution:
                 continue
             cands.append(cp_under_raw(p_b, under, rw))
@@ -344,21 +349,27 @@ def test_pair_candidates_match_scalar_oracle(region, rw):
        st.sampled_from(REWARD_SETTINGS))
 @settings(max_examples=150, deadline=None)
 def test_balance_ratios_match_balance_point(triples, rw):
-    # any (under, over, shift), admissible or not: unsolved exactly where the
-    # scalar balance_point raises NoSolution
-    from plpareto.consistency import _balance_ratios
+    # any (under, over, shift), admissible or not: balance_levels gives the
+    # scalar oracle's level and under ratio bit for bit, and is unsolved
+    # exactly where the oracle raises NoSolution; balance_point, its one-pair
+    # form, gives the same level or raises NoSolution there too
     from plpareto.errors import NoSolution
-    from plpareto.ratios import balance_point, cp_under_raw
+    from plpareto.ratios import balance_levels, balance_point, cp_under_raw
 
     xu, yu, xo, yo, shift = (np.array(v) for v in zip(*[(*u, *o, s) for u, o, s in triples]))
-    ratios, solved = _balance_ratios(xu, yu, xo, yo, shift, rw)
-    for (u, o, s), c, ok in zip(triples, ratios.tolist(), solved.tolist()):
+    levels, ratios, solved = balance_levels(xu, yu, xo, yo, shift, rw)
+    for (u, o, s), p, c, ok in zip(triples, levels.tolist(), ratios.tolist(), solved.tolist()):
         try:
-            want = cp_under_raw(balance_point(u, o, s, rw), u, rw)
+            want = scalar_balance_point(u, o, s, rw)
         except NoSolution:
             assert not ok
+            with pytest.raises(NoSolution):
+                balance_point(u, o, s, rw)
         else:
-            assert ok and c == want
+            assert ok
+            assert _bits(p) == _bits(want)
+            assert _bits(c) == _bits(cp_under_raw(want, u, rw))
+            assert _bits(balance_point(u, o, s, rw)) == _bits(want)
 
 
 def _loop_merge_candidates(cands):

@@ -70,7 +70,7 @@ def test_evaluate_stochastic_not_worse(rw):
 
 def test_evaluate_empty_testset(rw):
     rep = evaluate(constant_pl(8.0, 20.0), [], "adversarial", rw)
-    assert rep.empty
+    assert rep.avg_cp is None and rep.worst_cp is None
 
 
 def test_run_experiment_reproducible(rw):

@@ -7,13 +7,11 @@ from plpareto import (
     Rewards,
     balance_point,
     cp,
-    cp_over,
     cp_over_raw,
-    cp_under,
     cp_under_raw,
     hindsight_denominator,
 )
-from plpareto.errors import BranchMismatch, NoSolution
+from plpareto.errors import NoSolution
 
 RW = Rewards(1.0 / 3.0, 1.0, 20.0)
 
@@ -50,10 +48,6 @@ def test_branch_dispatch_and_mismatch():
     pt = (10.0, 10.0)
     assert cp(10.0, pt, RW) == cp_over_raw(10.0, pt, RW)  # boundary goes over
     assert cp(9.0, pt, RW) == cp_under_raw(9.0, pt, RW)
-    with pytest.raises(BranchMismatch):
-        cp_over(5.0, pt, RW)
-    with pytest.raises(BranchMismatch):
-        cp_under(12.0, pt, RW)
     with pytest.raises(ValueError):
         cp(25.0, pt, RW)
 
@@ -99,6 +93,17 @@ def test_balance_shift():
     assert cp_under_raw(p, (10.0, 16.0), RW) == pytest.approx(
         cp_over_raw(p - 4.0, (14.0, 6.0), RW), abs=1e-8
     )
+
+
+@pytest.mark.parametrize("shift", [-1.0, float("nan")])
+def test_balance_rejects_negative_or_nan_shift(shift):
+    with pytest.raises(ValueError):
+        balance_point((10.0, 16.0), (14.0, 6.0), shift, RW)
+
+
+def test_balance_infinite_shift_has_no_solution():
+    with pytest.raises(NoSolution):
+        balance_point((10.0, 16.0), (14.0, 6.0), float("inf"), RW)
 
 
 @pytest.mark.parametrize("args", [
@@ -189,7 +194,7 @@ def test_balance_point_matches_bisection_reference():
     assert min(covered.values()) >= 50, covered
 
 
-@pytest.mark.parametrize("fn", [cp, cp_over, cp_under])
+@pytest.mark.parametrize("fn", [cp])
 def test_ratio_rejects_nan_level(fn):
     with pytest.raises(ValueError):
         fn(float("nan"), (3.0, 4.0), RW)
@@ -197,7 +202,7 @@ def test_ratio_rejects_nan_level(fn):
 
 @pytest.mark.parametrize("pt", [(float("nan"), 4.0), (4.0, float("nan")), (float("inf"), 4.0)])
 @pytest.mark.parametrize("fn", [
-    cp, cp_over, cp_under, cp_over_raw, cp_under_raw,
+    cp, cp_over_raw, cp_under_raw,
     lambda p, pt, rw: hindsight_denominator(pt, rw),
 ])
 def test_ratio_rejects_non_finite_tuple_point(fn, pt):

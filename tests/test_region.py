@@ -45,9 +45,10 @@ def test_square_hull_ccw_and_envelopes():
         envelope(reg, 3.0, "lower")
 
 
-def test_envelope_cap():
+def test_envelope_rejects_unknown_side():
     reg = build_polygon([(0, 0), (2, 0), (2, 30), (0, 30)])
-    assert envelope(reg, 1.0, "upper", cap=20.0) == 20.0
+    with pytest.raises(ValueError):
+        envelope(reg, 1.0, "bogus")
 
 
 @given(points)
@@ -119,6 +120,24 @@ def test_contains_boundary_and_outside():
     assert contains(reg, 2.0, 0.0)
     assert contains(reg, 4.0, 4.0)
     assert not contains(reg, 4.1, 4.1)
+
+
+@pytest.mark.parametrize("region", [
+    [(0, 0), (4, 0), (4, 4), (0, 4)], [(3.0, 4.0)], [(0.0, 0.0), (2.0, 2.0)],
+], ids=["polygon", "point", "segment"])
+@pytest.mark.parametrize("x,y", [(math.nan, math.nan), (10.0, math.nan), (math.nan, 1.0),
+                                 (math.inf, 1.0), (1.0, -math.inf)])
+def test_contains_rejects_non_finite_point(region, x, y):
+    with pytest.raises(OutOfDomain):
+        contains(build_polygon(region), x, y)
+
+
+@pytest.mark.parametrize("m", [math.nan, math.inf, 0.0, -1.0])
+def test_key_points_reject_bad_capacity(sum_region, m):
+    with pytest.raises(ValueError):
+        key_points(sum_region, m)
+    with pytest.raises(ValueError):
+        x_vertices(sum_region, m)
 
 
 @pytest.mark.parametrize("bad", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf)])
