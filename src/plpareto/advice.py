@@ -57,8 +57,8 @@ def box_advice(samples, coverage: float = 1.0) -> MLRegion:
 
 def _newton_weights(u, kappa, vq, pts, support):
     """u after a Newton step u_S += a - (sum a / sum b) b on log det X(u), where
-    (K_S o K_S) [a b] = [kappa_S 1] and K_ij = q_i^T X^-1 q_j, or None when the
-    system is singular or the step would leave the simplex."""
+    (K_S o K_S) [a b] = [kappa_S 1] and K_ij = q_i^T X^-1 q_j, cut at the simplex
+    boundary where its first weight reaches 0; None when the system is singular."""
     rows = [[(pts[i][0] * vq[j][0] + pts[i][1] * vq[j][1] + vq[j][2]) ** 2 for j in support]
             + [kappa[i], 1.0] for i in support]
     # PSD (Schur product): no pivoting; K is affine invariant and K_ii is near 3 on S
@@ -69,13 +69,15 @@ def _newton_weights(u, kappa, vq, pts, support):
         rows = [r if r is piv else [v - r[col] / piv[col] * w for v, w in zip(r, piv)] for r in rows]
     a, b = ([r[h] / r[i] for i, r in enumerate(rows)] for h in (-2, -1))
     new = {i: u[i] + ai - math.fsum(a) / math.fsum(b) * bi for i, ai, bi in zip(support, a, b)}
-    return [new.get(i, w) for i, w in enumerate(u)] if min(new.values()) > 0.0 else None
+    if cut := min(((u[i] / (u[i] - w), i) for i, w in new.items() if w <= 0.0), default=None):
+        t, j = cut  # the step times t takes weight j, the first to block, to 0
+        new = {i: 0.0 if i == j else max(u[i] + t * (w - u[i]), 0.0) for i, w in new.items()}
+    return [new.get(i, w) for i, w in enumerate(u)]
 
 
 def _mvee_weights(pts, tol, max_iter):
     """The dual weights of ``_mvee``, or None when X(u) is singular."""
     u = [1.0 / len(pts)] * len(pts)
-    trigger, newton = 1e-3, 0
     for _ in range(max_iter):
         a = b = c = e = f = s = 0.0  # X(u) = [[a, b, c], [b, e, f], [c, f, s]]
         for (x, y), w in zip(pts, u):
@@ -93,15 +95,12 @@ def _mvee_weights(pts, tol, max_iter):
         j_max = max(range(len(u)), key=kappa.__getitem__)
         j_min = min(support, key=kappa.__getitem__)
         up, down = kappa[j_max] / 3.0 - 1.0, 1.0 - kappa[j_min] / 3.0
-        if max(up, down) <= tol:
+        if (err := max(up, down)) <= tol:
             break
-        if not newton and max(up, down) < trigger:
-            newton, trigger = 8, trigger / 100.0  # Newton steps per attempt
         off = max([k for k, w in zip(kappa, u) if w <= 1e-12], default=0.0) / 3.0 - 1.0
-        if newton and off <= tol and (step := _newton_weights(u, kappa, vq, pts, support)):
-            u, newton = step, newton - 1
+        if err < 1e-3 and off <= tol and (step := _newton_weights(u, kappa, vq, pts, support)):
+            u = step
             continue
-        newton = 0
         j = j_max if up >= down else j_min
         k = kappa[j]
         if abs(k - 1.0) <= 1e-15:
@@ -114,20 +113,20 @@ def _mvee_weights(pts, tol, max_iter):
     return u
 
 
-def _mvee(points: np.ndarray, tol: float = 1e-9, max_iter: int = 20000):
+def _mvee(points: np.ndarray):
     """Minimum-volume enclosing ellipse {u : (u-c)^T A (u-c) <= 1} of 2-D
     points: (center, A), or None when they are (near) collinear.
 
     Its weights u maximise log det X(u), X(u) = sum u_i q_i q_i^T, q_i = (p_i, 1).
     Each pass builds X(u) and its inverse afresh in plain floats and stops when
     kappa_i = q_i^T X^-1 q_i <= 3 (1 + tol) for all i, and >= 3 (1 - tol) on the
-    support.  Else it takes a Frank-Wolfe step with away steps (Todd & Yildirim
-    2007) or, once that error first falls below 1e-3, up to 8 Newton steps on the
-    support (``_newton_weights``) until one fails or a point off the support
-    violates the stop test; each attempt lowers that trigger 100x.  Every step
-    counts against ``max_iter``.  The shape is rescaled to contain every point.
+    support, tol = 1e-9.  Else, when that error is below 1e-3 and no point off the
+    support violates the stop test, it takes a Newton step on the support, cut at
+    the simplex boundary (``_newton_weights``); otherwise, or when that system is
+    singular, a Frank-Wolfe step with away steps (Todd & Yildirim 2007).  It stops
+    after 20,000 steps of either kind.  The shape is rescaled to contain every point.
     """
-    u = _mvee_weights(points.tolist(), tol, max_iter)
+    u = _mvee_weights(points.tolist(), 1e-9, 20000)
     if u is None:
         return None
     u = np.array(u)

@@ -442,7 +442,7 @@ def u_bound(ctx: BoundContext, x: float) -> float:
     t = min(x, ctx.x_hi_u)
     if t < ctx.region.x_lo:
         return ctx.rw.m
-    return u_raw(ctx.region, ctx.rw, ctx.C, t)
+    return ctx.u(t)
 
 
 def l_bound(ctx: BoundContext, x: float) -> float:

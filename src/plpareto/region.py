@@ -290,6 +290,8 @@ def _clip_quadrant(poly: list[Point]) -> list[Point]:
 
 def contains(region: MLRegion, x: float, y: float, tol: float = TOL) -> bool:
     """Membership test with absolute tolerance on coordinates."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be nonnegative and finite, got {tol}")
     if not (math.isfinite(x) and math.isfinite(y)):
         raise OutOfDomain(f"({x}, {y}) is not a finite point")
     if region.degenerate:

@@ -138,11 +138,12 @@ def mvee_oracle(points, tol=1e-9, max_iter=20000):
 
 
 # Frank-Wolfe plus Newton steps that every fit below must finish within; the
-# largest count on the seeded corpus is 149
+# largest count on the seeded corpus is 149, and on 9,000 seeded DemandModel()
+# fits of 9 and 10 samples it is 462
 MVEE_STEP_BOUND = 500
 
 
-def check_mvee_fit(pts):
+def check_mvee_fit(pts, oracle_iter=20000):
     """``_mvee`` on pts against the stop test, the oracle and the samples;
     returns its weights and the oracle's pass count."""
     u = advice._mvee_weights(pts.tolist(), 1e-9, MVEE_STEP_BOUND)
@@ -154,7 +155,7 @@ def check_mvee_fit(pts):
     assert kappa.max() <= 3 * (1 + 1e-9)
     assert kappa[u > 1e-12].min() >= 3 * (1 - 1e-9)
     c, a = advice._mvee(pts)
-    want_c, want_a, passes = mvee_oracle(pts)
+    want_c, want_a, passes = mvee_oracle(pts, max_iter=oracle_iter)
     assert np.linalg.norm(c - want_c) <= 1e-7 * np.linalg.norm(want_c)
     assert np.linalg.norm(a - want_a) <= 1e-7 * np.linalg.norm(want_a)
     dev = pts - c
@@ -185,3 +186,51 @@ def test_mvee_slow_oracle_case():
     u, passes = check_mvee_fit(np.array(SLOW_FIT))
     assert passes > 10_000
     assert 4 <= (u > 1e-12).sum() <= 5
+
+
+# ten samples of DemandModel() (fit 338 of 6,000 from default_rng(7)) whose
+# optimum drops a sixth support point: a Newton step that stopped there and
+# fell back to Frank-Wolfe took 2,443 steps
+DROPPED_SUPPORT_FIT = [
+    (14.538078319991133, 19.04616985115089), (11.541582246322218, 11.453856152119764),
+    (19.287019141262498, 14.764996414597768), (16.26687947868799, 15.307256506519611),
+    (13.379222701328473, 15.645653609638394), (16.79753829911312, 16.937630284394988),
+    (17.754411070757666, 13.601162008321612), (18.78725739699598, 19.412799700368225),
+    (19.359615232951032, 18.940367721807537), (19.954813284278103, 17.488479436523114),
+]
+
+# nine samples of DemandModel() (fit 2,729 of 3,000 from default_rng(9)) on
+# which that fallback ran all 20,000 passes without meeting the stop test,
+# and the oracle needs 46,385 passes
+CRAWL_FIT = [
+    (10.182999624406051, 18.141587682361404), (17.069854938518734, 18.051172714874916),
+    (21.756054727816025, 12.929827323927867), (13.568946074254338, 16.295284876077414),
+    (11.348376213419204, 13.745637827758578), (11.494872728679077, 18.991485200458886),
+    (12.688909127118752, 14.973209821530457), (16.575056922586718, 10.6224107501792),
+    (13.536450771467619, 19.010471284385158),
+]
+
+
+def test_mvee_dropped_support_case():
+    check_mvee_fit(np.array(DROPPED_SUPPORT_FIT))
+
+
+def test_mvee_crawl_case():
+    _, passes = check_mvee_fit(np.array(CRAWL_FIT), oracle_iter=100_000)
+    assert passes > 20_000
+
+
+def test_newton_step_is_cut_at_the_simplex_boundary():
+    # the fourth point lies inside the hull of the others, so its optimal weight is 0 and
+    # the full Newton step from these weights takes it below 0
+    pts = [(10.0, 11.0), (17.0, 12.5), (12.0, 19.0), (14.0, 14.0), (18.0, 17.0)]
+    u = [0.25, 0.2, 0.25, 0.05, 0.25]
+    q = np.column_stack([pts, np.ones(len(pts))])
+    inv = np.linalg.inv(q.T @ (q * np.array(u)[:, None]))
+    kappa = np.einsum("ij,jk,ik->i", q, inv, q)
+    step = advice._newton_weights(u, kappa.tolist(), (q @ inv).tolist(), pts, list(range(len(pts))))
+    assert step is not None
+    assert min(step) >= 0.0
+    assert abs(sum(step) - 1.0) <= 1e-15
+    assert step[3] == 0.0
+    assert min(step[:3] + step[4:]) > 0.0

@@ -132,6 +132,15 @@ def test_contains_rejects_non_finite_point(region, x, y):
         contains(build_polygon(region), x, y)
 
 
+@pytest.mark.parametrize("region,tol", [
+    ([(0, 0), (4, 0), (4, 4), (0, 4)], math.nan), ([(1.0, 1.0)], math.inf),
+    ([(0, 0), (4, 0), (4, 4), (0, 4)], -1e-9),
+], ids=["polygon-nan", "point-inf", "polygon-negative"])
+def test_contains_rejects_bad_tolerance(region, tol):
+    with pytest.raises(ValueError, match="tolerance"):
+        contains(build_polygon(region), 100.0, 100.0, tol=tol)
+
+
 @pytest.mark.parametrize("m", [math.nan, math.inf, 0.0, -1.0])
 def test_key_points_reject_bad_capacity(sum_region, m):
     with pytest.raises(ValueError):
