@@ -11,9 +11,23 @@ import math
 
 import numpy as np
 
-from .region import MLRegion, build_polygon, check_segments, polygonize_ellipse
+from .errors import NegativeCoordinate
+from .region import TOL, MLRegion, build_polygon, check_segments, polygonize_ellipse
 
 Point = tuple[float, float]
+
+
+def _samples(samples) -> np.ndarray:
+    """The samples as an (n, 2) float array, checked as ``build_polygon`` checks
+    points: ValueError when none or not finite, NegativeCoordinate below -TOL."""
+    pts = np.array([(float(x), float(y)) for x, y in samples], dtype=float).reshape(-1, 2)
+    if not pts.size:
+        raise ValueError("need at least one sample")
+    if not np.isfinite(pts).all():
+        raise ValueError("non-finite sample coordinate")
+    if (pts < -TOL).any():
+        raise NegativeCoordinate(f"negative sample coordinate {float(pts.min())}")
+    return pts
 
 
 def _keep_count(n: int, coverage: float) -> int:
@@ -29,9 +43,7 @@ def box_advice(samples, coverage: float = 1.0) -> MLRegion:
     four extreme samples (min/max in x or y) shrinks the bounding-box area the
     most.
     """
-    pts = [(float(x), float(y)) for x, y in samples]
-    if not pts:
-        raise ValueError("need at least one sample")
+    pts = _samples(samples).tolist()
     keep = _keep_count(len(pts), coverage)
     while len(pts) > keep:
         extremes = {
@@ -154,9 +166,7 @@ def ellipse_advice(samples, coverage: float = 1.0, segments: int = 64) -> MLRegi
     inflated ellipse still covers the original one.
     """
     check_segments(segments)
-    pts = np.asarray([(float(x), float(y)) for x, y in samples], dtype=float)
-    if pts.ndim != 2 or pts.shape[0] == 0:
-        raise ValueError("need at least one sample")
+    pts = _samples(samples)
     keep = _keep_count(pts.shape[0], coverage)
     fit = _mvee(pts)
     while pts.shape[0] > keep:
@@ -185,9 +195,7 @@ def ellipse_advice(samples, coverage: float = 1.0, segments: int = 64) -> MLRegi
 
 def point_advice(samples) -> MLRegion:
     """Degenerate region at the sample mean."""
-    pts = [(float(x), float(y)) for x, y in samples]
-    if not pts:
-        raise ValueError("need at least one sample")
+    pts = _samples(samples).tolist()
     n = len(pts)
     mx = math.fsum(p[0] for p in pts) / n
     my = math.fsum(p[1] for p in pts) / n

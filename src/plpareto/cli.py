@@ -45,9 +45,7 @@ def load_region(path: str) -> MLRegion:
         if kind == "polygon":
             return build_polygon([tuple(p) for p in data["vertices"]])
         if kind == "ellipse":
-            return polygonize_ellipse(
-                tuple(data["center"]), data["shape"], int(data.get("segments", 64))
-            )
+            return polygonize_ellipse(tuple(data["center"]), data["shape"], data.get("segments", 64))
         if kind == "point":
             return build_polygon([tuple(data["at"])])
         raise InputError(f"unknown region type {kind!r}")

@@ -22,7 +22,9 @@ from .region import MLRegion, dedup_sorted, envelope
 
 @dataclass(frozen=True)
 class CStarResult:
-    """Outcome of a maximum-consistency computation."""
+    """Outcome of a maximum-consistency computation.  ``candidate_set`` holds
+    the distinct balancing candidates in [0, 1], 1.0 among them, descending
+    (empty for bisection); ``c_star`` is the smallest whenever it is feasible."""
 
     c_star: float
     method: str
@@ -42,12 +44,12 @@ def feasible(region: MLRegion, rw: Rewards, C: float) -> bool:
     return _check(region, rw, C)[0]
 
 
-def _bisect(region: MLRegion, rw: Rewards, lo: float, hi: float, epsilon: float,
-            n_checks: int, witness: float | None) -> tuple[float, float, int]:
+def _bisect(region: MLRegion, rw: Rewards, lo: float, hi: float,
+            epsilon: float) -> tuple[float, float, int]:
     """Bisect the bracket [lo, hi], lo feasible and hi not, down to width
     ``epsilon`` or to no float left between its ends, so it ends for every
-    ``epsilon >= 0``.  ``witness`` belongs to lo, or is None to compute it
-    when no midpoint is feasible.  Returns (lo, its witness, n_checks)."""
+    ``epsilon >= 0``.  Returns (lo, its witness, checks made)."""
+    witness, n_checks = None, 0
     while hi - lo > epsilon:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
@@ -70,8 +72,8 @@ def cstar_bisection(region: MLRegion, rw: Rewards, epsilon: float = 1e-6) -> CSt
     ok, witness = _check(region, rw, 1.0)
     if ok:
         return CStarResult(1.0, "bisect", witness, (), 1)
-    c, witness, n_checks = _bisect(region, rw, rho(rw), 1.0, epsilon, 1, None)
-    return CStarResult(c, "bisect", witness, (), n_checks)
+    c, witness, n_checks = _bisect(region, rw, rho(rw), 1.0, epsilon)
+    return CStarResult(c, "bisect", witness, (), 1 + n_checks)
 
 
 def _enum_xs(region: MLRegion, rw: Rewards) -> list[float]:
@@ -118,54 +120,27 @@ def _pair_candidates(region: MLRegion, rw: Rewards, xs) -> list[float]:
     return out
 
 
-def _merge_candidates(cands) -> list[float]:
-    """The candidates in [0, 1 + 1e-9], descending, those above 1.0 taken as
-    1.0, without near-duplicates: going down, a candidate is kept only when
-    it lies more than 1e-10 below the last one kept.  The range test also
-    drops NaN and the infinities."""
-    c = np.asarray(cands, dtype=float)
-    c = np.sort(c[(c >= 0.0) & (c <= 1.0 + 1e-9)])
-    return dedup_sorted(np.minimum(c[::-1], 1.0).tolist(), 1e-10, descending=True)
-
-
 def cstar_enumeration(region: MLRegion, rw: Rewards) -> CStarResult:
-    """Maximum consistency as the largest feasible balancing candidate.
+    """Maximum consistency as the smallest balancing candidate.
 
     Each admissible pair's balancing value caps the consistency of every
     valid policy (the under ratio rises and the over ratio falls with the
     level, and the slope >= -1 cone ties the pair's two levels), so C* is at
-    most the smallest candidate: when that one is feasible and tight (its
-    minimum band gap within 1e-9 of 0) it is C*, found in one check.  If it
-    is infeasible, C* lies between rho and it.  If it is feasible but not
-    tight, which the cap rules out up to rounding, the descending candidates
-    are searched: feasibility is monotone in C, so they are an infeasible
-    prefix and a feasible suffix, and a binary search finds the first
-    feasible one; when it is below 1.0 and not tight, C* lies between it and
-    the candidate above.  A bracket is bisected to float resolution:
-    at most about 60 more checks, since C* >= rho >= 1/2.
+    most the smallest candidate in [0, 1] (1.0 among them): when that one is
+    feasible it is C*, found in one check.  Otherwise C* lies between rho and
+    it, and that bracket is bisected to float resolution: at most about 60
+    more checks, since C* >= rho >= 1/2.
     """
-    xs = _enum_xs(region, rw)
-    cands = _merge_candidates([1.0] + _pair_candidates(region, rw, xs))
-    n_checks, hi = 1, len(cands) - 1
-    gap, witness = band_gap(bound_context(region, rw, cands[hi]))
-    if gap < -FEAS_SLACK:
-        c, witness, n_checks = _bisect(region, rw, rho(rw), cands[hi], 0.0, n_checks, None)
-        return CStarResult(c, "enum", witness, tuple(cands), n_checks)
-    if gap > 1e-9:
-        lo = 0  # the first feasible index lies in [lo, hi]
-        while lo < hi:
-            mid = (lo + hi) // 2
-            n_checks += 1
-            g, w = band_gap(bound_context(region, rw, cands[mid]))
-            if g >= -FEAS_SLACK:
-                hi, gap, witness = mid, g, w
-            else:
-                lo = mid + 1
-    if hi > 0 and gap > 1e-9:
-        c, witness, n_checks = _bisect(region, rw, cands[hi], cands[hi - 1], 0.0, n_checks, witness)
-    else:
-        c = cands[hi]
-    return CStarResult(c, "enum", witness, tuple(cands), n_checks)
+    c = np.array([1.0] + _pair_candidates(region, rw, _enum_xs(region, rw)))
+    # the range test also drops NaN and the infinities; the distinct values
+    # come from a sort and a mask, as np.unique imports numpy.ma (+1.3 MB RSS)
+    c = np.sort(np.minimum(c[(c >= 0.0) & (c <= 1.0 + 1e-9)], 1.0))[::-1]
+    cands = c[np.append(True, c[1:] != c[:-1])].tolist()
+    ok, witness = _check(region, rw, cands[-1])
+    if ok:
+        return CStarResult(cands[-1], "enum", witness, tuple(cands), 1)
+    c_star, witness, n_checks = _bisect(region, rw, rho(rw), cands[-1], 0.0)
+    return CStarResult(c_star, "enum", witness, tuple(cands), 1 + n_checks)
 
 
 def consistent_pl(region: MLRegion, rw: Rewards, C: float) -> PLFunction:

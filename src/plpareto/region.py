@@ -138,16 +138,14 @@ def _area(poly: list[Point]) -> float:
     return 0.5 * s
 
 
-def dedup_sorted(values, gap: float, descending: bool = False) -> list[float]:
-    """The sorted finite floats ``values`` without near-duplicates: a value is
-    kept only when it lies more than ``gap`` beyond the last one kept.  The
-    key -v of the descending case gives (-v) - (-last) == last - v exactly."""
-    sign, out, last = (-1.0 if descending else 1.0), [], -math.inf
+def dedup_sorted(values, gap: float) -> list[float]:
+    """The ascending finite floats ``values`` without near-duplicates: a value
+    is kept only when it lies more than ``gap`` above the last one kept."""
+    out, last = [], -math.inf
     for v in values:
-        k = sign * v
-        if k - last > gap:
+        if v - last > gap:
             out.append(v)
-            last = k
+            last = v
     return out
 
 

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from plpareto import advice, box_advice, contains, ellipse_advice, point_advice
+from plpareto.errors import NegativeCoordinate
 from plpareto.harness import DemandModel, sample_demand
 from plpareto.region import MAX_SEGMENTS
 
@@ -75,6 +78,25 @@ def test_point_advice_is_mean():
     reg = point_advice([(1, 2), (3, 6)])
     assert reg.degenerate
     assert reg.vertices == ((2.0, 4.0),)
+
+
+@pytest.mark.parametrize("build", [
+    lambda pts: box_advice(pts, 0.75),
+    lambda pts: ellipse_advice(pts, 0.75),
+    point_advice,
+], ids=["box", "ellipse", "point"])
+@pytest.mark.parametrize("bad, error", [
+    ((float("nan"), 3.0), ValueError),
+    ((3.0, float("inf")), ValueError),
+    ((-5.0, 1.0), NegativeCoordinate),
+], ids=["nan", "inf", "negative"])
+def test_builders_reject_bad_samples_before_trimming(build, bad, error):
+    # a bad sample is an error even where trimming would drop it, and is
+    # found before the trimming computes anything with it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            build([(1.0, 1.0), (2.0, 2.0), bad, (4.0, 4.0)])
 
 
 def test_ellipse_advice_rejects_segment_count_over_the_cap(monkeypatch):

@@ -275,6 +275,17 @@ def test_oversized_ellipse_exit_code_without_building(tmp_path, capsys, monkeypa
         assert "segments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("segments", [64.9, "64"])
+def test_non_integer_segments_exit_code(tmp_path, capsys, segments):
+    # the count is checked as given, as simulate checks it, not truncated
+    ell = tmp_path / "ell.json"
+    ell.write_text(json.dumps({
+        "type": "ellipse", "center": [12, 12], "shape": [[2, 0], [0, 2]], "segments": segments,
+    }))
+    assert main(["cstar", "--region", str(ell)]) == 2
+    assert "segments" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text", [
     b"\xff\xfe{", b'{"type": "polygon", "vertices": [[1' + b"0" * 400 + b', 2]]}',
     b'{"type": "ellipse", "center": [12, 12], "shape": [[2, 0], [0, 2]], "segments": 1e400}',

@@ -20,7 +20,6 @@ from plpareto import (
     rho,
     run_sequence,
 )
-from plpareto.consistency import _merge_candidates
 from plpareto.errors import InfeasibleTarget, TargetOutOfRange
 from conftest import random_region, scalar_balance_point
 
@@ -142,26 +141,6 @@ def test_bisection_builds_one_context_per_check(rw, sum_region, diff_region, mon
     assert res.c_star == 1.0 and res.n_checks == 1
 
 
-def _cstar_enumeration_scan(region, rw):
-    """Reference: cstar_enumeration with the linear scan that tested the
-    descending candidates one at a time, from the top, then the same bracket
-    bisection when the first feasible one is not tight or none is."""
-    from plpareto.bounds import FEAS_SLACK, band_gap, bound_context
-    from plpareto.consistency import (
-        CStarResult, _bisect, _enum_xs, _merge_candidates, _pair_candidates)
-
-    xs = _enum_xs(region, rw)
-    cands = _merge_candidates([1.0] + _pair_candidates(region, rw, xs))
-    for k, c in enumerate(cands):
-        gap, witness = band_gap(bound_context(region, rw, c))
-        if gap >= -FEAS_SLACK:
-            if k > 0 and gap > 1e-9:
-                c, witness, _ = _bisect(region, rw, c, cands[k - 1], 0.0, k + 1, witness)
-            return CStarResult(c, "enum", witness, tuple(cands), k + 1)
-    c, witness, _ = _bisect(region, rw, rho(rw), cands[-1], 0.0, len(cands), None)
-    return CStarResult(c, "enum", witness, tuple(cands), len(cands))
-
-
 def _ellipse(centre, semi_axes, turn, segments):
     # polygonized ellipse with the given semi-axes, rotated by turn * pi
     t = turn * math.pi
@@ -170,9 +149,10 @@ def _ellipse(centre, semi_axes, turn, segments):
     return polygonize_ellipse(centre, shape.tolist(), segments)
 
 
-# near-circular ellipses on which no balancing candidate is feasible: C* lies
-# between rho and the smallest candidate
-NO_FEASIBLE_CANDIDATE = [
+# near-circular ellipses whose two smallest candidates lie within 1e-10 of
+# each other, C* being the lower one: merging near-duplicate candidates
+# loses it, and leaves no feasible candidate
+NEAR_CIRCLES = [
     ((13.179, 22.452), (5.935, 5.932), 0.4872, 18),
     ((12.67, 13.17), (1.23, 1.24), 0.501, 14),
 ]
@@ -190,77 +170,32 @@ def _enum_regions():
         b = rng.uniform(-0.9, 0.9) * math.sqrt(a * c)
         centre = tuple(rng.uniform(4.0, 24.0, size=2))
         regions.append(polygonize_ellipse(centre, [[a, b], [b, c]], 8 + k % 13))
-    regions += [_ellipse(*spec) for spec in NO_FEASIBLE_CANDIDATE]
+    regions += [_ellipse(*spec) for spec in NEAR_CIRCLES]
     return regions
 
 
-def test_enum_binary_search_matches_linear_scan(rw):
-    n_plain = 0
-    regions = _enum_regions()
-    for region in regions:
-        ref = _cstar_enumeration_scan(region, rw)
-        res = cstar_enumeration(region, rw)
-        assert (res.c_star, res.witness_x, res.candidate_set) == (
-            ref.c_star, ref.witness_x, ref.candidate_set)
-        if res.c_star in res.candidate_set:  # no bracket was bisected
-            n_plain += 1
-            assert res.n_checks <= math.ceil(math.log2(len(res.candidate_set))) + 1
-    # the candidate set holds C* on every region but the reproducers
-    assert n_plain == len(regions) - len(NO_FEASIBLE_CANDIDATE)
-    for spec in NO_FEASIBLE_CANDIDATE:
-        region = _ellipse(*spec)
-        res = cstar_enumeration(region, rw)
-        assert res.c_star < min(res.candidate_set)
-        assert abs(res.c_star - cstar_bisection(region, rw, epsilon=1e-13).c_star) <= 1e-12
-
-
-@pytest.mark.parametrize("drop", ["tight", "feasible"])
+@pytest.mark.parametrize("drop", ["feasible"])
 def test_enum_bisects_between_candidates(rw, monkeypatch, drop):
-    # C* is the smallest candidate on these regions.  With "tight" the
-    # candidates within 1e-9 of it are taken out and one halfway down to rho
-    # put in, so the first feasible candidate is not tight; with "feasible"
-    # every feasible one is taken out, so none is feasible.  Either way the
-    # bracket above it is bisected, to float resolution like cstar_bisection
-    # at epsilon 1e-13: both land up to about 2e-11 above the exact
-    # balancing C*, where the band gap is still within FEAS_SLACK of 0.
+    # C* is the smallest candidate on these regions; with every feasible
+    # candidate taken out, none is feasible, and the bracket between rho and
+    # the smallest is bisected, to float resolution like cstar_bisection at
+    # epsilon 1e-13: both land up to about 2e-11 above the exact balancing
+    # C*, where the band gap is still within FEAS_SLACK of 0.
     import plpareto.consistency as consistency
 
     real_pairs = consistency._pair_candidates
     for region in _enum_regions()[:3]:
         c_star = cstar_enumeration(region, rw).c_star
         assert c_star < 1.0
-        extra = [0.5 * (rho(rw) + c_star)] if drop == "tight" else []
-        monkeypatch.setattr(consistency, "_pair_candidates", lambda *a: extra + [
-            c for c in real_pairs(*a) if c > c_star + 1e-9 or drop == "tight" and c < c_star - 1e-9])
+        monkeypatch.setattr(consistency, "_pair_candidates", lambda *a: [
+            c for c in real_pairs(*a) if c > c_star + 1e-9])
         res = cstar_enumeration(region, rw)
         monkeypatch.setattr(consistency, "_pair_candidates", real_pairs)
-        if drop == "tight":
-            assert min(res.candidate_set) == extra[0] < res.c_star
-        else:
-            assert res.c_star < min(res.candidate_set)
+        assert res.c_star < min(res.candidate_set)
         assert abs(res.c_star - cstar_bisection(region, rw, epsilon=1e-13).c_star) <= 1e-12
         assert abs(res.c_star - c_star) <= 1e-9
-        assert res.n_checks <= math.ceil(math.log2(len(res.candidate_set))) + 1 + 60
+        assert 1 < res.n_checks <= 1 + 60
         assert feasible(region, rw, res.c_star)
-
-def test_enum_searches_above_a_smallest_candidate_that_is_not_tight(rw, monkeypatch):
-    # C* is taken out of the candidates and two feasible ones below it put
-    # in, so the smallest is feasible but not tight.  The binary search must
-    # then find the largest feasible candidate, and the bracket above it
-    # holds C*; a bracket above the smallest would end at the other one.
-    import plpareto.consistency as consistency
-
-    real_pairs = consistency._pair_candidates
-    for region in _enum_regions()[:3]:
-        c_star = cstar_enumeration(region, rw).c_star
-        extra = [0.5 * (rho(rw) + c_star), c_star - 1e-3]
-        monkeypatch.setattr(consistency, "_pair_candidates", lambda *a: extra + [
-            c for c in real_pairs(*a) if abs(c - c_star) > 1e-9])
-        res = cstar_enumeration(region, rw)
-        monkeypatch.setattr(consistency, "_pair_candidates", real_pairs)
-        assert min(res.candidate_set) == extra[0] and extra[1] in res.candidate_set
-        assert abs(res.c_star - c_star) <= 1e-9
-        assert res.n_checks <= 1 + math.ceil(math.log2(len(res.candidate_set))) + 60
 
 
 coord = st.floats(0.0, 30.0)
@@ -372,47 +307,6 @@ def test_balance_ratios_match_balance_point(triples, rw):
             assert _bits(balance_point(u, o, s, rw)) == _bits(want)
 
 
-def _loop_merge_candidates(cands):
-    """Oracle: the Python loop that consistency._merge_candidates ran before
-    it sorted and filtered in numpy, kept verbatim."""
-    dedup: list[float] = []
-    for c in sorted(cands, reverse=True):
-        if not (math.isfinite(c) and 0.0 <= c <= 1.0 + 1e-9):
-            continue
-        c = min(c, 1.0)
-        if not dedup or dedup[-1] - c > 1e-10:
-            dedup.append(c)
-    return dedup
-
-
-# candidate clusters: a value, then values just below it, around the 1e-10
-# merge distance and around the 1.0 + 1e-9 cut, with NaN, infinities,
-# negatives and signed zeros
-_merge_values = st.one_of(
-    st.floats(0.0, 1.0), st.just(1.0), st.floats(1.0, 1.0 + 2e-9),
-    st.sampled_from([1.0 + 1e-9, 1.0 + 1.0000001e-9, 0.0, -0.0, -1e-300, -0.5,
-                     math.inf, -math.inf, math.nan]),
-)
-_merge_clusters = st.lists(
-    st.tuples(_merge_values, st.lists(
-        st.sampled_from([0.0, 1e-11, 4e-11, 5e-11, 1e-10, 1.0000001e-10, 1.5e-10, 3e-10]),
-        max_size=6)),
-    max_size=12)
-
-
-@given(_merge_clusters, st.randoms(use_true_random=False))
-@settings(max_examples=300, deadline=None)
-def test_merge_candidates_match_loop_oracle(clusters, random):
-    cands = [v - d for v, ds in clusters for d in [0.0, *ds]]
-    random.shuffle(cands)
-    got = _merge_candidates(cands)
-    # Python's sort leaves a list holding NaN out of order (every comparison
-    # with NaN is false), so the oracle gets the list without its NaNs, which
-    # _merge_candidates drops before it sorts
-    assert got == _loop_merge_candidates([c for c in cands if not math.isnan(c)])
-    assert got == sorted(got, reverse=True)
-
-
 def test_pair_candidates_in_blocks_match_scalar_oracle(rw, monkeypatch):
     # blocks of one under-row, and of a few rows that do not divide the count
     import plpareto.consistency as consistency
@@ -426,17 +320,48 @@ def test_pair_candidates_in_blocks_match_scalar_oracle(rw, monkeypatch):
 
 
 def test_enum_checks_the_smallest_candidate_once(rw):
-    # every admissible pair's balancing value bounds C* from above, so when
-    # C* is a candidate it is the smallest one, and one check finds it
-    regions = _enum_regions()
-    n_plain = 0
-    for region in regions:
+    # every admissible pair's balancing value bounds C* from above, so C* is
+    # the smallest candidate, and one check finds it
+    from plpareto.consistency import _enum_xs, _pair_candidates
+
+    for region in _enum_regions():
         res = cstar_enumeration(region, rw)
-        if res.c_star in res.candidate_set:
-            n_plain += 1
-            assert res.c_star == min(res.candidate_set)
-            assert res.n_checks == 1
-    assert n_plain == len(regions) - len(NO_FEASIBLE_CANDIDATE)
+        assert res.c_star == min(res.candidate_set)
+        assert res.n_checks == 1
+        assert feasible(region, rw, res.c_star)
+        cands = [1.0] + _pair_candidates(region, rw, _enum_xs(region, rw))
+        assert list(res.candidate_set) == sorted(
+            {min(c, 1.0) for c in cands if 0.0 <= c <= 1.0 + 1e-9}, reverse=True)
+
+
+def test_enum_on_near_circles_is_exact(rw):
+    # bisection ends up to FEAS_SLACK's worth of band gap above the exact
+    # balancing value; the enumerated C* is that value
+    for spec in NEAR_CIRCLES:
+        region = _ellipse(*spec)
+        c_star = cstar_enumeration(region, rw).c_star
+        assert 0.0 <= cstar_bisection(region, rw, epsilon=1e-13).c_star - c_star <= 5e-11
+
+
+def test_policy_at_enumerated_cstar_replays_at_cstar(rw):
+    # ordered instances on both envelopes, at every breakpoint abscissa of
+    # the policy and the envelopes and on an even grid: the Pareto policy at
+    # C* reaches C* on all of them up to rounding
+    from plpareto import solve_pareto
+    from plpareto.engine import replay_ratios
+
+    for spec in NEAR_CIRCLES:
+        region = _ellipse(*spec)
+        c_star = cstar_enumeration(region, rw).c_star
+        pl = solve_pareto(region, rw, c_star).p_star
+        kinks = {x for f in (pl, region.lower, region.upper) for x, _ in f.breakpoints}
+        xs = [x for x in kinks if region.x_lo <= x <= region.x_hi]
+        xs += np.linspace(region.x_lo, region.x_hi, 2001).tolist()
+        sizes = np.array([(x, envelope(region, x, side)) for x in xs
+                          for side in ("lower", "upper")]).T
+        is_low = np.zeros(sizes.shape, dtype=bool)
+        is_low[0] = True
+        assert replay_ratios(pl, rw, sizes, is_low).min() >= c_star - 1e-12
 
 
 def test_enum_on_the_largest_ellipse_is_fast_and_small(rw):
