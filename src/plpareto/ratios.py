@@ -146,8 +146,15 @@ def balance_levels(xu, yu, xo, yo, shift, rw: Rewards):
     flo, fhi = gap(lo), gap(hi)
     unsolved = empty | (flo > 1e-9) | (fhi < -1e-9)
     p = np.where(flo >= 0.0, lo, hi)
-    inner = ~(flo >= 0.0) & ~(fhi <= 0.0)
     k1, k2 = m - xu, m - xo + shift
+    # the over kink can lie within rounding below hi and round onto it; the
+    # over ratio of a nearly empty point falls by up to 1 past it, so the
+    # last piece ends at the kink's left-hand value, and where that is still
+    # not positive the root is hi
+    lost = (k2 >= hi) & (m - (hi - shift) < xo)
+    left = under(hi) - np.where(den_o > 0.0, (top_o + xo * rl) / safe_o, 1.0)
+    fhi = np.where(lost, left, fhi)
+    inner = ~(flo >= 0.0) & ~(fhi <= 0.0)
     # the kinks in ascending order: once one moves hi, the next is not below it
     for t in (np.minimum(k1, k2), np.maximum(k1, k2)):
         ft = gap(t)

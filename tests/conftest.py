@@ -3,7 +3,8 @@ import pytest
 
 from plpareto import MLRegion, Rewards, build_polygon
 from plpareto.errors import NoSolution
-from plpareto.ratios import BRANCH_TOL, _as_point, cp_over_raw, cp_under_raw
+from plpareto.ratios import (BRANCH_TOL, _as_point, cp_over_raw, cp_under_raw,
+                             hindsight_denominator)
 
 
 @pytest.fixture
@@ -32,7 +33,8 @@ def random_region(rng: np.random.Generator, lo: float = 0.0, hi: float = 30.0) -
 def scalar_balance_point(under_pt, over_pt, shift: float, rw: Rewards) -> float:
     """Oracle: the scalar balancing solver that ``ratios.balance_point`` was
     before it became the one-pair form of ``ratios.balance_levels``, kept
-    verbatim.
+    verbatim but for one rule that both gained since: an over kink that
+    rounds onto hi ends the last piece at its left-hand value.
 
     The difference is non-decreasing and piecewise linear in p; inside the
     interval (p <= y_u) its only kinks are m - x_u and m - x_o + shift, so the
@@ -58,6 +60,11 @@ def scalar_balance_point(under_pt, over_pt, shift: float, rw: Rewards) -> float:
         raise NoSolution("balancing difference does not change sign")
     if flo >= 0.0:
         return lo
+    if m - x_o + shift >= hi and m - (hi - shift) < x_o:
+        # the over kink rounded onto hi: take the over ratio from its left
+        den_o = hindsight_denominator(over_pt, rw)
+        over = (min(y_o, m) * rw.r_high + x_o * rw.r_low) / den_o if den_o > 0.0 else 1.0
+        fhi = cp_under_raw(hi, under_pt, rw) - over
     if fhi <= 0.0:
         return hi
     for t in sorted((m - x_u, m - x_o + shift)):

@@ -334,6 +334,23 @@ def test_enum_checks_the_smallest_candidate_once(rw):
             {min(c, 1.0) for c in cands if 0.0 <= c <= 1.0 + 1e-9}, reverse=True)
 
 
+@pytest.mark.parametrize("x0", [2.5585587757775073e-287, 1e-300, 1e-17])
+def test_enum_on_a_nearly_empty_over_point(rw, x0):
+    # the lower envelope starts at (x0, 0): that over point's kink at
+    # m - x0 rounds onto m, and balancing it against the upper envelope at
+    # x = 0.05 gave a candidate 8.3e-6 below C*, taken as C* in one check
+    from plpareto.ratios import balance_point, cp_under_raw
+
+    region = build_polygon([(0.0, 21.0), (1.0, 1.0), (x0, 0.0)])
+    res = cstar_enumeration(region, rw)
+    assert res.c_star == min(res.candidate_set)
+    assert res.n_checks == 1
+    assert abs(res.c_star - cstar_bisection(region, rw, epsilon=1e-12).c_star) <= 1e-9
+    under = (0.05, envelope(region, 0.05, "upper"))
+    p = balance_point(under, (x0, 0.0), 0.0, rw)
+    assert p == rw.m and cp_under_raw(p, under, rw) == 1.0
+
+
 def test_enum_on_near_circles_is_exact(rw):
     # bisection ends up to FEAS_SLACK's worth of band gap above the exact
     # balancing value; the enumerated C* is that value
