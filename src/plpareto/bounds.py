@@ -11,19 +11,23 @@ each seed interval at y = m, t + y = m and t = m, and the hindsight
 denominator at every seed and cut) is built once per region and ``Rewards``
 and reused while the same region is queried, so a C* search and the Pareto
 solve after it build it once.  Per C, only the curves' switch roots are
-computed.  The published curves l and l_tilde and their thresholds are
-built from the pointwise lower bound on first access: feasibility and the
-solver read only u and the floor.
+computed, on the pieces where a switch changes sign.  The walks over the
+piece ends test signs inline and read curves with ``PLFunction.at``, not a
+Python call per point, and give the floats of per-point calls.  The
+published curves l and l_tilde and their thresholds are built from the
+pointwise lower bound on first access: feasibility and the solver read only
+u and the floor.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import OutOfDomain, TargetOutOfRange
-from .plfunction import PLFunction
-from .ratios import Rewards, hindsight_denominator
+from .plfunction import SLOPE_TOL, PLFunction
+from .ratios import Rewards, _denominator, hindsight_denominator
 from .region import TOL, MLRegion, KeyPoints, dedup_sorted, envelope, key_points, kp_x_vertices
 
 # a band gap at or above -FEAS_SLACK counts as feasible
@@ -119,17 +123,27 @@ def _pieces(seeds, rw: Rewards):
     of each piece's right end, left to right.
     """
     m = rw.m
-
-    def point(t, y):
-        return t, y, hindsight_denominator((t, y), rw)
-
+    a, ya = seeds[0]
+    first = (a, ya, _denominator(a, ya, rw))
+    fa = (ya - m, a + ya - m, a - m)
+    sa = (fa[0] < 0.0, fa[1] < 0.0, fa[2] < 0.0)
     intervals = []
-    for (a, ya), (b, yb) in zip(seeds, seeds[1:]):
+    for b, yb in seeds[1:]:
         slope = (yb - ya) / (b - a)
-        cuts = _roots(a, (ya - m, a + ya - m, a - m), b, (yb - m, b + yb - m, b - m))
-        ends = [point(t, ya + (t - a) * slope) for t, _ in sorted(cuts) if a < t < b]
-        intervals.append((a, ya, slope, tuple(ends) + (point(b, yb),)))
-    return point(*seeds[0]), tuple(intervals)
+        # the cut switches and their signs at b are those at the next
+        # interval's left end; only a sign change has a root
+        fb = (yb - m, b + yb - m, b - m)
+        sb = (fb[0] < 0.0, fb[1] < 0.0, fb[2] < 0.0)
+        ends = []
+        if sa != sb:
+            for t, _ in sorted(_roots(a, fa, b, fb)):
+                if a < t < b:
+                    y = ya + (t - a) * slope
+                    ends.append((t, y, _denominator(t, y, rw)))
+        ends.append((b, yb, _denominator(b, yb, rw)))
+        intervals.append((a, ya, slope, tuple(ends)))
+        a, ya, fa, sa = b, yb, fb, sb
+    return first, tuple(intervals)
 
 
 def _curve(rw: Rewards, C: float, pieces, terms, steps: bool) -> PLFunction:
@@ -142,25 +156,26 @@ def _curve(rw: Rewards, C: float, pieces, terms, steps: bool) -> PLFunction:
     elsewhere, so it jumps at that switch's root: two breakpoints at the same
     t.
     """
-    def value(f):
-        return 0.0 if steps and f[-1] >= 0.0 else f[0]
-
     (t0, y0, d0), intervals = pieces
     f0 = terms(rw, C, t0, y0, d0)
-    out = [(t0, value(f0))]
+    s0 = (f0[1] < 0.0, f0[2] < 0.0, f0[-1] < 0.0)
+    out = [(t0, 0.0 if steps and f0[-1] >= 0.0 else f0[0])]
     for a, ya, slope, ends in intervals:
         for t1, y1, d1 in ends:
             f1 = terms(rw, C, t1, y1, d1)
-            for t, i in sorted(_roots(t0, f0[1:], t1, f1[1:])):
-                y = ya + (t - a) * slope
-                f = terms(rw, C, t, y, hindsight_denominator((t, y), rw))
-                if steps and i == len(f) - 2:
-                    step = (0.0, f[0]) if f0[-1] >= 0.0 else (f[0], 0.0)
-                    out += [(t, v) for v in step]
-                elif t0 < t < t1:
-                    out.append((t, value(f)))
-            out.append((t1, value(f1)))
-            t0, f0 = t1, f1
+            # the signs of the 2 or 3 switches: only a change has a root here
+            s1 = (f1[1] < 0.0, f1[2] < 0.0, f1[-1] < 0.0)
+            if s0 != s1:
+                for t, i in sorted(_roots(t0, f0[1:], t1, f1[1:])):
+                    y = ya + (t - a) * slope
+                    f = terms(rw, C, t, y, _denominator(t, y, rw))
+                    if steps and i == len(f) - 2:
+                        step = (0.0, f[0]) if f0[-1] >= 0.0 else (f[0], 0.0)
+                        out += [(t, v) for v in step]
+                    elif t0 < t < t1:
+                        out.append((t, 0.0 if steps and f[-1] >= 0.0 else f[0]))
+            out.append((t1, 0.0 if steps and f1[-1] >= 0.0 else f1[0]))
+            t0, f0, s0 = t1, f1, s1
     return PLFunction(tuple(out))
 
 
@@ -196,6 +211,10 @@ def _cone_floor(mbps):
             out.append((x2, max(m2, n1)))
             continue
         cone2 = n1 - d
+        # n1 - d rounds at ulp(n1), a slope far below -1 over a segment a few
+        # ulps wide: raise it until validate's slope test passes
+        while d > SLOPE_TOL and (cone2 - n1) / d < -1.0 - SLOPE_TOL:
+            cone2 = math.nextafter(cone2, math.inf)
         if cone2 > m2 + 1e-15:
             out.append((x2, cone2))
         else:
@@ -327,8 +346,8 @@ def _build_geometry(region: MLRegion, rw: Rewards) -> _Geometry:
     l_seeds = sorted(set(u_seeds) | {min(max(x_h, x_lo), x_bar)})
     return _Geometry(
         kp, x_hi_u, x_h,
-        _pieces([(t, region.lower(t)) for t in u_seeds], rw),
-        _pieces([(t, region.upper(t)) for t in l_seeds], rw),
+        _pieces(list(zip(u_seeds, region.lower.at(u_seeds))), rw),
+        _pieces(list(zip(l_seeds, region.upper.at(l_seeds))), rw),
     )
 
 
@@ -476,8 +495,8 @@ def band_gap(ctx: BoundContext) -> tuple[float, float]:
     lo, hi = ctx.region.x_lo, ctx.region.x_hi
     xs = sorted(set(ctx.u.xs).union(min(max(x, lo), hi) for x in ctx.floor.xs))
     best, witness = float("inf"), xs[0]
-    for x in xs:
-        gap = ctx.u(x) - max(0.0, ctx.floor(x))
+    for x, u, f in zip(xs, ctx.u.at(xs), ctx.floor.at(xs)):
+        gap = u - max(0.0, f)
         if gap < best:
             best, witness = gap, x
     return best, witness

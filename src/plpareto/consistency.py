@@ -17,7 +17,7 @@ from .bounds import FEAS_SLACK, _geometry, band_gap, bound_context, rho
 from .errors import InfeasibleTarget, TargetOutOfRange
 from .plfunction import PLFunction
 from .ratios import Rewards, balance_levels
-from .region import MLRegion, dedup_sorted, envelope
+from .region import MLRegion, dedup_sorted
 
 
 @dataclass(frozen=True)
@@ -103,10 +103,10 @@ def _pair_candidates(region: MLRegion, rw: Rewards, xs) -> list[float]:
     the over point lies to the right.  The envelopes are evaluated once per
     abscissa, the cone test is a mask, and ``ratios.balance_levels`` balances
     the admissible pairs in blocks of at most about _PAIR_BLOCK pairs.
+    Every abscissa must lie in [x_lo, x_hi], as those of ``_enum_xs`` do.
     """
     x = np.array(xs, dtype=float)
-    yu = np.array([envelope(region, v, "upper") for v in xs])
-    yl = np.array([envelope(region, v, "lower") for v in xs])
+    yu, yl = np.array(region.upper.at(xs)), np.array(region.lower.at(xs))
     rows = max(1, _PAIR_BLOCK // x.size)
     out: list[float] = []
     for r0 in range(0, x.size, rows):

@@ -150,7 +150,8 @@ def evaluate(policy: PLFunction, testset, order: str, rw: Rewards,
     """
     if order not in ("adversarial", "stochastic"):
         raise ValueError("order must be 'adversarial' or 'stochastic'")
-    if not isinstance(n_perms, Integral):
+    # a bool is an Integral: True would count as 1
+    if isinstance(n_perms, bool) or not isinstance(n_perms, Integral):
         raise ValueError("n_perms must be an integer")
     if n_perms < 1:
         raise ValueError("n_perms must be at least 1")
@@ -200,7 +201,8 @@ class ExperimentConfig:
         if self.order not in ("adversarial", "stochastic"):
             raise ValueError(f"unknown order {self.order!r}")
         for name in ("n_samples", "K", "n_test", "seed", "n_perms"):
-            if not isinstance(getattr(self, name), Integral):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, Integral):
                 raise ValueError(f"{name} must be an integer")
         if self.n_samples < 1:
             raise ValueError("n_samples must be at least 1")

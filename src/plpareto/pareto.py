@@ -119,7 +119,7 @@ def _left_part(ctx: BoundContext, p_r: float):
             if x1 < xc < x2:
                 cand_xs.add(xc)
     pl = PLFunction(tuple(bps))
-    inf_over = min(cp_over_raw(pl(x), (x, 0.0), rw) for x in cand_xs)
+    inf_over = min(cp_over_raw(p, (x, 0.0), rw) for x, p in zip(cand_xs, pl.at(cand_xs)))
     r_under = cp_under_raw(pl(x_bar), (x_bar, m), rw)
     return bps, min(r_under, inf_over), inf_over
 

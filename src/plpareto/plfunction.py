@@ -41,22 +41,29 @@ class PLFunction:
         object.__setattr__(self, "xs", xs)
 
     def __call__(self, x: float) -> float:
-        bps = self.breakpoints
-        if x <= bps[0][0]:
-            return bps[0][1]
-        if x >= bps[-1][0]:
-            return bps[-1][1]
-        i = bisect_right(self.xs, x)
-        if i == len(bps):  # only NaN passes both end tests and bisects past the end
-            raise OutOfDomain(f"x={x} is not a number")
-        (x1, p1), (x2, p2) = bps[i - 1], bps[i]
-        if x2 == x1:
-            return p2
-        return p1 + (x - x1) * (p2 - p1) / (x2 - x1)
+        return self.at((x,))[0]
+
+    def at(self, xs) -> list[float]:
+        """The curve at each x of ``xs``, in one call for many points."""
+        bps, fx, n = self.breakpoints, self.xs, len(self.xs)
+        (x_first, p_first), (x_last, p_last) = bps[0], bps[-1]
+        out = []
+        for x in xs:
+            if x <= x_first:
+                out.append(p_first)
+            elif x >= x_last:
+                out.append(p_last)
+            else:
+                i = bisect_right(fx, x)
+                if i == n:  # only NaN passes both end tests and bisects past the end
+                    raise OutOfDomain(f"x={x} is not a number")
+                (x1, p1), (x2, p2) = bps[i - 1], bps[i]
+                out.append(p2 if x2 == x1 else p1 + (x - x1) * (p2 - p1) / (x2 - x1))
+        return out
 
     def values(self, x: np.ndarray) -> np.ndarray:
-        """``__call__`` at every element of ``x``, with the same formula and
-        rounding (``np.interp`` rounds differently)."""
+        """``at`` of every element of the array ``x``, with the same formula
+        and rounding (``np.interp`` rounds differently)."""
         x = np.asarray(x, dtype=float)
         if np.isnan(x).any():
             raise OutOfDomain("x contains NaN")
@@ -68,7 +75,7 @@ class PLFunction:
         if np.any(dx < 0):
             # bisect on the tolerated sub-SLOPE_TOL inversions has no
             # searchsorted equivalent
-            return np.array([self(v) for v in x.ravel().tolist()]).reshape(x.shape)
+            return np.array(self.at(x.ravel().tolist())).reshape(x.shape)
         k = np.searchsorted(bx, x, side="right") - 1  # segment [x1, x2] = bx[k:k+2]
         np.clip(k, 0, len(dx) - 1, out=k)
         out = x - bx[k]

@@ -129,21 +129,23 @@ def balance_levels(xu, yu, xo, yo, shift, rw: Rewards):
     # both points' denominators and the parts of their numerators free of p
     den_u, den_o = hindsight_denominators(xu, yu, rw), hindsight_denominators(xo, yo, rw)
     cap_u, top_o = np.minimum(yu, np.maximum(m - xu, 0.0)), np.minimum(yo, m) * rh
-    safe_u, safe_o = np.where(den_u > 0.0, den_u, 1.0), np.where(den_o > 0.0, den_o, 1.0)
+    pos_u, pos_o = den_u > 0.0, den_o > 0.0
+    safe_u, safe_o = np.where(pos_u, den_u, 1.0), np.where(pos_o, den_o, 1.0)
 
     def under(p):
         num = np.maximum(p, cap_u) * rh + np.minimum(xu, m - p) * rl
-        return np.where(den_u > 0.0, num / safe_u, 1.0)
+        return np.where(pos_u, num / safe_u, 1.0)
 
-    def gap(p):
+    def over(p):
         num = top_o + np.minimum(xo, np.maximum(m - (p - shift), 0.0)) * rl
-        return under(p) - np.where(den_o > 0.0, num / safe_o, 1.0)
+        return np.where(pos_o, num / safe_o, 1.0)
 
     lo = np.maximum(0.0, np.minimum(yo, m) + shift)
     hi = np.minimum(m, yu)
     empty = lo > hi + BRANCH_TOL
     lo = np.minimum(lo, hi)
-    flo, fhi = gap(lo), gap(hi)
+    under_hi = under(hi)
+    flo, fhi = under(lo) - over(lo), under_hi - over(hi)
     unsolved = empty | (flo > 1e-9) | (fhi < -1e-9)
     p = np.where(flo >= 0.0, lo, hi)
     k1, k2 = m - xu, m - xo + shift
@@ -152,12 +154,12 @@ def balance_levels(xu, yu, xo, yo, shift, rw: Rewards):
     # last piece ends at the kink's left-hand value, and where that is still
     # not positive the root is hi
     lost = (k2 >= hi) & (m - (hi - shift) < xo)
-    left = under(hi) - np.where(den_o > 0.0, (top_o + xo * rl) / safe_o, 1.0)
+    left = under_hi - np.where(pos_o, (top_o + xo * rl) / safe_o, 1.0)
     fhi = np.where(lost, left, fhi)
     inner = ~(flo >= 0.0) & ~(fhi <= 0.0)
     # the kinks in ascending order: once one moves hi, the next is not below it
     for t in (np.minimum(k1, k2), np.maximum(k1, k2)):
-        ft = gap(t)
+        ft = under(t) - over(t)
         inside = (lo < t) & (t < hi)
         up, down = inside & (ft >= 0.0), inside & ~(ft >= 0.0)
         hi, fhi = np.where(up, t, hi), np.where(up, ft, fhi)

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from plpareto import MLRegion, Rewards, build_polygon
+from plpareto.bounds import BoundContext, _roots
 from plpareto.errors import NoSolution
+from plpareto.plfunction import PLFunction
 from plpareto.ratios import (BRANCH_TOL, _as_point, cp_over_raw, cp_under_raw,
-                             hindsight_denominator)
+                             hindsight_denominator, hindsight_denominators)
 
 
 @pytest.fixture
@@ -75,3 +77,134 @@ def scalar_balance_point(under_pt, over_pt, shift: float, rw: Rewards) -> float:
                 break
             lo, flo = t, ft
     return lo - flo * (hi - lo) / (fhi - flo)
+
+
+# Oracles for the bound-layer loops: the per-point forms of bounds._pieces,
+# bounds._curve, bounds.band_gap, bounds._cone_floor and
+# ratios.balance_levels, kept verbatim (only the names and docstrings differ)
+# from before those loops were rewritten to make fewer Python calls.  The
+# rewritten loops must give the same floats, bit for bit.
+
+
+def oracle_pieces(seeds, rw: Rewards):
+    """Oracle of ``bounds._pieces``: one ``hindsight_denominator`` call and
+    one ``_roots`` call per point and interval."""
+    m = rw.m
+
+    def point(t, y):
+        return t, y, hindsight_denominator((t, y), rw)
+
+    intervals = []
+    for (a, ya), (b, yb) in zip(seeds, seeds[1:]):
+        slope = (yb - ya) / (b - a)
+        cuts = _roots(a, (ya - m, a + ya - m, a - m), b, (yb - m, b + yb - m, b - m))
+        ends = [point(t, ya + (t - a) * slope) for t, _ in sorted(cuts) if a < t < b]
+        intervals.append((a, ya, slope, tuple(ends) + (point(b, yb),)))
+    return point(*seeds[0]), tuple(intervals)
+
+
+def oracle_curve(rw: Rewards, C: float, pieces, terms, steps: bool) -> PLFunction:
+    """Oracle of ``bounds._curve``: a ``_roots`` call at every piece end."""
+    def value(f):
+        return 0.0 if steps and f[-1] >= 0.0 else f[0]
+
+    (t0, y0, d0), intervals = pieces
+    f0 = terms(rw, C, t0, y0, d0)
+    out = [(t0, value(f0))]
+    for a, ya, slope, ends in intervals:
+        for t1, y1, d1 in ends:
+            f1 = terms(rw, C, t1, y1, d1)
+            for t, i in sorted(_roots(t0, f0[1:], t1, f1[1:])):
+                y = ya + (t - a) * slope
+                f = terms(rw, C, t, y, hindsight_denominator((t, y), rw))
+                if steps and i == len(f) - 2:
+                    step = (0.0, f[0]) if f0[-1] >= 0.0 else (f[0], 0.0)
+                    out += [(t, v) for v in step]
+                elif t0 < t < t1:
+                    out.append((t, value(f)))
+            out.append((t1, value(f1)))
+            t0, f0 = t1, f1
+    return PLFunction(tuple(out))
+
+
+def oracle_band_gap(ctx: BoundContext) -> tuple[float, float]:
+    """Oracle of ``bounds.band_gap``: two ``PLFunction`` calls per abscissa."""
+    lo, hi = ctx.region.x_lo, ctx.region.x_hi
+    xs = sorted(set(ctx.u.xs).union(min(max(x, lo), hi) for x in ctx.floor.xs))
+    best, witness = float("inf"), xs[0]
+    for x in xs:
+        gap = ctx.u(x) - max(0.0, ctx.floor(x))
+        if gap < best:
+            best, witness = gap, x
+    return best, witness
+
+
+def oracle_cone_floor(mbps):
+    """Oracle of ``bounds._cone_floor`` without its ulp raise of a cone value
+    over a segment a few ulps wide: equal wherever that floor validates."""
+    out = [mbps[0]]
+    for i in range(1, len(mbps)):
+        (x1, m1), (x2, m2) = mbps[i - 1], mbps[i]
+        n1 = out[-1][1]
+        d = x2 - x1
+        if d <= 0:
+            out.append((x2, max(m2, n1)))
+            continue
+        cone2 = n1 - d
+        if cone2 > m2 + 1e-15:
+            out.append((x2, cone2))
+        else:
+            if n1 > m1 + 1e-12:
+                s = (m2 - m1) / d
+                t = (n1 - m1) / (1.0 + s)
+                if 0.0 < t < d:
+                    out.append((x1 + t, n1 - t))
+            out.append((x2, m2))
+    return out
+
+
+# float arithmetic as in Python: a tiny denominator overflows to inf silently
+@np.errstate(all="ignore")
+def oracle_balance_levels(xu, yu, xo, yo, shift, rw: Rewards):
+    """Oracle of ``ratios.balance_levels``: the denominator masks rebuilt at
+    every evaluation and the under ratio at hi computed twice."""
+    m, rh, rl = rw.m, rw.r_high, rw.r_low
+    # both points' denominators and the parts of their numerators free of p
+    den_u, den_o = hindsight_denominators(xu, yu, rw), hindsight_denominators(xo, yo, rw)
+    cap_u, top_o = np.minimum(yu, np.maximum(m - xu, 0.0)), np.minimum(yo, m) * rh
+    safe_u, safe_o = np.where(den_u > 0.0, den_u, 1.0), np.where(den_o > 0.0, den_o, 1.0)
+
+    def under(p):
+        num = np.maximum(p, cap_u) * rh + np.minimum(xu, m - p) * rl
+        return np.where(den_u > 0.0, num / safe_u, 1.0)
+
+    def gap(p):
+        num = top_o + np.minimum(xo, np.maximum(m - (p - shift), 0.0)) * rl
+        return under(p) - np.where(den_o > 0.0, num / safe_o, 1.0)
+
+    lo = np.maximum(0.0, np.minimum(yo, m) + shift)
+    hi = np.minimum(m, yu)
+    empty = lo > hi + BRANCH_TOL
+    lo = np.minimum(lo, hi)
+    flo, fhi = gap(lo), gap(hi)
+    unsolved = empty | (flo > 1e-9) | (fhi < -1e-9)
+    p = np.where(flo >= 0.0, lo, hi)
+    k1, k2 = m - xu, m - xo + shift
+    # the over kink can lie within rounding below hi and round onto it; the
+    # over ratio of a nearly empty point falls by up to 1 past it, so the
+    # last piece ends at the kink's left-hand value, and where that is still
+    # not positive the root is hi
+    lost = (k2 >= hi) & (m - (hi - shift) < xo)
+    left = under(hi) - np.where(den_o > 0.0, (top_o + xo * rl) / safe_o, 1.0)
+    fhi = np.where(lost, left, fhi)
+    inner = ~(flo >= 0.0) & ~(fhi <= 0.0)
+    # the kinks in ascending order: once one moves hi, the next is not below it
+    for t in (np.minimum(k1, k2), np.maximum(k1, k2)):
+        ft = gap(t)
+        inside = (lo < t) & (t < hi)
+        up, down = inside & (ft >= 0.0), inside & ~(ft >= 0.0)
+        hi, fhi = np.where(up, t, hi), np.where(up, ft, fhi)
+        lo, flo = np.where(down, t, lo), np.where(down, ft, flo)
+    root = lo - flo * (hi - lo) / (fhi - flo)
+    p = np.where(inner, root, p)
+    return p, under(p), ~unsolved

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import plpareto.bounds as bounds
 from plpareto import (
@@ -362,6 +363,41 @@ def test_policy_at_lower_bound_step_is_valid(rw, centre, axes, turn, segments):
     c_star = cstar_bisection(region, rw).c_star
     sol = solve_pareto(region, rw, 0.9 * c_star)
     assert sol.p_star.validate(rw.m, region.x_hi) == []
+
+
+# the floor fell faster than slope -1 over [5.000000049765139,
+# 5.000000078719275], 2.9e-8 wide, where the cone value n1 - d rounds at
+# ulp(15.5): a slope error of about 6e-8, far above SLOPE_TOL
+MICRO_CONE = [(1.377950952722521e-07, 20.00000023103635),
+              (5.000000078719275, 1.9550582783310235e-08),
+              (20.000000047637673, 1.2926461227593415e-07),
+              (5.0, 20.00000006635352)]
+
+
+@pytest.mark.parametrize("target", ["cstar", 0.85])
+def test_floor_cone_over_a_micro_segment_is_valid(rw, target):
+    region = build_polygon(MICRO_CONE)
+    C = cstar_enumeration(region, rw).c_star if target == "cstar" else target
+    ctx = bound_context(region, rw, C)
+    assert PLFunction(ctx.floor.breakpoints).validate(rw.m, region.x_hi) == []
+    assert solve_pareto(region, rw, C).p_star.validate(rw.m, region.x_hi) == []
+
+
+_jitter = st.tuples(st.floats(0.0, 1.0), st.floats(-9.0, -6.0))
+
+
+@given(st.lists(_jitter, min_size=8, max_size=8))
+@settings(max_examples=150, deadline=None)
+def test_policies_on_micro_jittered_polygons_are_valid(jitter):
+    # vertices within 1e-9 to 1e-6 above (0, 20), (5, 0), (20, 0), (5, 20):
+    # the floor's cone meets x = 5 over segments a few ulps wide
+    rw = Rewards(1.0 / 3.0, 1.0, 20.0)
+    base = [0.0, 20.0, 5.0, 0.0, 20.0, 0.0, 5.0, 20.0]
+    coords = [v + u * 10.0 ** e for v, (u, e) in zip(base, jitter)]
+    region = build_polygon(list(zip(coords[::2], coords[1::2])))
+    c_star = cstar_enumeration(region, rw).c_star
+    for C in (c_star, 0.99 * c_star):
+        assert solve_pareto(region, rw, C).p_star.validate(rw.m, region.x_hi) == []
 
 
 # -- the target-independent geometry, reused across a C* search ---------------

@@ -44,6 +44,21 @@ def test_pareto_writes_policy(diff_region_file, tmp_path, capsys):
     assert pl(20.0) == pytest.approx(8.5, abs=1e-9)
 
 
+def test_pareto_policy_with_a_micro_segment_cone_validates(tmp_path, capsys):
+    # the floor's cone over a 2.9e-8-wide segment fell faster than slope -1
+    # and validate exited 4
+    region = tmp_path / "micro.json"
+    region.write_text(json.dumps({"type": "polygon", "vertices": [
+        [1.377950952722521e-07, 20.00000023103635], [5.000000078719275, 1.9550582783310235e-08],
+        [20.000000047637673, 1.2926461227593415e-07], [5.0, 20.00000006635352]]}))
+    out_csv = tmp_path / "pl.csv"
+    assert main(["pareto", "--region", str(region), "--consistency", "0.85",
+                 "--out", str(out_csv)]) == 0
+    capsys.readouterr()
+    assert main(["validate", str(out_csv)]) == 0
+    assert capsys.readouterr().out.strip() == "valid"
+
+
 def test_pareto_infeasible_exit_code(diff_region_file):
     assert main(["pareto", "--region", diff_region_file, "--consistency", "0.95"]) == 3
 
@@ -126,6 +141,19 @@ def test_simulate_bad_config_values_exit_code(tmp_path, capsys, bad):
     }))
     assert main(["simulate", "--config", str(cfg)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("bad", [{"n_samples": True}, {"K": True}, {"n_test": True},
+                                 {"seed": False}, {"n_perms": True, "order": "stochastic"}])
+def test_simulate_boolean_counts_exit_code(tmp_path, capsys, bad):
+    # JSON true is a bool, and a bool is an Integral: "n_samples": true died
+    # with a TypeError traceback (exit 1) and "K": true ran one trial
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "m": 20.0, "r_low": 1 / 3, "r_high": 1.0, "advice_kind": "box", "K": 1, **bad,
+    }))
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert "must be an integer" in capsys.readouterr().err
 
 
 def test_simulate_too_many_chunks_exit_code(tmp_path, capsys):

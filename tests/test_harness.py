@@ -142,6 +142,22 @@ def test_evaluate_rejects_non_integer_perms(rw, order, n_perms):
         ExperimentConfig(n_perms=n_perms)
 
 
+@pytest.mark.parametrize("field", ["n_samples", "K", "n_test", "seed", "n_perms"])
+@pytest.mark.parametrize("value", [True, False])
+def test_experiment_config_rejects_booleans_as_counts(field, value):
+    # a bool is an Integral: True ran one trial as K, and as n_samples
+    # failed with a TypeError in the sampler
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        ExperimentConfig(**{field: value})
+
+
+@pytest.mark.parametrize("order", ["adversarial", "stochastic"])
+def test_evaluate_rejects_a_boolean_perm_count(rw, order):
+    with pytest.raises(ValueError, match="n_perms must be an integer"):
+        evaluate(constant_pl(8.0, 20.0), [DemandPoint(5.0, 5.0)], order, rw,
+                 np.random.default_rng(0), n_perms=True)
+
+
 @pytest.mark.parametrize("K", [0, -1])
 def test_experiment_config_rejects_no_trials(K):
     with pytest.raises(ValueError):
