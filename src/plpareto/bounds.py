@@ -6,8 +6,8 @@ the corridor [g_lower, g_upper] confines any policy that keeps the worst
 first-quadrant corners at ratio >= R.
 
 ``bound_context`` works in two parts.  The part that does not depend on C
-(key points, the seed abscissae of both pointwise bound curves, the cuts of
-each seed interval at y = m, t + y = m and t = m, and the hindsight
+(key points, the breakpoints of each pointwise bound curve's own envelope,
+the cuts between them at y = m, t + y = m and t = m, and the hindsight
 denominator at every seed and cut) is built once per region and ``Rewards``
 and reused while the same region is queried, so a C* search and the Pareto
 solve after it build it once.  Per C, only the curves' switch roots are
@@ -28,7 +28,7 @@ from functools import cached_property
 from .errors import OutOfDomain, TargetOutOfRange
 from .plfunction import SLOPE_TOL, PLFunction
 from .ratios import Rewards, _denominator, hindsight_denominator
-from .region import TOL, MLRegion, KeyPoints, dedup_sorted, envelope, key_points, kp_x_vertices
+from .region import TOL, MLRegion, KeyPoints, dedup_sorted, envelope, key_points
 
 # a band gap at or above -FEAS_SLACK counts as feasible
 FEAS_SLACK = 1e-9
@@ -86,9 +86,15 @@ def _l_terms(rw: Rewards, C: float, t: float, y: float, denom: float) -> tuple[f
     return min(m, y, max(0.0, p_b)), p_b, p_b - min(m, y), zero
 
 
+def _check_target(C: float) -> None:
+    if not 0.0 <= C <= 1.0:
+        raise TargetOutOfRange(f"consistency target {C} outside [0, 1]")
+
+
 def u_raw(region: MLRegion, rw: Rewards, C: float, t: float) -> float:
     """Pointwise largest p in [0, m] keeping the over-protection ratio at the
     lower-envelope point (t, h_lower(t)) at least C."""
+    _check_target(C)
     y = envelope(region, t, "lower")
     return _u_terms(rw, C, t, y, hindsight_denominator((t, y), rw))[0]
 
@@ -96,6 +102,7 @@ def u_raw(region: MLRegion, rw: Rewards, C: float, t: float) -> float:
 def l_raw(region: MLRegion, rw: Rewards, C: float, t: float) -> float:
     """Pointwise smallest p in [0, m] keeping the under-protection ratio at the
     upper-envelope point (t, h_upper(t)) at least C."""
+    _check_target(C)
     y = envelope(region, t, "upper")
     f = _l_terms(rw, C, t, y, hindsight_denominator((t, y), rw))
     return 0.0 if f[-1] >= 0.0 else f[0]
@@ -231,8 +238,8 @@ def _cone_floor(mbps):
 class _Geometry:
     """The part of a bound context that does not depend on the target C,
     for one region and one ``Rewards``: key points, the freeze point x_hi_u
-    of the upper bound, x_H, and the ``_pieces`` of u (on the lower
-    envelope) and of the pointwise lower bound (on the upper envelope)."""
+    of the upper bound, x_H, and the ``_pieces`` of u and of the pointwise
+    lower bound, each seeded at its own envelope's breakpoints."""
 
     kp: KeyPoints
     x_hi_u: float
@@ -313,16 +320,6 @@ class BoundContext:
         return x_lo_u
 
 
-def _seed_xs(region: MLRegion, rw: Rewards, kp: KeyPoints, lo: float, hi: float) -> list[float]:
-    xs = {lo, hi}
-    for x in kp_x_vertices(region, kp):
-        if lo - TOL <= x <= hi + TOL:
-            xs.add(min(max(x, lo), hi))
-    if lo < rw.m < hi:
-        xs.add(rw.m)
-    return dedup_sorted(sorted(xs), 1e-12)
-
-
 def _build_geometry(region: MLRegion, rw: Rewards) -> _Geometry:
     m = rw.m
     kp = key_points(region, m)
@@ -339,14 +336,14 @@ def _build_geometry(region: MLRegion, rw: Rewards) -> _Geometry:
         y_min = min(y for _, y in chain)
         x_hi_u = max([x for x, y in chain if y <= y_min + TOL] + [xL])
 
-    # seeds of the pointwise bound curves on [x_lo, x_bar]; the lower one
-    # also gets x_H
+    # pw's seeds also take x_H, and are clamped to [x_lo, x_bar], which the
+    # upper chain's ends can overshoot by up to TOL
     x_h = kp.H[0]
-    u_seeds = _seed_xs(region, rw, kp, x_lo, x_bar)
-    l_seeds = sorted(set(u_seeds) | {min(max(x_h, x_lo), x_bar)})
+    l_seeds = dedup_sorted(
+        sorted(min(max(x, x_lo), x_bar) for x in region.upper.xs + (x_h,)), 1e-12)
     return _Geometry(
         kp, x_hi_u, x_h,
-        _pieces(list(zip(u_seeds, region.lower.at(u_seeds))), rw),
+        _pieces(region.lower.breakpoints, rw),
         _pieces(list(zip(l_seeds, region.upper.at(l_seeds))), rw),
     )
 
@@ -372,8 +369,7 @@ def _geometry(region: MLRegion, rw: Rewards) -> _Geometry:
 
 def bound_context(region: MLRegion, rw: Rewards, C: float) -> BoundContext:
     """Thresholds and piecewise-linear bound curves for target C."""
-    if not 0.0 <= C <= 1.0:
-        raise TargetOutOfRange(f"consistency target {C} outside [0, 1]")
+    _check_target(C)
     geo = _geometry(region, rw)
     pw = _curve(rw, C, geo.l_pieces, _l_terms, True)
     u = _curve(rw, C, geo.u_pieces, _u_terms, False)

@@ -78,9 +78,9 @@ def cstar_bisection(region: MLRegion, rw: Rewards, epsilon: float = 1e-6) -> CSt
 
 def _enum_xs(region: MLRegion, rw: Rewards) -> list[float]:
     """Abscissae eligible as binding points: the ends of the pieces of both
-    bound curves in the region's bound geometry, that is the key-point
-    vertices, x_H, x = m and both envelopes' crossings with y = m and
-    x + y = m."""
+    bound curves in the region's bound geometry, that is both envelopes'
+    breakpoints, x_H, x = m and both envelopes' crossings with y = m and
+    x + y = m, all in [x_lo, x_hi]."""
     geo = _geometry(region, rw)
     xs = set()
     for (t0, _, _), intervals in (geo.u_pieces, geo.l_pieces):

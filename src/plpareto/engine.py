@@ -21,6 +21,7 @@ import numpy as np
 from .errors import TooManyChunks
 from .plfunction import PLFunction
 from .ratios import DemandPoint, Rewards, hindsight_denominator, hindsight_denominators
+from .region import TOL
 
 # most whole unit chunks one demand point may split into for stochastic
 # replay; a batch of replays holds one padded row per chunk
@@ -89,7 +90,10 @@ def performance_ratio(state: EngineState, rw: Rewards) -> float:
 
 
 def ordered_sequence(x: float, y: float) -> list[Arrival]:
-    """Worst-case arrival order: all low demand, then all high demand."""
+    """Worst-case arrival order: all low demand, then all high demand.  A
+    total in [-TOL, 0] is none: envelope interpolation can round 0 to -1e-15."""
+    if not (x >= -TOL and y >= -TOL):
+        raise ValueError(f"demand must be a number of at least {-TOL}, got ({x}, {y})")
     out = []
     if x > 0:
         out.append(Arrival("low", x))

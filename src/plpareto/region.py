@@ -227,12 +227,8 @@ def key_points(region: MLRegion, m: float) -> KeyPoints:
 def x_vertices(region: MLRegion, m: float) -> tuple[float, ...]:
     """Sorted deduplicated x-coordinates of the polygon vertices plus the
     lower-envelope intersections with x + y = m."""
-    return kp_x_vertices(region, key_points(region, m))
-
-
-def kp_x_vertices(region: MLRegion, kp: KeyPoints) -> tuple[float, ...]:
-    """``x_vertices`` from the region's already computed key points."""
-    return tuple(dedup_sorted(sorted({p[0] for p in region.vertices + kp.r0}), TOL))
+    r0 = key_points(region, m).r0
+    return tuple(dedup_sorted(sorted({p[0] for p in region.vertices + r0}), TOL))
 
 
 def check_segments(segments) -> None:

@@ -23,6 +23,7 @@ from plpareto.advice import box_advice, ellipse_advice, point_advice
 from plpareto.consistency import _PAIR_BLOCK, _enum_xs, _pair_candidates
 from plpareto.harness import _sample_points
 from plpareto.ratios import balance_levels
+from plpareto.region import dedup_sorted
 
 from conftest import (oracle_balance_levels, oracle_band_gap, oracle_cone_floor,
                       oracle_curve, oracle_pieces, random_region)
@@ -79,10 +80,12 @@ def _corpus(name: str):
 
 
 def _seeds(region, rw, geo):
-    # the envelope points _build_geometry hands to _pieces
-    u = bounds._seed_xs(region, rw, geo.kp, region.x_lo, region.x_hi)
-    l = sorted(set(u) | {min(max(geo.x_h, region.x_lo), region.x_hi)})
-    return [(t, region.lower(t)) for t in u], [(t, region.upper(t)) for t in l]
+    # the envelope points _build_geometry hands to _pieces: the lower
+    # envelope's breakpoints, and the upper envelope's abscissae and x_H
+    # clamped to [x_lo, x_hi]
+    lo, hi = region.x_lo, region.x_hi
+    l = dedup_sorted(sorted(min(max(x, lo), hi) for x in region.upper.xs + (geo.x_h,)), 1e-12)
+    return list(region.lower.breakpoints), [(t, region.upper(t)) for t in l]
 
 
 def _oracle_pair_candidates(region, rw, xs):

@@ -31,9 +31,9 @@ from plpareto import (
     u_ceiling,
     u_raw,
 )
-from plpareto.bounds import _cone_floor, _running_max_bps, _seed_xs
+from plpareto.bounds import _cone_floor, _running_max_bps
 from plpareto.errors import OutOfDomain, TargetOutOfRange
-from plpareto.region import TOL
+from plpareto.region import TOL, dedup_sorted
 from conftest import random_region
 
 
@@ -171,6 +171,13 @@ def test_bound_context_rejects_target_outside_unit_interval(rw, diff_region, C):
         bound_context(diff_region, rw, C)
 
 
+@pytest.mark.parametrize("C", [float("nan"), -1.0, 5.0])
+@pytest.mark.parametrize("raw", [u_raw, l_raw])
+def test_raw_bounds_reject_target_outside_unit_interval(rw, diff_region, raw, C):
+    with pytest.raises(TargetOutOfRange):
+        raw(diff_region, rw, C, 10.0)
+
+
 def test_bound_context_locates_key_points_once(rw, monkeypatch):
     import plpareto.bounds as bounds
 
@@ -265,6 +272,19 @@ def _pl_breakpoints(f, xs, val_tol=1e-10, x_floor=1e-12):
         refine(a, fa, b, fb)
         out.append((b, fb))
     return out
+
+
+# the probe's own seed abscissae, independent of the rule bound_context
+# seeds its curves by: every vertex of both envelopes, the lower envelope's
+# crossings with x + y = m, and x = m, on [lo, hi]
+def _seed_xs(region, rw, kp, lo, hi):
+    xs = {lo, hi}
+    for x in dedup_sorted(sorted({p[0] for p in region.vertices + kp.r0}), TOL):
+        if lo - TOL <= x <= hi + TOL:
+            xs.add(min(max(x, lo), hi))
+    if lo < rw.m < hi:
+        xs.add(rw.m)
+    return dedup_sorted(sorted(xs), 1e-12)
 
 
 def _probe_curves(region, rw, C):
@@ -471,3 +491,43 @@ def test_published_curves_built_only_on_demand(rw, monkeypatch):
     l_tilde(ctx, region.x_hi)
     assert ctx.x_minus1 <= region.x_hi and ctx.x_hi_l <= region.x_hi
     assert len(calls) == 1
+
+
+# polygons whose upper chain ends lie up to TOL outside the lower chain's
+CHAIN_END_POLYGONS = [
+    ([(0, 5), (1e-10, 0), (10, 0), (10, 8)], 1.0, 0.6),
+    ([(0, 5), (1e-10, 0), (30, 0), (30, 28)], 0.6, 0.5999999999999999),
+    ([(2, 30), (2 + 5e-10, 1), (25, 1), (25 - 5e-10, 30)], 0.6346153846153846, 0.595673076923077),
+]
+
+
+def test_each_curve_is_seeded_at_its_own_envelope(rw, diff_region):
+    from plpareto.consistency import _enum_xs
+
+    regions = [diff_region, _ellipse(np.random.default_rng(12), 64)]
+    regions += [build_polygon(pts) for pts, _, _ in CHAIN_END_POLYGONS]
+    for region in regions:
+        geo = bounds._geometry(region, rw)
+        lo, hi = region.x_lo, region.x_hi
+        # u: the lower envelope's breakpoints as they are stored
+        u_first, u_intervals = geo.u_pieces
+        assert u_first[:2] == region.lower.breakpoints[0]
+        assert [iv[:2] for iv in u_intervals] == list(region.lower.breakpoints[:-1])
+        # pw: the upper envelope's abscissae and x_H, clamped to [x_lo, x_hi]
+        l_first, l_intervals = geo.l_pieces
+        seeds = [l_first[0]] + [iv[0] for iv in l_intervals[1:]]
+        if l_intervals:
+            seeds.append(l_intervals[-1][3][-1][0])
+        want = sorted({min(max(x, lo), hi) for x in region.upper.xs + (geo.x_h,)})
+        assert seeds == [x for i, x in enumerate(want) if i == 0 or x - want[i - 1] > 1e-12]
+        ends = [t for first, intervals in (geo.u_pieces, geo.l_pieces)
+                for t in [first[0]] + [e[0] for iv in intervals for e in iv[3]]]
+        assert all(lo <= t <= hi for t in ends + _enum_xs(region, rw))
+
+
+@pytest.mark.parametrize("pts,c_star,r_star", CHAIN_END_POLYGONS)
+def test_chain_end_polygons_keep_cstar_and_pareto_robustness(rw, pts, c_star, r_star):
+    region = build_polygon(pts)
+    got = cstar_enumeration(region, rw).c_star
+    assert got == c_star
+    assert solve_pareto(region, rw, 0.95 * got).r_star == r_star

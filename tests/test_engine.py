@@ -27,6 +27,19 @@ def test_arrival_validation():
         Arrival("low", -1.0)
 
 
+@pytest.mark.parametrize("x,y", [(float("nan"), 5.0), (-3.0, 5.0), (5.0, float("nan")), (5.0, -3.0)])
+def test_ordered_sequence_rejects_nan_and_negative_totals(x, y):
+    with pytest.raises(ValueError):
+        ordered_sequence(x, y)
+    with pytest.raises(ValueError):
+        unit_chunks(x, y)
+
+
+def test_ordered_sequence_reads_a_rounded_zero_as_no_demand():
+    assert ordered_sequence(-1e-15, 5.0) == [Arrival("high", 5.0)]
+    assert ordered_sequence(5.0, -1e-15) == [Arrival("low", 5.0)]
+
+
 def test_fixed_level_full_instance():
     pl = constant_pl(8.0, 20.0)
     state = run_sequence(ordered_sequence(20.0, 20.0), pl, RW)
