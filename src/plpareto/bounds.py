@@ -13,10 +13,10 @@ and reused while the same region is queried, so a C* search and the Pareto
 solve after it build it once.  Per C, only the curves' switch roots are
 computed, on the pieces where a switch changes sign.  The walks over the
 piece ends test signs inline and read curves with ``PLFunction.at``, not a
-Python call per point, and give the floats of per-point calls.  The
-published curves l and l_tilde and their thresholds are built from the
-pointwise lower bound on first access: feasibility and the solver read only
-u and the floor.
+Python call per point, and give the floats of per-point calls.  The band's
+published lower bounds l and l_tilde are read off the pointwise lower bound
+at two thresholds found on first access: feasibility and the solver read
+only u and the floor.
 """
 
 from __future__ import annotations
@@ -255,10 +255,10 @@ class BoundContext:
     ``u`` is the pointwise (unfrozen) upper bound and ``pw`` the pointwise
     lower bound.  ``floor`` is the exact necessary floor used by feasibility
     and the solver: ``pw`` tightened by monotonicity (running max) and the
-    slope -1 validity cone.  ``l``/``lt`` are the band's published
-    lower-bound curves (zero beyond the threshold x_hi_l); they, x_hi_l,
-    x_minus1 and x_lo_u are built from ``pw`` and ``u`` on first access,
-    since neither feasibility nor the solver reads them.
+    slope -1 validity cone.  ``l_bound`` and ``l_tilde`` read ``pw`` up to
+    the thresholds x_hi_l (l is 0 from there) and x_minus1 (l_tilde falls at
+    slope -1 from there); those and x_lo_u are found on first access, since
+    neither feasibility nor the solver reads them.
     """
 
     region: MLRegion
@@ -280,24 +280,16 @@ class BoundContext:
         return self.u.breakpoints
 
     @cached_property
-    def _published(self) -> tuple[float, PLFunction, float, PLFunction]:
-        return _published_curves(self.pw, self.x_h, self.region.x_hi)
+    def _thresholds(self) -> tuple[float, float]:
+        return _lower_thresholds(self.pw, self.x_h, self.region.x_hi)
 
     @property
     def x_hi_l(self) -> float:
-        return self._published[0]
-
-    @property
-    def l(self) -> PLFunction:
-        return self._published[1]
+        return self._thresholds[0]
 
     @property
     def x_minus1(self) -> float:
-        return self._published[2]
-
-    @property
-    def lt(self) -> PLFunction:
-        return self._published[3]
+        return self._thresholds[1]
 
     @cached_property
     def x_lo_u(self) -> float:
@@ -384,14 +376,14 @@ def bound_context(region: MLRegion, rw: Rewards, C: float) -> BoundContext:
     )
 
 
-def _published_curves(pw: PLFunction, x_h: float, x_bar: float):
-    """(x_hi_l, l, x_minus1, lt): the band's published lower-bound curves and
-    their thresholds, from the pointwise lower bound ``pw``."""
-    # published threshold x_hi_l: first abscissa at or beyond x_H where a zero
-    # protection level already meets the target (fallback x_bar), and the
-    # value the pointwise bound has just left of it (nonzero at a step)
-    x_hi_l, v_hi = x_bar, 0.0
-    prev = None
+def _lower_thresholds(pw: PLFunction, x_h: float, x_bar: float) -> tuple[float, float]:
+    """(x_hi_l, x_minus1): where the band's published lower bound l drops to
+    0 and where it first falls faster than slope -1, from the pointwise lower
+    bound ``pw``."""
+    # x_hi_l: first abscissa at or beyond x_H where a zero protection level
+    # already meets the target (fallback x_bar), and the value the pointwise
+    # bound has just left of it (nonzero at a step)
+    x_hi_l, v_hi, prev = x_bar, 0.0, None
     for x, v in pw.breakpoints:
         if x < x_h - 1e-12:
             continue
@@ -404,48 +396,24 @@ def _published_curves(pw: PLFunction, x_h: float, x_bar: float):
                 x_hi_l = max(x, x_h)
             break
         prev = (x, v)
-
-    # published lower bound: pointwise on [x_H, x_hi_l), l(x_H) to the left,
-    # zero beyond x_hi_l
-    lH = pw(x_h)
     if x_hi_l <= x_h + 1e-12:
-        l_bps = [(0.0, lH), (x_bar, lH)] if x_bar > 1e-12 else [(0.0, lH)]
-    else:
-        l_bps = [(0.0, lH), (x_h, lH)]
-        l_bps += [(x, v) for x, v in pw.breakpoints if x_h + 1e-12 < x < x_hi_l - 1e-12]
-        if x_hi_l < x_bar - 1e-12:
-            l_bps += [(x_hi_l, v_hi), (x_hi_l, 0.0), (x_bar, 0.0)]
-        else:
-            l_bps.append((x_bar, pw(x_bar)))
-    l = PLFunction(tuple(l_bps))
+        # l is the constant pw(x_H)
+        return x_hi_l, x_bar
 
-    # first abscissa where the published l falls faster than slope -1; a
-    # step down counts
-    x_minus1 = x_bar
-    for (x1, y1), (x2, y2) in zip(l_bps, l_bps[1:]):
+    # x_minus1: the left end of l's first segment from x_H on that falls
+    # faster than slope -1; a step down counts
+    bps = [(x_h, pw(x_h))]
+    bps += [(x, v) for x, v in pw.breakpoints if x_h + 1e-12 < x < x_hi_l - 1e-12]
+    bps += [(x_hi_l, v_hi), (x_hi_l, 0.0)] if x_hi_l < x_bar - 1e-12 else [(x_bar, pw(x_bar))]
+    for (x1, y1), (x2, y2) in zip(bps, bps[1:]):
         drop = y1 - y2
         if (drop > 1e-9) if x2 - x1 <= 1e-9 else (drop / (x2 - x1) > 1.0 + 1e-9):
-            x_minus1 = x1
-            break
-
-    # published tightened bound: l up to x_minus1, then slope -1, clipped at 0
-    if x_minus1 >= x_bar - 1e-12:
-        lt = l
-    else:
-        l_at_m1 = l(x_minus1)
-        lt_bps = [(x, v) for x, v in l_bps if x < x_minus1 - 1e-12]
-        lt_bps.append((x_minus1, l_at_m1))
-        x_zero = x_minus1 + l_at_m1
-        if x_zero < x_bar - 1e-12:
-            lt_bps += [(x_zero, 0.0), (x_bar, 0.0)]
-        else:
-            lt_bps.append((x_bar, l_at_m1 - (x_bar - x_minus1)))
-        lt = PLFunction(tuple(lt_bps))
-    return x_hi_l, l, x_minus1, lt
+            return x_hi_l, x1
+    return x_hi_l, x_bar
 
 
 def _check_domain(ctx: BoundContext, x: float) -> float:
-    if x < -TOL or x > ctx.region.x_hi + TOL:
+    if not -TOL <= x <= ctx.region.x_hi + TOL:
         raise OutOfDomain(f"x={x} outside [0, {ctx.region.x_hi}]")
     return min(max(x, 0.0), ctx.region.x_hi)
 
@@ -460,16 +428,28 @@ def u_bound(ctx: BoundContext, x: float) -> float:
     return ctx.u(t)
 
 
+def _l(ctx: BoundContext, x: float) -> float:
+    """The published lower bound l at x in [0, x_bar]: pw on [x_H, x_hi_l),
+    pw(x_H) left of it and 0 from x_hi_l on, unless x_hi_l is about x_bar."""
+    x_hi_l, x_h = ctx.x_hi_l, ctx.x_h
+    if x_hi_l <= x_h + 1e-12:
+        return ctx.pw(x_h)
+    if x >= x_hi_l and x_hi_l < ctx.region.x_hi - 1e-12:
+        return 0.0
+    return ctx.pw(max(x, x_h))
+
+
 def l_bound(ctx: BoundContext, x: float) -> float:
     """Lower bound of the consistency band (may fall faster than slope -1)."""
-    x = _check_domain(ctx, x)
-    return max(0.0, ctx.l(x))
+    return max(0.0, _l(ctx, _check_domain(ctx, x)))
 
 
 def l_tilde(ctx: BoundContext, x: float) -> float:
-    """Validity-tightened lower bound: follows l, then decays at slope -1."""
+    """Validity-tightened lower bound: follows l up to x_minus1, then decays
+    at slope -1."""
     x = _check_domain(ctx, x)
-    return max(0.0, ctx.lt(x))
+    x_m1 = ctx.x_minus1
+    return max(0.0, _l(ctx, x) if x <= x_m1 else _l(ctx, x_m1) - (x - x_m1))
 
 
 def policy_floor(ctx: BoundContext, x: float) -> float:

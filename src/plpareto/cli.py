@@ -10,10 +10,11 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
-from .consistency import cstar_bisection, cstar_enumeration
+from .consistency import cstar_enumeration
 from .errors import InfeasibleTarget, PlparetoError
 from .harness import DemandModel, ExperimentConfig, run_experiment, write_report_csv, write_report_json
 from .pareto import solve_pareto, tradeoff_curve
@@ -53,6 +54,15 @@ def load_region(path: str) -> MLRegion:
         raise InputError(f"malformed region file {path}: {exc}") from exc
 
 
+@contextmanager
+def _writing(path: str):
+    """Report an output path that cannot be written as bad input."""
+    try:
+        yield
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
 def write_pl_csv(pl: PLFunction, rw: Rewards, path: str, x_bar: float | None = None) -> None:
     """Breakpoint CSV with a comment header carrying the model parameters."""
     with open(path, "w") as fh:
@@ -84,7 +94,10 @@ def read_pl_csv(path: str):
                 xs, ps = ln.split(",")
                 bps.append((float(xs), float(ps)))
         rw = Rewards(meta["r_low"], meta["r_high"], meta["m"])
-        return PLFunction(tuple(bps)), rw, meta.get("x_bar")
+        x_bar = meta.get("x_bar")
+        if x_bar is not None and not 0.0 <= x_bar < math.inf:
+            raise InputError(f"x_bar must be finite and nonnegative, got {x_bar}")
+        return PLFunction(tuple(bps)), rw, x_bar
     except (KeyError, ValueError) as exc:
         raise InputError(f"malformed PL file {path}: {exc}") from exc
 
@@ -98,13 +111,7 @@ def _rewards(args) -> Rewards:
 
 def cmd_cstar(args) -> int:
     region = load_region(args.region)
-    rw = _rewards(args)
-    if not (math.isfinite(args.epsilon) and args.epsilon > 0.0):
-        raise InputError(f"--epsilon must be finite and positive, got {args.epsilon}")
-    if args.method == "enum":
-        res = cstar_enumeration(region, rw)
-    else:
-        res = cstar_bisection(region, rw, args.epsilon)
+    res = cstar_enumeration(region, _rewards(args))
     print(f"c_star={res.c_star:.9f} method={res.method} "
           f"witness_x={res.witness_x:.6f} n_checks={res.n_checks}")
     return EXIT_OK
@@ -119,7 +126,8 @@ def cmd_pareto(args) -> int:
     print(f"C={sol.C:.9f} r_star={sol.r_star:.9f} "
           f"r_right={sol.r_right:.9f} r_left={sol.r_left:.9f}")
     if args.out:
-        write_pl_csv(sol.p_star, rw, args.out, x_bar=region.x_hi)
+        with _writing(args.out):
+            write_pl_csv(sol.p_star, rw, args.out, x_bar=region.x_hi)
     return EXIT_OK
 
 
@@ -137,7 +145,7 @@ def cmd_curve(args) -> int:
         lines.append(f"{c!r},{sol.r_star!r}" if sol is not None else f"{c!r},infeasible")
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
+        with _writing(args.out), open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -163,10 +171,11 @@ def cmd_simulate(args) -> int:
     report = run_experiment(cfg, rw)
     print(f"avg_cp={report.avg_cp} worst_cp={report.worst_cp}")
     if args.out:
-        if args.format == "json":
-            write_report_json(report, args.out, cfg)
-        else:
-            write_report_csv(report, args.out)
+        with _writing(args.out):
+            if args.format == "json":
+                write_report_json(report, args.out, cfg)
+            else:
+                write_report_csv(report, args.out)
     return EXIT_OK
 
 
@@ -193,8 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cstar", help="maximum achievable consistency")
     common(p)
-    p.add_argument("--method", choices=["bisect", "enum"], default="enum")
-    p.add_argument("--epsilon", type=float, default=1e-6)
     p.set_defaults(fn=cmd_cstar)
 
     p = sub.add_parser("pareto", help="optimal policy for a consistency target")

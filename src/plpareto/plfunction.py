@@ -110,7 +110,8 @@ class PLFunction:
                 out.append(f"IncreaseViolation: slope {slope:.6g} on [{x1}, {x2}]")
             elif slope < -1.0 - SLOPE_TOL:
                 out.append(f"SlopeViolation: slope {slope:.6g} < -1 on [{x1}, {x2}]")
-            if x1 >= cut - SLOPE_TOL and abs(slope) > SLOPE_TOL:
+            # a sloped segment may not start at the cut or reach past it
+            if (x1 >= cut - SLOPE_TOL or x2 > cut + SLOPE_TOL) and abs(slope) > SLOPE_TOL:
                 out.append(f"TailViolation: non-constant beyond x = {cut}")
         return out
 

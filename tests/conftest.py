@@ -208,3 +208,69 @@ def oracle_balance_levels(xu, yu, xo, yo, shift, rw: Rewards):
     root = lo - flo * (hi - lo) / (fhi - flo)
     p = np.where(inner, root, p)
     return p, under(p), ~unsolved
+
+
+# Oracle of the band's published lower bound: the curves l and l_tilde built
+# in full, kept verbatim (only the name and docstring differ) from before
+# l_bound and l_tilde read them off the pointwise bound and two thresholds.
+
+
+def oracle_published_curves(pw: PLFunction, x_h: float, x_bar: float):
+    """Oracle of ``bounds._lower_thresholds``, ``bounds.l_bound`` and
+    ``bounds.l_tilde``: (x_hi_l, l, x_minus1, lt), the band's published
+    lower-bound curves built as ``PLFunction``s with their thresholds."""
+    # published threshold x_hi_l: first abscissa at or beyond x_H where a zero
+    # protection level already meets the target (fallback x_bar), and the
+    # value the pointwise bound has just left of it (nonzero at a step)
+    x_hi_l, v_hi = x_bar, 0.0
+    prev = None
+    for x, v in pw.breakpoints:
+        if x < x_h - 1e-12:
+            continue
+        if v <= 1e-9:
+            if prev is not None:
+                x1, v1 = prev
+                x_hi_l = x1 + (x - x1) * v1 / (v1 - v)
+                v_hi = v1 if x == x1 else 0.0
+            else:
+                x_hi_l = max(x, x_h)
+            break
+        prev = (x, v)
+
+    # published lower bound: pointwise on [x_H, x_hi_l), l(x_H) to the left,
+    # zero beyond x_hi_l
+    lH = pw(x_h)
+    if x_hi_l <= x_h + 1e-12:
+        l_bps = [(0.0, lH), (x_bar, lH)] if x_bar > 1e-12 else [(0.0, lH)]
+    else:
+        l_bps = [(0.0, lH), (x_h, lH)]
+        l_bps += [(x, v) for x, v in pw.breakpoints if x_h + 1e-12 < x < x_hi_l - 1e-12]
+        if x_hi_l < x_bar - 1e-12:
+            l_bps += [(x_hi_l, v_hi), (x_hi_l, 0.0), (x_bar, 0.0)]
+        else:
+            l_bps.append((x_bar, pw(x_bar)))
+    l = PLFunction(tuple(l_bps))
+
+    # first abscissa where the published l falls faster than slope -1; a
+    # step down counts
+    x_minus1 = x_bar
+    for (x1, y1), (x2, y2) in zip(l_bps, l_bps[1:]):
+        drop = y1 - y2
+        if (drop > 1e-9) if x2 - x1 <= 1e-9 else (drop / (x2 - x1) > 1.0 + 1e-9):
+            x_minus1 = x1
+            break
+
+    # published tightened bound: l up to x_minus1, then slope -1, clipped at 0
+    if x_minus1 >= x_bar - 1e-12:
+        lt = l
+    else:
+        l_at_m1 = l(x_minus1)
+        lt_bps = [(x, v) for x, v in l_bps if x < x_minus1 - 1e-12]
+        lt_bps.append((x_minus1, l_at_m1))
+        x_zero = x_minus1 + l_at_m1
+        if x_zero < x_bar - 1e-12:
+            lt_bps += [(x_zero, 0.0), (x_bar, 0.0)]
+        else:
+            lt_bps.append((x_bar, l_at_m1 - (x_bar - x_minus1)))
+        lt = PLFunction(tuple(lt_bps))
+    return x_hi_l, l, x_minus1, lt

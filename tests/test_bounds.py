@@ -34,7 +34,8 @@ from plpareto import (
 from plpareto.bounds import _cone_floor, _running_max_bps
 from plpareto.errors import OutOfDomain, TargetOutOfRange
 from plpareto.region import TOL, dedup_sorted
-from conftest import random_region
+from conftest import oracle_published_curves, random_region
+from test_bound_loops import _corpus
 
 
 def test_rho_and_no_advice_level(rw):
@@ -436,8 +437,10 @@ def _families(rng):
 
 
 def _published(ctx):
-    return (ctx.u.breakpoints, ctx.floor.breakpoints, ctx.l.breakpoints, ctx.lt.breakpoints,
-            ctx.x_lo_u, ctx.x_hi_u, ctx.x_h, ctx.x_hi_l, ctx.x_minus1)
+    grid = np.linspace(0.0, ctx.region.x_hi, 41).tolist()
+    return (ctx.u.breakpoints, ctx.floor.breakpoints, [l_bound(ctx, x) for x in grid],
+            [l_tilde(ctx, x) for x in grid], ctx.x_lo_u, ctx.x_hi_u, ctx.x_h, ctx.x_hi_l,
+            ctx.x_minus1)
 
 
 REWARDS = (Rewards(1.0 / 3.0, 1.0, 20.0), Rewards(0.2, 1.5, 30.0))
@@ -479,8 +482,8 @@ def test_key_points_once_per_search_and_solve(rw, monkeypatch):
 
 def test_published_curves_built_only_on_demand(rw, monkeypatch):
     calls = []
-    real = bounds._published_curves
-    monkeypatch.setattr(bounds, "_published_curves", lambda *a: calls.append(a) or real(*a))
+    real = bounds._lower_thresholds
+    monkeypatch.setattr(bounds, "_lower_thresholds", lambda *a: calls.append(a) or real(*a))
     region = _ellipse(np.random.default_rng(9), 64)
     res = cstar_bisection(region, rw)
     assert calls == []
@@ -491,6 +494,41 @@ def test_published_curves_built_only_on_demand(rw, monkeypatch):
     l_tilde(ctx, region.x_hi)
     assert ctx.x_minus1 <= region.x_hi and ctx.x_hi_l <= region.x_hi
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("corpus", ["hulls", "advice", "special"])
+def test_published_lower_bounds_match_the_built_curves(corpus):
+    """x_hi_l and x_minus1 equal the thresholds of the curves l and l_tilde
+    built in full, and l_bound/l_tilde read those curves within 1e-12, at
+    every pointwise-bound breakpoint, x_H, both thresholds, x_bar and 97
+    even abscissae.
+
+    The one exception is [x_hi_l - 1e-12, x_hi_l), where the built l drops
+    pw's breakpoints and interpolates to (x_hi_l, 0).  Where pw reaches 0
+    continuously, RATIO_SLACK makes it step down there by about 1e-11, at
+    most the 1e-9 below which the scan takes pw for 0, and l_bound reads pw
+    itself: 0 after the step, as l_raw does."""
+    regions = _corpus(corpus)[:300]
+    n_window = 0
+    for region in regions:
+        for rw in REWARDS:
+            c_star = cstar_enumeration(region, rw).c_star
+            for C in (c_star, 0.9 * c_star, 0.62):
+                ctx = bound_context(region, rw, C)
+                x_bar = region.x_hi
+                x_hi_l, l, x_minus1, lt = oracle_published_curves(ctx.pw, ctx.x_h, x_bar)
+                assert (ctx.x_hi_l, ctx.x_minus1) == (x_hi_l, x_minus1)
+                probe = {*ctx.pw.xs, ctx.x_h, x_hi_l, x_minus1, x_bar,
+                         *np.linspace(0.0, x_bar, 97).tolist()}
+                for x in probe:
+                    x = min(max(x, 0.0), x_bar)
+                    window = x_hi_l - 1e-12 <= x < x_hi_l
+                    n_window += window
+                    tol = 1e-9 if window else 1e-12
+                    assert abs(l_bound(ctx, x) - max(0.0, l(x))) <= tol, (C, x)
+                    assert abs(l_tilde(ctx, x) - max(0.0, lt(x))) <= tol, (C, x)
+    if corpus == "hulls":
+        assert n_window > 0
 
 
 # polygons whose upper chain ends lie up to TOL outside the lower chain's

@@ -4,8 +4,8 @@ import warnings
 
 import pytest
 
-from plpareto.cli import MAX_STEPS, main, read_pl_csv, write_pl_csv
-from plpareto import PLFunction, Rewards
+from plpareto.cli import MAX_STEPS, load_region, main, read_pl_csv, write_pl_csv
+from plpareto import PLFunction, Rewards, cstar_bisection
 
 
 @pytest.fixture
@@ -19,14 +19,17 @@ def diff_region_file(tmp_path):
 
 
 def test_cstar_bisect(diff_region_file, capsys):
-    assert main(["cstar", "--region", diff_region_file, "--epsilon", "1e-8"]) == 0
+    # the bisection is the library's test oracle for the CLI's enumeration
+    assert main(["cstar", "--region", diff_region_file]) == 0
     out = capsys.readouterr().out
     assert out.startswith("c_star=")
-    assert abs(float(out.split()[0].split("=")[1]) - 10 / 11) < 1e-7
+    region = load_region(diff_region_file)
+    oracle = cstar_bisection(region, Rewards(1.0 / 3.0, 1.0, 20.0), 1e-8).c_star
+    assert abs(float(out.split()[0].split("=")[1]) - oracle) < 1e-7
 
 
 def test_cstar_enum(diff_region_file, capsys):
-    assert main(["cstar", "--region", diff_region_file, "--method", "enum"]) == 0
+    assert main(["cstar", "--region", diff_region_file]) == 0
     out = capsys.readouterr().out
     assert abs(float(out.split()[0].split("=")[1]) - 10 / 11) < 1e-8
 
@@ -88,7 +91,7 @@ def test_ellipse_and_point_regions(tmp_path, capsys):
     assert main(["cstar", "--region", str(ell)]) == 0
     pt = tmp_path / "pt.json"
     pt.write_text(json.dumps({"type": "point", "at": [12, 6]}))
-    assert main(["cstar", "--region", str(pt), "--method", "enum"]) == 0
+    assert main(["cstar", "--region", str(pt)]) == 0
     out = capsys.readouterr().out.splitlines()[-1]
     assert abs(float(out.split()[0].split("=")[1]) - 1.0) < 1e-8
 
@@ -178,20 +181,6 @@ def test_simulate_bad_demand_range_exit_code(tmp_path, capsys, model):
     assert "low <= high" in capsys.readouterr().err
 
 
-def test_cstar_zero_epsilon_exit_code(diff_region_file, capsys):
-    assert main(["cstar", "--region", diff_region_file, "--epsilon", "0"]) == 2
-    assert "epsilon" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("method", ["enum", "bisect"])
-@pytest.mark.parametrize("eps", ["-1e-6", "nan", "inf"])
-def test_cstar_bad_epsilon_exit_code(diff_region_file, capsys, method, eps):
-    # checked where it arrives, also when the method does not use it
-    assert main(["cstar", "--region", diff_region_file, "--method", method,
-                 f"--epsilon={eps}"]) == 2
-    assert "epsilon" in capsys.readouterr().err
-
-
 def test_cstar_defaults_to_exact_enumeration(diff_region_file, capsys):
     assert main(["cstar", "--region", diff_region_file]) == 0
     out = capsys.readouterr().out
@@ -270,7 +259,8 @@ def test_pareto_internal_error_exit_code(diff_region_file, monkeypatch, capsys):
 @pytest.mark.parametrize("cmd, flag", [
     (cmd, flag) for cmd in ("cstar", "pareto", "curve")
     for flag in (["--seed", "3"], ["--format", "json"])
-] + [("cstar", ["--out", "x.csv"])])
+] + [("cstar", ["--out", "x.csv"]), ("cstar", ["--method", "bisect"]),
+      ("cstar", ["--epsilon", "1e-6"])])
 def test_flags_without_effect_are_rejected(
     diff_region_file, tmp_path, monkeypatch, capsys, cmd, flag
 ):
@@ -353,3 +343,41 @@ def test_curve_too_many_steps_exit_code(diff_region_file, capsys, steps):
     assert main(["curve", "--region", diff_region_file, "--steps", steps]) == 2
     assert time.perf_counter() - start < 2.0
     assert "--steps" in capsys.readouterr().err
+
+
+STRADDLING_PL = "# m=20.0 r_low=0.3333333333333333 r_high=1.0 x_bar={}\nx,p\n0.0,15.0\n100.0,5.0\n"
+
+
+def test_validate_sloped_segment_past_the_tail_exit_code(tmp_path, capsys):
+    # the segment starts before max(m, x_bar) = 30 and ends past it
+    path = tmp_path / "straddle.csv"
+    path.write_text(STRADDLING_PL.format("30"))
+    assert main(["validate", str(path)]) == 4
+    assert "TailViolation" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("x_bar", ["inf", "nan", "-5"])
+def test_validate_bad_header_x_bar_exit_code(tmp_path, capsys, x_bar):
+    # inf made the tail cut inf and nan was dropped by max(m, nan): both
+    # turned the tail check off
+    path = tmp_path / "pl.csv"
+    path.write_text(STRADDLING_PL.format(x_bar))
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "x_bar" in captured.err and "valid" not in captured.out
+
+
+@pytest.mark.parametrize("argv", [
+    ["pareto", "--region", "<region>", "--consistency", "0.8"],
+    ["curve", "--region", "<region>", "--steps", "2"],
+    ["simulate", "--config", "<config>"],
+])
+def test_unwritable_out_exit_code(diff_region_file, tmp_path, capsys, argv):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "m": 20.0, "r_low": 1 / 3, "r_high": 1.0, "advice_kind": "none", "K": 1, "n_test": 5,
+    }))
+    out = tmp_path / "missing" / "out.csv"
+    files = {"<region>": diff_region_file, "<config>": str(cfg)}
+    assert main([files.get(a, a) for a in argv] + ["--out", str(out)]) == 2
+    assert f"error: cannot write {out}" in capsys.readouterr().err

@@ -122,12 +122,9 @@ def _region_argv(draw):
     argv = [cmd, "--region", FILE]
     for flag in draw(st.lists(st.sampled_from(["--m", "--rl", "--rh"]), max_size=2, unique=True)):
         argv.append(f"{flag}={draw(number_arg)}")
-    if cmd == "cstar":
-        argv += ["--method", draw(st.sampled_from(["bisect", "enum"])),
-                 "--epsilon=" + draw(st.sampled_from(["1e-6", "1e-3", "0", "-1", "nan"]))]
-    elif cmd == "pareto":
+    if cmd == "pareto":
         argv.append("--consistency=" + draw(target_arg))
-    else:
+    elif cmd == "curve":
         argv += ["--c-min=" + draw(target_arg), "--c-max=" + draw(target_arg),
                  f"--steps={draw(st.integers(-2, 6))}"]
     return argv

@@ -39,6 +39,17 @@ def test_validate_tail_respects_x_bar():
     assert pl.validate(20.0, x_bar=25.0) == []
 
 
+@pytest.mark.parametrize("x_bar", [None, 30.0])
+def test_validate_flags_a_sloped_segment_straddling_the_tail(x_bar):
+    # [0, 100] starts before max(m, x_bar) and ends past it: the check used
+    # to look at the segment's start only
+    pl = PLFunction(((0.0, 15.0), (100.0, 5.0)))
+    assert any("TailViolation" in v for v in pl.validate(20.0, x_bar=x_bar))
+    # ending at the cut, or within SLOPE_TOL past it, is fine
+    assert PLFunction(((0.0, 15.0), (30.0, 5.0), (100.0, 5.0))).validate(20.0, 30.0) == []
+    assert PLFunction(((0.0, 15.0), (30.0 + 5e-10, 5.0))).validate(20.0, 30.0) == []
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_non_finite_breakpoints_rejected(bad):
     with pytest.raises(ValueError):
