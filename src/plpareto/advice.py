@@ -9,24 +9,23 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import NegativeCoordinate
 from .region import TOL, MLRegion, build_polygon, check_segments, polygonize_ellipse
 
 Point = tuple[float, float]
 
 
-def _samples(samples) -> np.ndarray:
-    """The samples as an (n, 2) float array, checked as ``build_polygon`` checks
-    points: ValueError when none or not finite, NegativeCoordinate below -TOL."""
-    pts = np.array([(float(x), float(y)) for x, y in samples], dtype=float).reshape(-1, 2)
-    if not pts.size:
+def _samples(samples) -> list[Point]:
+    """The samples as float pairs, checked as ``build_polygon`` checks points:
+    ValueError when none or not finite, NegativeCoordinate below -TOL."""
+    pts = [(float(x), float(y)) for x, y in samples]
+    flat = [v for p in pts for v in p]
+    if not flat:
         raise ValueError("need at least one sample")
-    if not np.isfinite(pts).all():
+    if not all(map(math.isfinite, flat)):
         raise ValueError("non-finite sample coordinate")
-    if (pts < -TOL).any():
-        raise NegativeCoordinate(f"negative sample coordinate {float(pts.min())}")
+    if min(flat) < -TOL:
+        raise NegativeCoordinate(f"negative sample coordinate {min(flat)}")
     return pts
 
 
@@ -43,7 +42,7 @@ def box_advice(samples, coverage: float = 1.0) -> MLRegion:
     four extreme samples (min/max in x or y) shrinks the bounding-box area the
     most.
     """
-    pts = _samples(samples).tolist()
+    pts = _samples(samples)
     keep = _keep_count(len(pts), coverage)
     while len(pts) > keep:
         extremes = {
@@ -125,35 +124,41 @@ def _mvee_weights(pts, tol, max_iter):
     return u
 
 
-def _mvee(points: np.ndarray):
-    """Minimum-volume enclosing ellipse {u : (u-c)^T A (u-c) <= 1} of 2-D
-    points: (center, A), or None when they are (near) collinear.
+def _mvee(points: list[Point]):
+    """Minimum-volume enclosing ellipse {p : (p-c)^T M^-1 (p-c) <= 1} of 2-D
+    points and their distances d_i = (p_i-c)^T M^-1 (p_i-c): (c, (M11, M12, M22),
+    d), or None when the points are (near) collinear.
 
     Its weights u maximise log det X(u), X(u) = sum u_i q_i q_i^T, q_i = (p_i, 1).
+    They are affine invariant, so they are fitted to the points centred on their
+    mean and mapped by the inverse Cholesky factor of their scatter s; the points
+    are collinear when the factor's pivot det s / s11 is at most 1e-14 s22.
     Each pass builds X(u) and its inverse afresh in plain floats and stops when
     kappa_i = q_i^T X^-1 q_i <= 3 (1 + tol) for all i, and >= 3 (1 - tol) on the
     support, tol = 1e-9.  Else, when that error is below 1e-3 and no point off the
     support violates the stop test, it takes a Newton step on the support, cut at
     the simplex boundary (``_newton_weights``); otherwise, or when that system is
     singular, a Frank-Wolfe step with away steps (Todd & Yildirim 2007).  It stops
-    after 20,000 steps of either kind.  The shape is rescaled to contain every point.
+    after 20,000 steps of either kind.  M is the u-weighted scatter S of the
+    points about c = sum u_i p_i, scaled by max_i (p_i-c)^T S^-1 (p_i-c): max d = 1.
     """
-    u = _mvee_weights(points.tolist(), 1e-9, 20000)
+    mx, my = (math.fsum(p[k] for p in points) / len(points) for k in (0, 1))
+    dev = [(x - mx, y - my) for x, y in points]
+    s11, s12, s22 = (math.fsum(p[i] * p[j] for p in dev) for i, j in ((0, 0), (0, 1), (1, 1)))
+    if not (det := s11 * s22 - s12 * s12) > 1e-14 * s11 * s22:
+        return None
+    l11, l22 = math.sqrt(s11), math.sqrt(det / s11)
+    u = _mvee_weights([(x / l11, (y - s12 / s11 * x) / l22) for x, y in dev], 1e-9, 20000)
     if u is None:
         return None
-    u = np.array(u)
-    c = points.T @ u
-    cov = points.T @ (points * u[:, None]) - np.outer(c, c)
-    det = np.linalg.det(cov)
-    if not np.isfinite(det) or det <= 1e-18 * max(1.0, float(np.trace(cov)) ** 2):
+    c = tuple(math.fsum(w * p[k] for w, p in zip(u, points)) for k in (0, 1))
+    dev = [(x - c[0], y - c[1]) for x, y in points]
+    a, b, e = (math.fsum(w * p[i] * p[j] for w, p in zip(u, dev)) for i, j in ((0, 0), (0, 1), (1, 1)))
+    if not (det := a * e - b * b) > 1e-18 * max(1.0, (a + e) ** 2):
         return None
-    a = np.linalg.inv(cov) / 2
-    # rescale so every sample is inside despite finite-precision convergence
-    dev = points - c
-    dmax = float(np.max(np.einsum("ij,jk,ik->i", dev, a, dev)))
-    if dmax > 0.0:
-        a = a / dmax
-    return c, a
+    d = [(e * x * x - 2.0 * b * x * y + a * y * y) / det for x, y in dev]
+    top = max(d)
+    return c, (a * top, b * top, e * top), [v / top for v in d]
 
 
 def ellipse_advice(samples, coverage: float = 1.0, segments: int = 64) -> MLRegion:
@@ -161,41 +166,37 @@ def ellipse_advice(samples, coverage: float = 1.0, segments: int = 64) -> MLRegi
     polygonized (clipped to the nonnegative quadrant).
 
     Trimming repeatedly drops the sample farthest from the current ellipse
-    center in the ellipse metric.  The polygon circumscribes the ellipse: the
-    shape is inflated by 1/cos(pi/segments) so the inscribed polygon of the
-    inflated ellipse still covers the original one.
+    center in the ellipse metric d.  The polygon circumscribes the ellipse: the
+    root (M + sqrt(det M) I) / sqrt(tr M + 2 sqrt(det M)) of its shape M is inflated
+    by 1/cos(pi/segments) so the inscribed polygon still covers the ellipse.
     """
     check_segments(segments)
     pts = _samples(samples)
-    keep = _keep_count(pts.shape[0], coverage)
+    keep = _keep_count(len(pts), coverage)
     fit = _mvee(pts)
-    while pts.shape[0] > keep:
+    while len(pts) > keep:
         if fit is None:
-            c = pts.mean(axis=0)
-            d2 = np.sum((pts - c) ** 2, axis=1)
+            c = tuple(math.fsum(p[k] for p in pts) / len(pts) for k in (0, 1))
+            d = [(x - c[0]) ** 2 + (y - c[1]) ** 2 for x, y in pts]
         else:
-            c, a = fit
-            dev = pts - c
-            d2 = np.einsum("ij,jk,ik->i", dev, a, dev)
+            c, _, d = fit
         # boundary support points share the maximal ellipse distance; break
         # ties by Euclidean distance from the center so true outliers go first
-        near = d2 >= d2.max() - 1e-6
-        e2 = np.where(near, np.sum((pts - np.asarray(c)) ** 2, axis=1), -1.0)
-        pts = np.delete(pts, int(np.argmax(e2)), axis=0)
+        near = max(d) - 1e-6
+        e2 = [(x - c[0]) ** 2 + (y - c[1]) ** 2 if v >= near else -1.0 for (x, y), v in zip(pts, d)]
+        pts.pop(e2.index(max(e2)))
         fit = _mvee(pts)
     if fit is None:
-        return build_polygon([tuple(p) for p in pts])
-    c, a = fit
-    w, v = np.linalg.eigh(np.linalg.inv(a))
-    w = np.maximum(w, 0.0)
-    shape = (v * np.sqrt(w)) @ v.T
-    shape = shape / math.cos(math.pi / segments)
-    return polygonize_ellipse((float(c[0]), float(c[1])), shape.tolist(), segments)
+        return build_polygon(pts)
+    c, (a, b, e), _ = fit
+    root = math.sqrt(max(a * e - b * b, 0.0))
+    scale = math.sqrt(a + e + 2.0 * root) * math.cos(math.pi / segments)
+    return polygonize_ellipse(c, [[(a + root) / scale, b / scale], [b / scale, (e + root) / scale]], segments)
 
 
 def point_advice(samples) -> MLRegion:
     """Degenerate region at the sample mean."""
-    pts = _samples(samples).tolist()
+    pts = _samples(samples)
     n = len(pts)
     mx = math.fsum(p[0] for p in pts) / n
     my = math.fsum(p[1] for p in pts) / n

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from contextlib import contextmanager
 
@@ -61,6 +62,17 @@ def _writing(path: str):
         yield
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from exc
+
+
+def _check_out(path: str | None) -> None:
+    """Report an ``--out`` that cannot be opened for writing before the
+    command computes anything; an existing file is left as it is."""
+    if path:
+        with _writing(path):
+            existed = os.path.lexists(path)
+            open(path, "a").close()
+            if not existed:
+                os.remove(path)
 
 
 def write_pl_csv(pl: PLFunction, rw: Rewards, path: str, x_bar: float | None = None) -> None:
@@ -234,6 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_out(getattr(args, "out", None))
         return args.fn(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

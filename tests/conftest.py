@@ -1,12 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
 from plpareto import MLRegion, Rewards, build_polygon
+from plpareto.advice import _keep_count, _mvee_weights
 from plpareto.bounds import BoundContext, _roots
-from plpareto.errors import NoSolution
+from plpareto.errors import NegativeCoordinate, NoSolution
 from plpareto.plfunction import PLFunction
 from plpareto.ratios import (BRANCH_TOL, _as_point, cp_over_raw, cp_under_raw,
                              hindsight_denominator, hindsight_denominators)
+from plpareto.region import TOL, check_segments, polygonize_ellipse
 
 
 @pytest.fixture
@@ -274,3 +278,74 @@ def oracle_published_curves(pw: PLFunction, x_h: float, x_bar: float):
             lt_bps.append((x_bar, l_at_m1 - (x_bar - x_minus1)))
         lt = PLFunction(tuple(lt_bps))
     return x_hi_l, l, x_minus1, lt
+
+
+# Oracle of the ellipse advice: advice._samples, advice._mvee and
+# advice.ellipse_advice as they were before the fit returned its shape and
+# trim distances in plain floats, kept verbatim (only the names and
+# docstrings differ).  Its fit calls the unchanged ``_mvee_weights`` on the
+# raw points, with no whitening.
+
+
+def _oracle_samples(samples) -> np.ndarray:
+    """Oracle of ``advice._samples``: the samples as an (n, 2) float array."""
+    pts = np.array([(float(x), float(y)) for x, y in samples], dtype=float).reshape(-1, 2)
+    if not pts.size:
+        raise ValueError("need at least one sample")
+    if not np.isfinite(pts).all():
+        raise ValueError("non-finite sample coordinate")
+    if (pts < -TOL).any():
+        raise NegativeCoordinate(f"negative sample coordinate {float(pts.min())}")
+    return pts
+
+
+def oracle_mvee(points: np.ndarray):
+    """Oracle of ``advice._mvee``: (center, A) of the ellipse
+    {u : (u-c)^T A (u-c) <= 1}, or None when the points are (near) collinear."""
+    u = _mvee_weights(points.tolist(), 1e-9, 20000)
+    if u is None:
+        return None
+    u = np.array(u)
+    c = points.T @ u
+    cov = points.T @ (points * u[:, None]) - np.outer(c, c)
+    det = np.linalg.det(cov)
+    if not np.isfinite(det) or det <= 1e-18 * max(1.0, float(np.trace(cov)) ** 2):
+        return None
+    a = np.linalg.inv(cov) / 2
+    # rescale so every sample is inside despite finite-precision convergence
+    dev = points - c
+    dmax = float(np.max(np.einsum("ij,jk,ik->i", dev, a, dev)))
+    if dmax > 0.0:
+        a = a / dmax
+    return c, a
+
+
+def oracle_ellipse_advice(samples, coverage: float = 1.0, segments: int = 64) -> MLRegion:
+    """Oracle of ``advice.ellipse_advice``: trims in numpy and takes the
+    polygon's shape from an inverse and an eigendecomposition."""
+    check_segments(segments)
+    pts = _oracle_samples(samples)
+    keep = _keep_count(pts.shape[0], coverage)
+    fit = oracle_mvee(pts)
+    while pts.shape[0] > keep:
+        if fit is None:
+            c = pts.mean(axis=0)
+            d2 = np.sum((pts - c) ** 2, axis=1)
+        else:
+            c, a = fit
+            dev = pts - c
+            d2 = np.einsum("ij,jk,ik->i", dev, a, dev)
+        # boundary support points share the maximal ellipse distance; break
+        # ties by Euclidean distance from the center so true outliers go first
+        near = d2 >= d2.max() - 1e-6
+        e2 = np.where(near, np.sum((pts - np.asarray(c)) ** 2, axis=1), -1.0)
+        pts = np.delete(pts, int(np.argmax(e2)), axis=0)
+        fit = oracle_mvee(pts)
+    if fit is None:
+        return build_polygon([tuple(p) for p in pts])
+    c, a = fit
+    w, v = np.linalg.eigh(np.linalg.inv(a))
+    w = np.maximum(w, 0.0)
+    shape = (v * np.sqrt(w)) @ v.T
+    shape = shape / math.cos(math.pi / segments)
+    return polygonize_ellipse((float(c[0]), float(c[1])), shape.tolist(), segments)

@@ -1,12 +1,16 @@
+import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from plpareto import advice, box_advice, contains, ellipse_advice, point_advice
 from plpareto.errors import NegativeCoordinate
-from plpareto.harness import DemandModel, sample_demand
+from plpareto.harness import DemandModel, _sample_points, sample_demand
 from plpareto.region import MAX_SEGMENTS
+
+from conftest import oracle_ellipse_advice
 
 
 def test_box_full_coverage_is_bounding_box():
@@ -165,23 +169,33 @@ def mvee_oracle(points, tol=1e-9, max_iter=20000):
 MVEE_STEP_BOUND = 500
 
 
-def check_mvee_fit(pts, oracle_iter=20000):
-    """``_mvee`` on pts against the stop test, the oracle and the samples;
-    returns its weights and the oracle's pass count."""
-    u = advice._mvee_weights(pts.tolist(), 1e-9, MVEE_STEP_BOUND)
+def fitted_frame_weights(pts):
+    """``_mvee`` on pts, and the weights of the frame it fits them in, which
+    meet the stop test on fresh numpy arithmetic within MVEE_STEP_BOUND steps."""
+    with mock.patch.object(advice, "_mvee_weights", wraps=advice._mvee_weights) as spy:
+        fit = advice._mvee(pts)
+    frame = spy.call_args.args[0]
+    u = advice._mvee_weights(frame, 1e-9, MVEE_STEP_BOUND)
     assert u is not None
     u = np.array(u)
-    # the stop test on fresh numpy arithmetic, met within MVEE_STEP_BOUND steps
-    q = np.column_stack([pts, np.ones(len(pts))])
+    q = np.column_stack([frame, np.ones(len(frame))])
     kappa = np.einsum("ij,jk,ik->i", q, np.linalg.inv(q.T @ (q * u[:, None])), q)
     assert kappa.max() <= 3 * (1 + 1e-9)
     assert kappa[u > 1e-12].min() >= 3 * (1 - 1e-9)
-    c, a = advice._mvee(pts)
+    return fit, u
+
+
+def check_mvee_fit(pts, oracle_iter=20000):
+    """``_mvee`` on pts against the stop test, the oracle and the samples;
+    returns its weights and the oracle's pass count."""
+    (c, (m11, m12, m22), d), u = fitted_frame_weights(pts.tolist())
+    a = np.linalg.inv([[m11, m12], [m12, m22]])
     want_c, want_a, passes = mvee_oracle(pts, max_iter=oracle_iter)
     assert np.linalg.norm(c - want_c) <= 1e-7 * np.linalg.norm(want_c)
     assert np.linalg.norm(a - want_a) <= 1e-7 * np.linalg.norm(want_a)
     dev = pts - c
     assert np.einsum("ij,jk,ik->i", dev, a, dev).max() <= 1.0 + 1e-12
+    assert max(d) == 1.0
     return u, passes
 
 
@@ -256,3 +270,53 @@ def test_newton_step_is_cut_at_the_simplex_boundary():
     assert abs(sum(step) - 1.0) <= 1e-15
     assert step[3] == 0.0
     assert min(step[:3] + step[4:]) > 0.0
+
+
+# a thin set on which the fit in the points' own frame ran all 20,000 passes:
+# X(u) is too ill-conditioned there for kappa to meet the stop test, and the
+# weights ended up to 2.4% off their optimum 1/3
+THIN_FIT = [(1e6, 1e6), (2e6, 2e6 + 1), (3e6, 3e6)]
+
+
+def test_mvee_thin_set_case():
+    fit, u = fitted_frame_weights(THIN_FIT)
+    assert fit is not None
+    assert np.abs(u - 1.0 / 3.0).max() <= 1e-12
+
+
+def test_ellipse_advice_matches_oracle(monkeypatch):
+    # 2,100 regions of 10 samples at 64 segments against the numpy advice;
+    # every fit's largest distance is 1, and the polygon's shape is a
+    # symmetric square root of the last fit's M
+    fits, shapes = [], []
+    mvee, polygonize = advice._mvee, advice.polygonize_ellipse
+
+    def fit(points):
+        fits.append(mvee(points))
+        return fits[-1]
+
+    def polygon(center, shape, segments):
+        shapes.append(shape)
+        return polygonize(center, shape, segments)
+
+    monkeypatch.setattr(advice, "_mvee", fit)
+    monkeypatch.setattr(advice, "polygonize_ellipse", polygon)
+    for model, z, seed in ((DemandModel(), 0.9, 7), (DemandModel(), 0.7, 8),
+                           (DemandModel(kind="normal-mixture"), 0.9, 9)):
+        rng = np.random.default_rng(seed)
+        for _ in range(700):
+            pts = [(p.x, p.y) for p in _sample_points(model, 10, rng)]
+            fits.clear()
+            shapes.clear()
+            reg, want = ellipse_advice(pts, z, 64), oracle_ellipse_advice(pts, z, 64)
+            assert reg.degenerate == want.degenerate
+            assert len(reg.vertices) == len(want.vertices)
+            got, ref = np.array(reg.vertices), np.array(want.vertices)
+            assert (np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref))).all()
+            assert all(max(f[2]) == 1.0 for f in fits if f is not None)
+            if shapes:
+                _, (m11, m12, m22), _ = fits[-1]
+                root = np.array(shapes[-1]) * math.cos(math.pi / 64)
+                assert root[0, 1] == root[1, 0]
+                m = np.array([[m11, m12], [m12, m22]])
+                assert np.abs(root @ root - m).max() <= 1e-14 * np.abs(m).max()

@@ -381,3 +381,41 @@ def test_unwritable_out_exit_code(diff_region_file, tmp_path, capsys, argv):
     files = {"<region>": diff_region_file, "<config>": str(cfg)}
     assert main([files.get(a, a) for a in argv] + ["--out", str(out)]) == 2
     assert f"error: cannot write {out}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, compute", [
+    (["pareto", "--region", "<region>", "--consistency", "0.8"], "solve_pareto"),
+    (["curve", "--region", "<region>", "--steps", "2"], "tradeoff_curve"),
+    (["simulate", "--config", "<config>"], "run_experiment"),
+], ids=["pareto", "curve", "simulate"])
+def test_unwritable_out_is_found_before_the_computation(
+        diff_region_file, tmp_path, capsys, monkeypatch, argv, compute):
+    # simulate ran every trial and printed avg_cp before it found that
+    # --out could not be written
+    import plpareto.cli as cli
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError(f"{compute} reached")
+
+    monkeypatch.setattr(cli, compute, unreachable)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "m": 20.0, "r_low": 1 / 3, "r_high": 1.0, "advice_kind": "none", "K": 1, "n_test": 5,
+    }))
+    out = tmp_path / "missing" / "out.csv"
+    files = {"<region>": diff_region_file, "<config>": str(cfg)}
+    assert main([files.get(a, a) for a in argv] + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert f"error: cannot write {out}" in captured.err
+    assert captured.out == ""
+
+
+def test_failed_command_leaves_out_untouched(diff_region_file, tmp_path):
+    # the early check opens --out without truncating it or leaving a new file
+    kept, fresh = tmp_path / "kept.csv", tmp_path / "fresh.csv"
+    kept.write_bytes(b"x,p\n0.0,1.5\n")
+    for out in (kept, fresh):
+        argv = ["pareto", "--region", diff_region_file, "--consistency", "0.95", "--out", str(out)]
+        assert main(argv) == 3
+    assert kept.read_bytes() == b"x,p\n0.0,1.5\n"
+    assert not fresh.exists()
