@@ -34,6 +34,7 @@ from .engine import (
 from .errors import (
     InfeasibleTarget,
     InternalError,
+    InvalidInput,
     NegativeCoordinate,
     NoSolution,
     NotPSD,

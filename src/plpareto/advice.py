@@ -86,30 +86,60 @@ def _newton_weights(u, kappa, vq, pts, support):
     return [new.get(i, w) for i, w in enumerate(u)]
 
 
+def _kappa(pts, u):
+    """The rows X(u)^-1 q_i and kappa_i = q_i^T X(u)^-1 q_i at weights u, from
+    X(u) and its inverse built afresh in plain floats; None when X(u) is singular."""
+    a = b = c = e = f = s = 0.0  # X(u) = [[a, b, c], [b, e, f], [c, f, s]]
+    for (x, y), w in zip(pts, u):
+        a, b, c, e, f, s = a + w * x * x, b + w * x * y, c + w * x, e + w * y * y, f + w * y, s + w
+    c11, c12, c13 = e * s - f * f, c * f - b * s, b * f - c * e
+    det = a * c11 + b * c12 + c * c13
+    if not det > 0.0:
+        return None
+    v11, v12, v13, v22, v23, v33 = (
+        v / det for v in (c11, c12, c13, a * s - c * c, b * c - a * f, a * e - b * b))
+    vq = [(v11 * x + v12 * y + v13, v12 * x + v22 * y + v23, v13 * x + v23 * y + v33)
+          for x, y in pts]
+    return vq, [x * p + y * q + r for (x, y), (p, q, r) in zip(pts, vq)]
+
+
+def _stop_error(u, kappa):
+    """(err, up, down, j_max, j_min, support) of the stop test at weights u:
+    up = max kappa / 3 - 1, down = 1 - min kappa / 3 on the support."""
+    support = [i for i, w in enumerate(u) if w > 1e-12]
+    j_max = max(range(len(u)), key=kappa.__getitem__)
+    j_min = min(support, key=kappa.__getitem__)
+    up, down = kappa[j_max] / 3.0 - 1.0, 1.0 - kappa[j_min] / 3.0
+    return max(up, down), up, down, j_max, j_min, support
+
+
+def _start_weights(pts):
+    """Equal weights on the distinct points that attain the min and max of each
+    coordinate, when there are at least 3 (Kumar & Yildirim 2005); else uniform."""
+    ends = {}
+    for k in (0, 1):
+        for pick in (min, max):
+            i = pick(range(len(pts)), key=lambda j: pts[j][k])
+            ends.setdefault(tuple(pts[i]), i)
+    if len(ends) < 3:
+        return [1.0 / len(pts)] * len(pts)
+    return [1.0 / len(ends) if i in ends.values() else 0.0 for i in range(len(pts))]
+
+
 def _mvee_weights(pts, tol, max_iter):
-    """The dual weights of ``_mvee``, or None when X(u) is singular."""
-    u = [1.0 / len(pts)] * len(pts)
+    """The dual weights of ``_mvee``, or None when X(u) is singular: from
+    ``_start_weights``, Frank-Wolfe steps with away steps, Newton steps once the
+    stop error is below 0.1, and ``_polish`` once the stop test holds."""
+    u = _start_weights(pts)
     for _ in range(max_iter):
-        a = b = c = e = f = s = 0.0  # X(u) = [[a, b, c], [b, e, f], [c, f, s]]
-        for (x, y), w in zip(pts, u):
-            a, b, c, e, f, s = a + w * x * x, b + w * x * y, c + w * x, e + w * y * y, f + w * y, s + w
-        c11, c12, c13 = e * s - f * f, c * f - b * s, b * f - c * e
-        det = a * c11 + b * c12 + c * c13
-        if not det > 0.0:
+        if (fit := _kappa(pts, u)) is None:
             return None
-        v11, v12, v13, v22, v23, v33 = (
-            v / det for v in (c11, c12, c13, a * s - c * c, b * c - a * f, a * e - b * b))
-        vq = [(v11 * x + v12 * y + v13, v12 * x + v22 * y + v23, v13 * x + v23 * y + v33)
-              for x, y in pts]
-        kappa = [x * p + y * q + r for (x, y), (p, q, r) in zip(pts, vq)]
-        support = [i for i, w in enumerate(u) if w > 1e-12]
-        j_max = max(range(len(u)), key=kappa.__getitem__)
-        j_min = min(support, key=kappa.__getitem__)
-        up, down = kappa[j_max] / 3.0 - 1.0, 1.0 - kappa[j_min] / 3.0
-        if (err := max(up, down)) <= tol:
-            break
+        vq, kappa = fit
+        err, up, down, j_max, j_min, support = _stop_error(u, kappa)
+        if err <= tol:
+            return _polish(u, kappa, vq, pts, support, err)
         off = max([k for k, w in zip(kappa, u) if w <= 1e-12], default=0.0) / 3.0 - 1.0
-        if err < 1e-3 and off <= tol and (step := _newton_weights(u, kappa, vq, pts, support)):
+        if err < 0.1 and off <= tol and (step := _newton_weights(u, kappa, vq, pts, support)):
             u = step
             continue
         j = j_max if up >= down else j_min
@@ -124,23 +154,45 @@ def _mvee_weights(pts, tol, max_iter):
     return u
 
 
+def _polish(u, kappa, vq, pts, support, err):
+    """Weights u that meet the stop test with error err, after up to 4 more Newton
+    steps on the support, taken while each at least halves the error: of the last
+    two, the weights with the smaller error."""
+    for _ in range(4):
+        if not (step := _newton_weights(u, kappa, vq, pts, support)) or not (fit := _kappa(pts, step)):
+            break
+        new, *_, support = _stop_error(step, fit[1])
+        if not new <= err / 2.0:
+            return step if new < err else u
+        u, (vq, kappa), err = step, fit, new
+    return u
+
+
 def _mvee(points: list[Point]):
     """Minimum-volume enclosing ellipse {p : (p-c)^T M^-1 (p-c) <= 1} of 2-D
     points and their distances d_i = (p_i-c)^T M^-1 (p_i-c): (c, (M11, M12, M22),
     d), or None when the points are (near) collinear.
 
     Its weights u maximise log det X(u), X(u) = sum u_i q_i q_i^T, q_i = (p_i, 1).
-    They are affine invariant, so they are fitted to the points centred on their
-    mean and mapped by the inverse Cholesky factor of their scatter s; the points
-    are collinear when the factor's pivot det s / s11 is at most 1e-14 s22.
-    Each pass builds X(u) and its inverse afresh in plain floats and stops when
-    kappa_i = q_i^T X^-1 q_i <= 3 (1 + tol) for all i, and >= 3 (1 - tol) on the
-    support, tol = 1e-9.  Else, when that error is below 1e-3 and no point off the
-    support violates the stop test, it takes a Newton step on the support, cut at
-    the simplex boundary (``_newton_weights``); otherwise, or when that system is
-    singular, a Frank-Wolfe step with away steps (Todd & Yildirim 2007).  It stops
-    after 20,000 steps of either kind.  M is the u-weighted scatter S of the
-    points about c = sum u_i p_i, scaled by max_i (p_i-c)^T S^-1 (p_i-c): max d = 1.
+    The ellipse is affine equivariant, so it is fitted to the points w_i centred
+    on their mean and mapped by the inverse Cholesky factor L^-1 of their scatter
+    s; the points are collinear when the factor's pivot det s / s11 is at most
+    1e-14 s22.  The fit starts from equal weights on the points that attain the
+    min and max of each whitened coordinate, or from uniform weights when fewer
+    than 3 distinct points do (``_start_weights``).  Each pass builds X(u) and
+    its inverse afresh in plain floats, and the fit stops when kappa_i =
+    q_i^T X^-1 q_i <= 3 (1 + tol) for all i, and >= 3 (1 - tol) on the support,
+    tol = 1e-9.  Else, when that error is below 0.1 and no point off the support
+    violates the stop test, it takes a Newton step on the support, cut at the
+    simplex boundary (``_newton_weights``); otherwise, or when that system is
+    singular, a Frank-Wolfe step with away steps (Todd & Yildirim 2007).  It
+    stops after 20,000 steps of either kind.  Once the stop test holds, up to 4
+    more Newton steps polish the weights while each halves the error
+    (``_polish``).  The u-weighted scatter S_w of the w_i about their weighted
+    mean, and d_i = (w_i - c_w)^T S_w^-1 (w_i - c_w), are taken in that
+    well-conditioned frame; c = mean + L c_w, and M = L S_w L^T scaled by max d,
+    so that max d = 1.  The fit is None when det S = det s det S_w is at most
+    1e-18 max(1, tr S^2).
     """
     mx, my = (math.fsum(p[k] for p in points) / len(points) for k in (0, 1))
     dev = [(x - mx, y - my) for x, y in points]
@@ -148,17 +200,22 @@ def _mvee(points: list[Point]):
     if not (det := s11 * s22 - s12 * s12) > 1e-14 * s11 * s22:
         return None
     l11, l22 = math.sqrt(s11), math.sqrt(det / s11)
-    u = _mvee_weights([(x / l11, (y - s12 / s11 * x) / l22) for x, y in dev], 1e-9, 20000)
+    l21 = s12 / l11
+    white = [(x / l11, (y - s12 / s11 * x) / l22) for x, y in dev]
+    u = _mvee_weights(white, 1e-9, 20000)
     if u is None:
         return None
-    c = tuple(math.fsum(w * p[k] for w, p in zip(u, points)) for k in (0, 1))
-    dev = [(x - c[0], y - c[1]) for x, y in points]
+    cx, cy = (math.fsum(w * p[k] for w, p in zip(u, white)) for k in (0, 1))
+    dev = [(x - cx, y - cy) for x, y in white]
     a, b, e = (math.fsum(w * p[i] * p[j] for w, p in zip(u, dev)) for i, j in ((0, 0), (0, 1), (1, 1)))
-    if not (det := a * e - b * b) > 1e-18 * max(1.0, (a + e) ** 2):
+    m11, m12 = l11 * l11 * a, l11 * (l21 * a + l22 * b)  # L S_w L^T
+    m22 = l21 * l21 * a + 2.0 * l21 * l22 * b + l22 * l22 * e
+    if not (det_w := a * e - b * b) * det > 1e-18 * max(1.0, (m11 + m22) ** 2):
         return None
-    d = [(e * x * x - 2.0 * b * x * y + a * y * y) / det for x, y in dev]
+    d = [(e * x * x - 2.0 * b * x * y + a * y * y) / det_w for x, y in dev]
     top = max(d)
-    return c, (a * top, b * top, e * top), [v / top for v in d]
+    c = (mx + l11 * cx, my + l21 * cx + l22 * cy)
+    return c, (m11 * top, m12 * top, m22 * top), [v / top for v in d]
 
 
 def ellipse_advice(samples, coverage: float = 1.0, segments: int = 64) -> MLRegion:

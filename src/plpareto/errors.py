@@ -5,6 +5,10 @@ class PlparetoError(Exception):
     """Base class for all package-specific errors."""
 
 
+class InvalidInput(PlparetoError, ValueError):
+    """An argument was not finite or lay outside its documented range."""
+
+
 class NegativeCoordinate(PlparetoError):
     """A demand coordinate was negative."""
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import OutOfDomain
+from .errors import InvalidInput, OutOfDomain
 
 SLOPE_TOL = 1e-9
 
@@ -93,8 +93,13 @@ class PLFunction:
         """Return human-readable violations of the validity conditions.
 
         ``x_bar`` widens the region where a nonzero slope is allowed; when
-        omitted only the capacity m bounds the sloped part.
+        omitted only the capacity m bounds the sloped part.  InvalidInput when
+        m is not positive and finite, or x_bar not nonnegative and finite.
         """
+        if not 0.0 < m < math.inf:
+            raise InvalidInput(f"capacity m must be positive and finite, got {m}")
+        if x_bar is not None and not 0.0 <= x_bar < math.inf:
+            raise InvalidInput(f"x_bar must be nonnegative and finite, got {x_bar}")
         cut = max(m, x_bar) if x_bar is not None else m
         out: list[str] = []
         for x, p in self.breakpoints:

@@ -264,7 +264,9 @@ def polygonize_ellipse(center: Point, shape, segments: int = 64) -> MLRegion:
 
 
 def _clip_quadrant(poly: list[Point]) -> list[Point]:
-    """Sutherland-Hodgman clip against x >= 0 and then y >= 0."""
+    """Sutherland-Hodgman clip against x >= 0 and then y >= 0.  A crossing
+    lies exactly on the clip line: its interpolated coordinate there can round
+    to about 1e-17, which would change which vertex comes first."""
     for axis in (0, 1):
         out: list[Point] = []
         n = len(poly)
@@ -275,7 +277,8 @@ def _clip_quadrant(poly: list[Point]) -> list[Point]:
                 out.append(p)
             if pin != qin:
                 t = p[axis] / (p[axis] - q[axis])
-                out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+                r = p[1 - axis] + t * (q[1 - axis] - p[1 - axis])
+                out.append((0.0, r) if axis == 0 else (r, 0.0))
         poly = out
         if not poly:
             return []

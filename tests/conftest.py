@@ -283,8 +283,8 @@ def oracle_published_curves(pw: PLFunction, x_h: float, x_bar: float):
 # Oracle of the ellipse advice: advice._samples, advice._mvee and
 # advice.ellipse_advice as they were before the fit returned its shape and
 # trim distances in plain floats, kept verbatim (only the names and
-# docstrings differ).  Its fit calls the unchanged ``_mvee_weights`` on the
-# raw points, with no whitening.
+# docstrings differ).  Its fit calls the library's ``_mvee_weights`` on the
+# raw points, with no whitening, and takes c, S and d in the raw frame.
 
 
 def _oracle_samples(samples) -> np.ndarray:

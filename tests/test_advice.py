@@ -164,31 +164,39 @@ def mvee_oracle(points, tol=1e-9, max_iter=20000):
 
 
 # Frank-Wolfe plus Newton steps that every fit below must finish within; the
-# largest count on the seeded corpus is 149, and on 9,000 seeded DemandModel()
-# fits of 9 and 10 samples it is 462
-MVEE_STEP_BOUND = 500
+# largest count on the seeded corpus is 27, and on 9,000 seeded DemandModel()
+# fits of 9 and 10 samples the most X(u) builds of one fit, polish included,
+# is 119
+MVEE_STEP_BOUND = 150
+
+
+def frame_kappa(frame, u):
+    """kappa_i = q_i^T X(u)^-1 q_i of weights u on the points of frame, on
+    fresh numpy arithmetic."""
+    q = np.column_stack([frame, np.ones(len(frame))])
+    return np.einsum("ij,jk,ik->i", q, np.linalg.inv(q.T @ (q * u[:, None])), q)
 
 
 def fitted_frame_weights(pts):
-    """``_mvee`` on pts, and the weights of the frame it fits them in, which
-    meet the stop test on fresh numpy arithmetic within MVEE_STEP_BOUND steps."""
+    """``_mvee`` on pts, the frame it fits them in, and the weights of that
+    frame, which meet the stop test on fresh numpy arithmetic within
+    MVEE_STEP_BOUND steps."""
     with mock.patch.object(advice, "_mvee_weights", wraps=advice._mvee_weights) as spy:
         fit = advice._mvee(pts)
     frame = spy.call_args.args[0]
     u = advice._mvee_weights(frame, 1e-9, MVEE_STEP_BOUND)
     assert u is not None
     u = np.array(u)
-    q = np.column_stack([frame, np.ones(len(frame))])
-    kappa = np.einsum("ij,jk,ik->i", q, np.linalg.inv(q.T @ (q * u[:, None])), q)
+    kappa = frame_kappa(frame, u)
     assert kappa.max() <= 3 * (1 + 1e-9)
     assert kappa[u > 1e-12].min() >= 3 * (1 - 1e-9)
-    return fit, u
+    return fit, frame, u
 
 
 def check_mvee_fit(pts, oracle_iter=20000):
     """``_mvee`` on pts against the stop test, the oracle and the samples;
     returns its weights and the oracle's pass count."""
-    (c, (m11, m12, m22), d), u = fitted_frame_weights(pts.tolist())
+    (c, (m11, m12, m22), d), _, u = fitted_frame_weights(pts.tolist())
     a = np.linalg.inv([[m11, m12], [m12, m22]])
     want_c, want_a, passes = mvee_oracle(pts, max_iter=oracle_iter)
     assert np.linalg.norm(c - want_c) <= 1e-7 * np.linalg.norm(want_c)
@@ -199,11 +207,47 @@ def check_mvee_fit(pts, oracle_iter=20000):
     return u, passes
 
 
-def test_mvee_matches_numpy_oracle_on_demand_samples():
+def demand_samples():
+    """400 sets of ten DemandModel() samples from default_rng(2024)."""
     rng = np.random.default_rng(2024)
     model = DemandModel()
     for _ in range(400):
-        check_mvee_fit(np.array([(p.x, p.y) for p in (sample_demand(model, rng) for _ in range(10))]))
+        yield np.array([(p.x, p.y) for p in (sample_demand(model, rng) for _ in range(10))])
+
+
+def test_mvee_matches_numpy_oracle_on_demand_samples():
+    for pts in demand_samples():
+        check_mvee_fit(pts)
+
+
+def test_mvee_polish_reaches_rounding_level():
+    # the Newton polish after the stop test takes the error of these fits from
+    # up to 6.4e-11 down to rounding level
+    for pts in demand_samples():
+        _, frame, u = fitted_frame_weights(pts.tolist())
+        kappa = frame_kappa(frame, u)
+        assert max(kappa.max() / 3 - 1, 1 - kappa[u > 1e-12].min() / 3) <= 1e-13
+
+
+# ten samples of DemandModel() (set 72 of demand_samples()) whose whitened
+# coordinates take their min and max on 2 points only, too few for the
+# Kumar-Yildirim start: the fit starts from uniform weights
+UNIFORM_START_FIT = [
+    (18.14018995338703, 12.763706430823184), (10.797422573049083, 17.41677764440099),
+    (11.344016955510016, 16.896046363533305), (15.404123740791292, 13.59637651357344),
+    (10.241933090100227, 10.855844741294426), (19.800966864123502, 19.75715278871865),
+    (12.262454373659622, 15.28115552239908), (13.803209574718803, 13.01530862977695),
+    (19.15830846426432, 14.387217371932577), (16.61452586217073, 14.24442820099701),
+]
+
+
+def test_mvee_uniform_start_case():
+    _, frame, _ = fitted_frame_weights(UNIFORM_START_FIT)
+    ends = {tuple(frame[pick(range(len(frame)), key=lambda i: frame[i][k])])
+            for k in (0, 1) for pick in (min, max)}
+    assert len(ends) < 3
+    assert advice._start_weights(frame) == [1.0 / len(frame)] * len(frame)
+    check_mvee_fit(np.array(UNIFORM_START_FIT))
 
 
 # ten samples of DemandModel() on which the oracle takes 13,061 passes: the
@@ -274,14 +318,16 @@ def test_newton_step_is_cut_at_the_simplex_boundary():
 
 # a thin set on which the fit in the points' own frame ran all 20,000 passes:
 # X(u) is too ill-conditioned there for kappa to meet the stop test, and the
-# weights ended up to 2.4% off their optimum 1/3
+# weights ended up to 2.4% off their optimum 1/3; its three points lie on the
+# optimal ellipse, and distances taken in that frame put them at 0.99936 to 1
 THIN_FIT = [(1e6, 1e6), (2e6, 2e6 + 1), (3e6, 3e6)]
 
 
 def test_mvee_thin_set_case():
-    fit, u = fitted_frame_weights(THIN_FIT)
+    fit, _, u = fitted_frame_weights(THIN_FIT)
     assert fit is not None
     assert np.abs(u - 1.0 / 3.0).max() <= 1e-12
+    assert np.abs(np.array(fit[2]) - 1.0).max() <= 1e-12
 
 
 def test_ellipse_advice_matches_oracle(monkeypatch):

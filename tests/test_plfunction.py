@@ -1,6 +1,6 @@
 import pytest
 
-from plpareto import PLFunction, constant_pl
+from plpareto import InvalidInput, PLFunction, constant_pl
 
 
 def test_interpolation_and_clamping():
@@ -73,3 +73,13 @@ def test_values_at_nan_raise_out_of_domain():
     with pytest.raises(OutOfDomain):
         pl.values([float("nan"), 1.0])
     assert pl.values([1.0]).tolist() == [pl(1.0)]
+
+
+@pytest.mark.parametrize("m, x_bar", [
+    (float("nan"), None), (float("inf"), None), (0.0, None), (-20.0, None),
+    (20.0, float("nan")), (20.0, float("inf")), (20.0, -1.0),
+], ids=["m-nan", "m-inf", "m-zero", "m-negative", "x_bar-nan", "x_bar-inf", "x_bar-negative"])
+def test_validate_rejects_a_bad_capacity_or_x_bar(m, x_bar):
+    # a NaN or infinite m used to pass every range check and read as valid
+    with pytest.raises(InvalidInput):
+        constant_pl(8.0, 20.0).validate(m, x_bar)

@@ -103,6 +103,14 @@ def test_polygonize_ellipse_clips_quadrant():
     assert all(x >= -1e-12 and y >= -1e-12 for x, y in reg.vertices)
 
 
+def test_polygonize_ellipse_clips_onto_the_axis_exactly():
+    # the edge's crossing of y = 0 interpolates y to 2.8e-17 unless the clip
+    # sets the coordinate it clips on
+    reg = polygonize_ellipse((1.929, 1.305), [[2.783, -0.108], [-0.108, 2.014]], segments=16)
+    assert any(x > 4.0 and y == 0.0 for x, y in reg.vertices)
+    assert not any(0.0 < abs(v) < 1e-9 for p in reg.vertices for v in p)
+
+
 def test_polygonize_ellipse_zero_shape_is_point():
     reg = polygonize_ellipse((5.0, 6.0), [[0.0, 0.0], [0.0, 0.0]])
     assert reg.degenerate and reg.vertices == ((5.0, 6.0),)
