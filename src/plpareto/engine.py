@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TooManyChunks
+from .errors import InvalidInput, TooManyChunks
 from .plfunction import PLFunction
 from .ratios import DemandPoint, Rewards, hindsight_denominator, hindsight_denominators
 from .region import TOL
@@ -57,7 +57,10 @@ class EngineState:
 
 
 def offer(state: EngineState, arrival: Arrival, pl: PLFunction, rw: Rewards) -> float:
-    """Serve one chunk and return the amount accepted."""
+    """Serve one chunk and return the amount accepted; InvalidInput unless
+    ``state.remaining`` is finite and nonnegative."""
+    if not 0.0 <= state.remaining < math.inf:
+        raise InvalidInput(f"remaining capacity must be finite and nonnegative, got {state.remaining}")
     if arrival.kind == "high":
         a = min(arrival.size, state.remaining)
         state.high_seen += arrival.size
@@ -168,16 +171,23 @@ def replay_ratios(pl: PLFunction, rw: Rewards, sizes, is_low) -> np.ndarray:
     # the kinds as 0.0/1.0: multiplying a size or an acceptance by them is
     # exact, and far cheaper than a bool operand or a where= mask
     low_f = low.astype(float)
-    high_f = 1.0 - low_f
-    y = _step_sum(s * high_f)
-    # running low demand, then (in the same buffer) the capacity above the
-    # protection level before the sequence's low acceptances; +inf on high
-    # steps, where offer's low-chunk formula min(remaining, min(max(cap, 0),
-    # size)) reduces to its high-chunk formula min(size, remaining)
-    head = s * low_f
-    np.cumsum(head, axis=0, out=head)
-    x = head[-1].copy()
+    # flat indices of the low cells; one (steps, n) work buffer holds the
+    # high sizes, then the running low demand, then (from the level on) the
+    # capacity above the protection level and the acceptances
     at = np.flatnonzero(low)
+    head = s.copy()
+    head.put(at, 0.0)
+    y = _step_sum(head)
+    head.fill(0.0)
+    head.put(at, s.take(at))
+    # row by row, as np.cumsum(axis=0) adds, without its temporaries
+    for j in range(1, n_steps):
+        np.add(head[j - 1], head[j], out=head[j])
+    x = head[-1].copy()
+    # the capacity above the protection level before the sequence's low
+    # acceptances; +inf on high steps, where offer's low-chunk formula
+    # min(remaining, min(max(cap, 0), size)) reduces to its high-chunk
+    # formula min(size, remaining)
     level = pl.values(head.take(at))
     np.subtract(rw.m, level, out=level)
     head.fill(np.inf)
@@ -196,7 +206,11 @@ def replay_ratios(pl: PLFunction, rw: Rewards, sizes, is_low) -> np.ndarray:
         np.multiply(a, low_f[j], out=a_low)
         low_accepted += a_low
         remaining -= a
-    head *= low_f * rw.r_low + high_f * rw.r_high
+    # each acceptance times its kind's reward
+    low_reward = head.take(at)
+    low_reward *= rw.r_low
+    head *= rw.r_high
+    head.put(at, low_reward)
     reward = _step_sum(head)
 
     opt = hindsight_denominators(x, y, rw)

@@ -69,18 +69,20 @@ def sample_demand(model: DemandModel, rng: np.random.Generator) -> DemandPoint:
     return DemandPoint(coords[0], coords[1])
 
 
-def _sample_points(model: DemandModel, n: int, rng: np.random.Generator) -> list[DemandPoint]:
-    """The points and generator state of ``n`` calls of ``sample_demand``.  A
-    uniform-mixture coordinate takes two doubles, the pick and u, and is
+def _sample_points(model: DemandModel, n: int, rng: np.random.Generator) -> np.ndarray:
+    """The points of ``n`` calls of ``sample_demand`` as an (n, 2) array of
+    x and y, leaving the generator in the same state.  A uniform-mixture
+    coordinate takes two doubles, the pick and u, and is
     ``low + (high - low) * u`` as in ``Generator.uniform``: one bulk draw.
     A normal draw takes a varying number of doubles, so that model loops."""
     if model.kind != "uniform-mixture":
-        return [sample_demand(model, rng) for _ in range(n)]
+        pts = [sample_demand(model, rng) for _ in range(n)]
+        return np.array([(pt.x, pt.y) for pt in pts]).reshape(n, 2)
     pick, u = rng.random(4 * n).reshape(n, 2, 2).transpose(2, 0, 1)
     v = np.where(pick < model.weight,
                  model.main_low + (model.main_high - model.main_low) * u,
                  model.cont_low + (model.cont_high - model.cont_low) * u)
-    return [DemandPoint(x, y) for x, y in np.where(v > 0.0, v, 0.0).tolist()]
+    return np.where(v > 0.0, v, 0.0)
 
 
 @dataclass(frozen=True)
@@ -137,7 +139,8 @@ def _blocks(chunks, reps, rng):
 
 def evaluate(policy: PLFunction, testset, order: str, rw: Rewards,
              rng: np.random.Generator | None = None, n_perms: int = 100) -> EvalReport:
-    """Score a policy on a test set under adversarial or stochastic order.
+    """Score a policy on a test set of ``DemandPoint``s under adversarial or
+    stochastic order.
 
     Every replay goes through the batched kernel ``engine.replay_ratios``;
     the ratios equal those of ``run_sequence`` replays bit for bit.  The
@@ -148,6 +151,14 @@ def evaluate(policy: PLFunction, testset, order: str, rw: Rewards,
     the scalar loop drew them.  An instance may split into at most
     ``engine.MAX_CHUNKS`` whole units.
     """
+    testset = list(testset)
+    xy = [pt.x for pt in testset], [pt.y for pt in testset]
+    return _evaluate_xy(policy, xy, order, rw, rng, n_perms)
+
+
+def _evaluate_xy(policy: PLFunction, xy, order: str, rw: Rewards,
+                 rng: np.random.Generator | None, n_perms: int) -> EvalReport:
+    """``evaluate`` of the test set whose x and y are the rows of ``xy``."""
     if order not in ("adversarial", "stochastic"):
         raise ValueError("order must be 'adversarial' or 'stochastic'")
     # a bool is an Integral: True would count as 1
@@ -155,10 +166,9 @@ def evaluate(policy: PLFunction, testset, order: str, rw: Rewards,
         raise ValueError("n_perms must be an integer")
     if n_perms < 1:
         raise ValueError("n_perms must be at least 1")
-    testset = list(testset)
-    if not testset:
+    n = len(xy[0])
+    if not n:
         return EvalReport(None, None, ())
-    xy = [pt.x for pt in testset], [pt.y for pt in testset]
     if order == "stochastic":
         chunks, reps = chunk_runs(*xy), n_perms
         rng = np.random.default_rng(0) if rng is None else rng
@@ -167,7 +177,7 @@ def evaluate(policy: PLFunction, testset, order: str, rw: Rewards,
     per_row = np.concatenate([
         replay_ratios(policy, rw, sizes, is_low)
         for sizes, is_low in _blocks(chunks, reps, rng)
-    ]).reshape(len(testset), reps)
+    ]).reshape(n, reps)
     # a running sum over replays, as the scalar reference adds them up;
     # np.mean sums pairwise and rounds differently
     total = np.cumsum(per_row, axis=1)[:, -1]
@@ -234,13 +244,12 @@ def _trial_policy(cfg: ExperimentConfig, rw: Rewards, samples) -> PLFunction:
         return constant_pl(no_advice_level(rw), rw.m)
     if cfg.advice_kind == "grid":
         return _grid_policy(samples, rw)
-    pts = [(p.x, p.y) for p in samples]
     if cfg.advice_kind == "box":
-        region = box_advice(pts, cfg.z)
+        region = box_advice(samples, cfg.z)
     elif cfg.advice_kind == "ellipse":
-        region = ellipse_advice(pts, cfg.z, cfg.segments)
+        region = ellipse_advice(samples, cfg.z, cfg.segments)
     else:
-        region = point_advice(pts)
+        region = point_advice(samples)
     c_star = cstar_enumeration(region, rw).c_star
     return solve_pareto(region, rw, cfg.c_rule * c_star).p_star
 
@@ -255,14 +264,15 @@ def run_experiment(cfg: ExperimentConfig, rw: Rewards) -> EvalReport:
     master = np.random.SeedSequence(cfg.seed)
     test_ss, *trial_ss = master.spawn(cfg.K + 1)
     test_rng = np.random.default_rng(test_ss)
-    testset = _sample_points(cfg.model, cfg.n_test, test_rng)
+    # the test set's x and y as rows, handed to the replay as they are
+    test_xy = _sample_points(cfg.model, cfg.n_test, test_rng).T
 
     per_trial = []
     for ss in trial_ss:
         rng = np.random.default_rng(ss)
-        samples = _sample_points(cfg.model, cfg.n_samples, rng)
+        samples = _sample_points(cfg.model, cfg.n_samples, rng).tolist()
         policy = _trial_policy(cfg, rw, samples)
-        rep = evaluate(policy, testset, cfg.order, rw, rng, cfg.n_perms)
+        rep = _evaluate_xy(policy, test_xy, cfg.order, rw, rng, cfg.n_perms)
         per_trial.append((rep.avg_cp, rep.worst_cp))
     avg = sum(t[0] for t in per_trial) / len(per_trial)
     worst = sum(t[1] for t in per_trial) / len(per_trial)

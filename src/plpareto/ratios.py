@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoSolution
+from .errors import InvalidInput, NoSolution
+from .region import TOL
 
 BRANCH_TOL = 1e-12
 
@@ -56,10 +57,10 @@ def _as_point(pt) -> tuple[float, float]:
     if isinstance(pt, DemandPoint):
         return pt.x, pt.y
     x, y = float(pt[0]), float(pt[1])
-    # a negative tuple coordinate is let through: envelope interpolation can
-    # round a zero height to about -1e-15
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise ValueError(f"demand must be finite, got ({x}, {y})")
+    # a tuple coordinate in [-TOL, 0) is let through: envelope interpolation
+    # can round a zero height to about -1e-15
+    if not (math.isfinite(x) and math.isfinite(y) and x >= -TOL and y >= -TOL):
+        raise InvalidInput(f"demand must be finite and at least {-TOL}, got ({x}, {y})")
     return x, y
 
 
@@ -76,6 +77,8 @@ def hindsight_denominator(pt, rw: Rewards) -> float:
 
 def cp_over_raw(p: float, pt, rw: Rewards) -> float:
     """Over-protection reward ratio without branch checks; 1 on empty instances."""
+    if not math.isfinite(p):
+        raise InvalidInput(f"protection level must be finite, got {p}")
     x, y = _as_point(pt)
     m = rw.m
     denom = _denominator(x, y, rw)
@@ -87,6 +90,8 @@ def cp_over_raw(p: float, pt, rw: Rewards) -> float:
 
 def cp_under_raw(p: float, pt, rw: Rewards) -> float:
     """Under-protection reward ratio without branch checks; 1 on empty instances."""
+    if not math.isfinite(p):
+        raise InvalidInput(f"protection level must be finite, got {p}")
     x, y = _as_point(pt)
     m = rw.m
     denom = _denominator(x, y, rw)

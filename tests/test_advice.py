@@ -351,7 +351,7 @@ def test_ellipse_advice_matches_oracle(monkeypatch):
                            (DemandModel(kind="normal-mixture"), 0.9, 9)):
         rng = np.random.default_rng(seed)
         for _ in range(700):
-            pts = [(p.x, p.y) for p in _sample_points(model, 10, rng)]
+            pts = _sample_points(model, 10, rng).tolist()
             fits.clear()
             shapes.clear()
             reg, want = ellipse_advice(pts, z, 64), oracle_ellipse_advice(pts, z, 64)

@@ -62,7 +62,7 @@ def _corpus(name: str):
     if name == "advice":
         rng, out = np.random.default_rng(7), []
         for _ in range(40):
-            samples = [(p.x, p.y) for p in _sample_points(DemandModel(), 10, rng)]
+            samples = _sample_points(DemandModel(), 10, rng).tolist()
             out += [box_advice(samples, 0.9), ellipse_advice(samples, 0.9), point_advice(samples)]
         return out
     out = [_ellipse(*spec) for spec in NEAR_CIRCLES]

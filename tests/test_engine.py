@@ -4,15 +4,18 @@ from hypothesis import given, settings, strategies as st
 
 from plpareto import (
     Arrival,
+    EngineState,
     PLFunction,
     Rewards,
     constant_pl,
     cp,
+    offer,
     ordered_sequence,
     performance_ratio,
     run_sequence,
     unit_chunks,
 )
+from plpareto.errors import InvalidInput
 
 RW = Rewards(1.0 / 3.0, 1.0, 20.0)
 
@@ -102,3 +105,13 @@ def test_low_chunk_splitting_invariance():
 def test_arrival_rejects_non_finite_size(size):
     with pytest.raises(ValueError):
         Arrival("low", size)
+
+
+@pytest.mark.parametrize("remaining", [float("nan"), float("inf"), -1.0, -1e-300])
+@pytest.mark.parametrize("kind", ["low", "high"])
+def test_offer_rejects_bad_remaining_capacity(remaining, kind):
+    # offer returned NaN for NaN and -1.0 for -1 and left the state broken
+    state = EngineState(remaining=remaining)
+    with pytest.raises(InvalidInput, match="remaining capacity"):
+        offer(state, Arrival(kind, 2.0), constant_pl(8.0, 20.0), RW)
+    assert state.low_seen == state.high_seen == state.reward == 0.0

@@ -213,7 +213,8 @@ def test_bulk_sampler_equals_sample_demand_loop(name, n):
         one, each = np.random.default_rng(seed), np.random.default_rng(seed)
         got = harness._sample_points(model, n, one)
         want = [sample_demand(model, each) for _ in range(n)]
-        assert [(p.x.hex(), p.y.hex()) for p in got] == [(p.x.hex(), p.y.hex()) for p in want]
+        assert got.shape == (n, 2)
+        assert [(x.hex(), y.hex()) for x, y in got.tolist()] == [(p.x.hex(), p.y.hex()) for p in want]
         assert one.bit_generator.state == each.bit_generator.state
 
 

@@ -11,7 +11,7 @@ from plpareto import (
     cp_under_raw,
     hindsight_denominator,
 )
-from plpareto.errors import NoSolution
+from plpareto.errors import InvalidInput, NoSolution
 
 RW = Rewards(1.0 / 3.0, 1.0, 20.0)
 
@@ -208,3 +208,24 @@ def test_ratio_rejects_nan_level(fn):
 def test_ratio_rejects_non_finite_tuple_point(fn, pt):
     with pytest.raises(ValueError):
         fn(3.0, pt, RW)
+
+
+@pytest.mark.parametrize("p", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("fn", [cp_over_raw, cp_under_raw])
+def test_raw_ratios_reject_non_finite_level(fn, p):
+    # they returned 1.0 or 0.8 for the over ratio and NaN for the under ratio
+    with pytest.raises(InvalidInput, match="protection level must be finite"):
+        fn(p, (3.0, 4.0), RW)
+
+
+@pytest.mark.parametrize("pt", [(-1.0, 5.0), (5.0, -1.0), (-2e-9, 0.0)])
+def test_tuple_point_below_tolerance_is_rejected(pt):
+    # hindsight_denominator((-1, 5)) returned 4.67 for a negative demand
+    with pytest.raises(InvalidInput, match="demand must be finite and at least"):
+        hindsight_denominator(pt, RW)
+
+
+def test_tuple_point_within_rounding_of_zero_is_accepted():
+    # envelope interpolation can round a zero height to about -1e-15
+    assert hindsight_denominator((-1e-15, 5.0), RW) == hindsight_denominator((0.0, 5.0), RW)
+    assert cp_over_raw(4.0, (3.0, -1e-15), RW) == cp_over_raw(4.0, (3.0, 0.0), RW)

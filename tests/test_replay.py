@@ -1,11 +1,15 @@
 """The batched replay (``replay_ratios`` / ``evaluate``) against the scalar
 reference (``offer`` / ``run_sequence``): ratios must be equal, not close."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from plpareto import (
+    Arrival,
+    DemandModel,
     DemandPoint,
     ExperimentConfig,
     PLFunction,
@@ -226,6 +230,48 @@ def test_kernel_equals_scalar_replay_single_column():
 def test_empty_batch_ratios_are_one():
     out = replay_ratios(constant_pl(8.0, 20.0), RW, np.zeros((0, 3)), np.zeros((0, 3), bool))
     assert out.tolist() == [1.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_zero_size_low_chunks_equal_scalar_replay(seed):
+    # zero-size chunks flagged low, mid-sequence and as padding: the kernel
+    # finds them among the low cells and must replay them as offer does
+    # Arrival("low", 0.0); the batches of evaluate pad with high zeros only
+    rng = np.random.default_rng(seed)
+    pl = PLFunction(((0.0, 14.0), (6.0, 11.0), (18.0, 5.0)))
+    rows, expected = [], []
+    for x, y in rng.uniform(0, 30, size=(9, 2)).tolist() + [(0.0, 0.0), (25.0, 0.0)]:
+        sizes, is_low = chunk_arrays(x, y)
+        perm = rng.permutation(sizes.size)
+        sizes, is_low = sizes[perm], is_low[perm]
+        at = np.sort(rng.integers(0, sizes.size + 1, size=rng.integers(0, 4)))
+        sizes, is_low = np.insert(sizes, at, 0.0), np.insert(is_low, at, True)
+        rows.append((sizes, is_low))
+        expected.append(scalar_ratio(
+            [Arrival("low" if low else "high", s) for s, low in zip(sizes.tolist(), is_low)], pl))
+    sizes, is_low = batch(rows)
+    is_low |= sizes == 0.0  # the padding too
+    assert replay_ratios(pl, RW, sizes, is_low).tolist() == expected
+
+
+def test_replay_block_peak_memory():
+    # one seeded stochastic block of 512 replays; its arrays other than
+    # sizes and is_low are the kinds as floats and one work buffer, so the
+    # traced peak stays well below 5 times the sizes matrix
+    rng = np.random.default_rng(21)
+    xy = harness._sample_points(DemandModel(), 100, rng).T
+    sizes, is_low = next(harness._blocks(chunk_runs(*xy), 20, rng))
+    assert sizes.shape[1] == harness._BLOCK_ROWS
+    pl = PLFunction(((0.0, 14.0), (6.0, 11.0), (18.0, 5.0)))
+    want = replay_ratios(pl, RW, sizes, is_low)
+    tracemalloc.start()
+    try:
+        got = replay_ratios(pl, RW, sizes, is_low)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tolist() == want.tolist()
+    assert peak <= 5 * sizes.nbytes, peak / sizes.nbytes
 
 
 @pytest.mark.parametrize("order", ["adversarial", "stochastic"])
