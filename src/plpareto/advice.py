@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import NegativeCoordinate
+from .errors import InvalidInput, NegativeCoordinate
 from .region import TOL, MLRegion, build_polygon, check_segments, polygonize_ellipse
 
 Point = tuple[float, float]
@@ -17,13 +17,13 @@ Point = tuple[float, float]
 
 def _samples(samples) -> list[Point]:
     """The samples as float pairs, checked as ``build_polygon`` checks points:
-    ValueError when none or not finite, NegativeCoordinate below -TOL."""
+    InvalidInput when none or not finite, NegativeCoordinate below -TOL."""
     pts = [(float(x), float(y)) for x, y in samples]
     flat = [v for p in pts for v in p]
     if not flat:
-        raise ValueError("need at least one sample")
+        raise InvalidInput("need at least one sample")
     if not all(map(math.isfinite, flat)):
-        raise ValueError("non-finite sample coordinate")
+        raise InvalidInput("non-finite sample coordinate")
     if min(flat) < -TOL:
         raise NegativeCoordinate(f"negative sample coordinate {min(flat)}")
     return pts
@@ -31,7 +31,7 @@ def _samples(samples) -> list[Point]:
 
 def _keep_count(n: int, coverage: float) -> int:
     if not 0.0 < coverage <= 1.0:
-        raise ValueError("coverage must lie in (0, 1]")
+        raise InvalidInput("coverage must lie in (0, 1]")
     return max(1, math.ceil(coverage * n))
 
 
@@ -170,8 +170,8 @@ def _polish(u, kappa, vq, pts, support, err):
 
 def _mvee(points: list[Point]):
     """Minimum-volume enclosing ellipse {p : (p-c)^T M^-1 (p-c) <= 1} of 2-D
-    points and their distances d_i = (p_i-c)^T M^-1 (p_i-c): (c, (M11, M12, M22),
-    d), or None when the points are (near) collinear.
+    points, their distances d_i = (p_i-c)^T M^-1 (p_i-c) and det M: (c, (M11,
+    M12, M22), d, det M), or None when the points are (near) collinear.
 
     Its weights u maximise log det X(u), X(u) = sum u_i q_i q_i^T, q_i = (p_i, 1).
     The ellipse is affine equivariant, so it is fitted to the points w_i centred
@@ -191,8 +191,9 @@ def _mvee(points: list[Point]):
     (``_polish``).  The u-weighted scatter S_w of the w_i about their weighted
     mean, and d_i = (w_i - c_w)^T S_w^-1 (w_i - c_w), are taken in that
     well-conditioned frame; c = mean + L c_w, and M = L S_w L^T scaled by max d,
-    so that max d = 1.  The fit is None when det S = det s det S_w is at most
-    1e-18 max(1, tr S^2).
+    so that max d = 1.  det M = det s det S_w (max d)^2 comes from the factors,
+    since M11 M22 - M12^2 cancels on a thin set.  The fit is None when det S =
+    det s det S_w is at most 1e-18 max(1, tr S^2).
     """
     mx, my = (math.fsum(p[k] for p in points) / len(points) for k in (0, 1))
     dev = [(x - mx, y - my) for x, y in points]
@@ -215,7 +216,7 @@ def _mvee(points: list[Point]):
     d = [(e * x * x - 2.0 * b * x * y + a * y * y) / det_w for x, y in dev]
     top = max(d)
     c = (mx + l11 * cx, my + l21 * cx + l22 * cy)
-    return c, (m11 * top, m12 * top, m22 * top), [v / top for v in d]
+    return c, (m11 * top, m12 * top, m22 * top), [v / top for v in d], det * det_w * top * top
 
 
 def ellipse_advice(samples, coverage: float = 1.0, segments: int = 64) -> MLRegion:
@@ -236,7 +237,7 @@ def ellipse_advice(samples, coverage: float = 1.0, segments: int = 64) -> MLRegi
             c = tuple(math.fsum(p[k] for p in pts) / len(pts) for k in (0, 1))
             d = [(x - c[0]) ** 2 + (y - c[1]) ** 2 for x, y in pts]
         else:
-            c, _, d = fit
+            c, _, d, _ = fit
         # boundary support points share the maximal ellipse distance; break
         # ties by Euclidean distance from the center so true outliers go first
         near = max(d) - 1e-6
@@ -245,8 +246,8 @@ def ellipse_advice(samples, coverage: float = 1.0, segments: int = 64) -> MLRegi
         fit = _mvee(pts)
     if fit is None:
         return build_polygon(pts)
-    c, (a, b, e), _ = fit
-    root = math.sqrt(max(a * e - b * b, 0.0))
+    c, (a, b, e), _, det = fit
+    root = math.sqrt(det)
     scale = math.sqrt(a + e + 2.0 * root) * math.cos(math.pi / segments)
     return polygonize_ellipse(c, [[(a + root) / scale, b / scale], [b / scale, (e + root) / scale]], segments)
 

@@ -25,10 +25,10 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import OutOfDomain, TargetOutOfRange
+from .errors import InvalidInput, OutOfDomain, TargetOutOfRange
 from .plfunction import SLOPE_TOL, PLFunction
 from .ratios import Rewards, _denominator, hindsight_denominator
-from .region import TOL, MLRegion, KeyPoints, dedup_sorted, envelope, key_points
+from .region import TOL, MLRegion, dedup_sorted, envelope, key_points
 
 # a band gap at or above -FEAS_SLACK counts as feasible
 FEAS_SLACK = 1e-9
@@ -60,7 +60,7 @@ def g_corridor(rw: Rewards, R: float, x: float, side: str) -> float:
         ratio = rw.r_low / rw.r_high
         return max(0.0, rw.m * (R - ratio) / (1.0 - ratio))
     if side != "upper":
-        raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
+        raise InvalidInput(f"side must be 'lower' or 'upper', got {side!r}")
     return -R * min(x, rw.m) + rw.m
 
 
@@ -237,11 +237,10 @@ def _cone_floor(mbps):
 @dataclass(frozen=True)
 class _Geometry:
     """The part of a bound context that does not depend on the target C,
-    for one region and one ``Rewards``: key points, the freeze point x_hi_u
-    of the upper bound, x_H, and the ``_pieces`` of u and of the pointwise
-    lower bound, each seeded at its own envelope's breakpoints."""
+    for one region and one ``Rewards``: the freeze point x_hi_u of the upper
+    bound, x_H, and the ``_pieces`` of u and of the pointwise lower bound,
+    each seeded at its own envelope's breakpoints."""
 
-    kp: KeyPoints
     x_hi_u: float
     x_h: float
     u_pieces: tuple
@@ -264,7 +263,6 @@ class BoundContext:
     region: MLRegion
     rw: Rewards
     C: float
-    kp: KeyPoints
     x_hi_u: float
     x_h: float
     pw: PLFunction = field(repr=False)
@@ -334,7 +332,7 @@ def _build_geometry(region: MLRegion, rw: Rewards) -> _Geometry:
     l_seeds = dedup_sorted(
         sorted(min(max(x, x_lo), x_bar) for x in region.upper.xs + (x_h,)), 1e-12)
     return _Geometry(
-        kp, x_hi_u, x_h,
+        x_hi_u, x_h,
         _pieces(region.lower.breakpoints, rw),
         _pieces(list(zip(l_seeds, region.upper.at(l_seeds))), rw),
     )
@@ -372,7 +370,7 @@ def bound_context(region: MLRegion, rw: Rewards, C: float) -> BoundContext:
     if floor_bps[0][0] > 1e-12:
         floor_bps = [(0.0, floor_bps[0][1])] + floor_bps
     return BoundContext(
-        region, rw, C, geo.kp, geo.x_hi_u, geo.x_h, pw, PLFunction(tuple(floor_bps)), u
+        region, rw, C, geo.x_hi_u, geo.x_h, pw, PLFunction(tuple(floor_bps)), u
     )
 
 

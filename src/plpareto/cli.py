@@ -16,7 +16,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from .consistency import cstar_enumeration
-from .errors import InfeasibleTarget, PlparetoError
+from .errors import InfeasibleTarget, InvalidInput, PlparetoError
 from .harness import DemandModel, ExperimentConfig, run_experiment, write_report_csv, write_report_json
 from .pareto import solve_pareto, tradeoff_curve
 from .plfunction import PLFunction
@@ -31,17 +31,13 @@ EXIT_INVALID_PL = 4
 MAX_STEPS = 10_000
 
 
-class InputError(Exception):
-    pass
-
-
 def load_region(path: str) -> MLRegion:
     """Region JSON: polygon vertices, ellipse center/shape, or a point."""
     try:
         with open(path) as fh:
             data = json.load(fh)
     except (OSError, ValueError) as exc:
-        raise InputError(f"cannot read region file {path}: {exc}") from exc
+        raise InvalidInput(f"cannot read region file {path}: {exc}") from exc
     try:
         kind = data["type"]
         if kind == "polygon":
@@ -50,9 +46,9 @@ def load_region(path: str) -> MLRegion:
             return polygonize_ellipse(tuple(data["center"]), data["shape"], data.get("segments", 64))
         if kind == "point":
             return build_polygon([tuple(data["at"])])
-        raise InputError(f"unknown region type {kind!r}")
     except (KeyError, TypeError, ValueError, OverflowError, PlparetoError) as exc:
-        raise InputError(f"malformed region file {path}: {exc}") from exc
+        raise InvalidInput(f"malformed region file {path}: {exc}") from exc
+    raise InvalidInput(f"unknown region type {kind!r}")
 
 
 @contextmanager
@@ -61,7 +57,7 @@ def _writing(path: str):
     try:
         yield
     except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc}") from exc
+        raise InvalidInput(f"cannot write {path}: {exc}") from exc
 
 
 def _check_out(path: str | None) -> None:
@@ -91,7 +87,7 @@ def read_pl_csv(path: str):
         with open(path) as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
     except (OSError, ValueError) as exc:
-        raise InputError(f"cannot read PL file {path}: {exc}") from exc
+        raise InvalidInput(f"cannot read PL file {path}: {exc}") from exc
     meta: dict[str, float] = {}
     bps: list[tuple[float, float]] = []
     try:
@@ -106,24 +102,18 @@ def read_pl_csv(path: str):
                 xs, ps = ln.split(",")
                 bps.append((float(xs), float(ps)))
         rw = Rewards(meta["r_low"], meta["r_high"], meta["m"])
-        x_bar = meta.get("x_bar")
-        if x_bar is not None and not 0.0 <= x_bar < math.inf:
-            raise InputError(f"x_bar must be finite and nonnegative, got {x_bar}")
-        return PLFunction(tuple(bps)), rw, x_bar
+        pl = PLFunction(tuple(bps))
     except (KeyError, ValueError) as exc:
-        raise InputError(f"malformed PL file {path}: {exc}") from exc
-
-
-def _rewards(args) -> Rewards:
-    try:
-        return Rewards(args.rl, args.rh, args.m)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+        raise InvalidInput(f"malformed PL file {path}: {exc}") from exc
+    x_bar = meta.get("x_bar")
+    if x_bar is not None and not 0.0 <= x_bar < math.inf:
+        raise InvalidInput(f"x_bar must be finite and nonnegative, got {x_bar}")
+    return pl, rw, x_bar
 
 
 def cmd_cstar(args) -> int:
     region = load_region(args.region)
-    res = cstar_enumeration(region, _rewards(args))
+    res = cstar_enumeration(region, Rewards(args.rl, args.rh, args.m))
     print(f"c_star={res.c_star:.9f} method={res.method} "
           f"witness_x={res.witness_x:.6f} n_checks={res.n_checks}")
     return EXIT_OK
@@ -131,9 +121,9 @@ def cmd_cstar(args) -> int:
 
 def cmd_pareto(args) -> int:
     region = load_region(args.region)
-    rw = _rewards(args)
+    rw = Rewards(args.rl, args.rh, args.m)
     if args.consistency is None:
-        raise InputError("--consistency is required for pareto")
+        raise InvalidInput("--consistency is required for pareto")
     sol = solve_pareto(region, rw, args.consistency)
     print(f"C={sol.C:.9f} r_star={sol.r_star:.9f} "
           f"r_right={sol.r_right:.9f} r_left={sol.r_left:.9f}")
@@ -145,11 +135,11 @@ def cmd_pareto(args) -> int:
 
 def cmd_curve(args) -> int:
     region = load_region(args.region)
-    rw = _rewards(args)
+    rw = Rewards(args.rl, args.rh, args.m)
     if not 1 <= args.steps <= MAX_STEPS:
-        raise InputError(f"--steps must be in [1, {MAX_STEPS}], got {args.steps}")
+        raise InvalidInput(f"--steps must be in [1, {MAX_STEPS}], got {args.steps}")
     if not (math.isfinite(args.c_min) and math.isfinite(args.c_max)):
-        raise InputError(f"--c-min and --c-max must be finite, got {args.c_min} and {args.c_max}")
+        raise InvalidInput(f"--c-min and --c-max must be finite, got {args.c_min} and {args.c_max}")
     targets = np.linspace(args.c_min, args.c_max, args.steps)
     rows = tradeoff_curve(region, rw, [float(c) for c in targets])
     lines = ["C,r_star"]
@@ -169,9 +159,9 @@ def cmd_simulate(args) -> int:
         with open(args.config) as fh:
             raw = json.load(fh)
     except (OSError, ValueError) as exc:
-        raise InputError(f"cannot read config {args.config}: {exc}") from exc
+        raise InvalidInput(f"cannot read config {args.config}: {exc}") from exc
     if not isinstance(raw, dict):
-        raise InputError(f"config {args.config} is not a JSON object")
+        raise InvalidInput(f"config {args.config} is not a JSON object")
     try:
         model = DemandModel(**raw.pop("model", {}))
         rw = Rewards(raw.pop("r_low"), raw.pop("r_high"), raw.pop("m"))
@@ -179,7 +169,7 @@ def cmd_simulate(args) -> int:
             raw["seed"] = args.seed
         cfg = ExperimentConfig(model=model, **raw)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"malformed config {args.config}: {exc}") from exc
+        raise InvalidInput(f"malformed config {args.config}: {exc}") from exc
     report = run_experiment(cfg, rw)
     print(f"avg_cp={report.avg_cp} worst_cp={report.worst_cp}")
     if args.out:
@@ -248,9 +238,6 @@ def main(argv=None) -> int:
     try:
         _check_out(getattr(args, "out", None))
         return args.fn(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except InfeasibleTarget as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -37,11 +37,11 @@ class Arrival:
 
     def __post_init__(self) -> None:
         if self.kind not in ("low", "high"):
-            raise ValueError("kind must be 'low' or 'high'")
+            raise InvalidInput("kind must be 'low' or 'high'")
         if not math.isfinite(self.size):
-            raise ValueError("size must be finite")
+            raise InvalidInput("size must be finite")
         if self.size < 0:
-            raise ValueError("size must be nonnegative")
+            raise InvalidInput("size must be nonnegative")
 
 
 @dataclass
@@ -96,7 +96,7 @@ def ordered_sequence(x: float, y: float) -> list[Arrival]:
     """Worst-case arrival order: all low demand, then all high demand.  A
     total in [-TOL, 0] is none: envelope interpolation can round 0 to -1e-15."""
     if not (x >= -TOL and y >= -TOL):
-        raise ValueError(f"demand must be a number of at least {-TOL}, got ({x}, {y})")
+        raise InvalidInput(f"demand must be a number of at least {-TOL}, got ({x}, {y})")
     out = []
     if x > 0:
         out.append(Arrival("low", x))
@@ -110,7 +110,7 @@ def chunk_runs(x, y) -> tuple[np.ndarray, np.ndarray]:
     remainder, 1.0, high remainder) and lengths (whole low units, 0 or 1,
     whole high units, 0 or 1); a remainder of at most 1e-12 is no chunk.
 
-    At the first bad instance, raises ValueError unless x and y are finite
+    At the first bad instance, raises InvalidInput unless x and y are finite
     and nonnegative, and ``TooManyChunks`` before allocating any chunk when
     the whole units together exceed ``MAX_CHUNKS``.
     """

@@ -6,7 +6,8 @@ class PlparetoError(Exception):
 
 
 class InvalidInput(PlparetoError, ValueError):
-    """An argument was not finite or lay outside its documented range."""
+    """An argument was not finite or lay outside its documented range, or a
+    file the command line reads or writes could not be used."""
 
 
 class NegativeCoordinate(PlparetoError):

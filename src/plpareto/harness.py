@@ -15,6 +15,7 @@ from .advice import box_advice, ellipse_advice, point_advice
 from .bounds import no_advice_level
 from .consistency import cstar_enumeration
 from .engine import chunk_runs, replay_ratios
+from .errors import InvalidInput
 from .pareto import solve_pareto
 from .plfunction import PLFunction, constant_pl
 from .ratios import DemandPoint, Rewards, cp
@@ -41,17 +42,17 @@ class DemandModel:
 
     def __post_init__(self) -> None:
         if self.kind not in ("uniform-mixture", "normal-mixture"):
-            raise ValueError(f"unknown demand model kind {self.kind!r}")
+            raise InvalidInput(f"unknown demand model kind {self.kind!r}")
         if not 0.0 <= self.weight <= 1.0:
-            raise ValueError("mixture weight must lie in [0, 1]")
+            raise InvalidInput("mixture weight must lie in [0, 1]")
         params = (self.main_low, self.main_high, self.mean, self.sd, self.cont_low, self.cont_high)
         if not all(map(math.isfinite, params)):
-            raise ValueError("demand model parameters must be finite")
+            raise InvalidInput("demand model parameters must be finite")
         if self.sd < 0.0:
-            raise ValueError("sd must be nonnegative")
+            raise InvalidInput("sd must be nonnegative")
         for low, high in ((self.main_low, self.main_high), (self.cont_low, self.cont_high)):
             if not 0.0 <= high - low < math.inf:
-                raise ValueError("each uniform range needs low <= high and a finite high - low")
+                raise InvalidInput("each uniform range needs low <= high and a finite high - low")
 
 
 def sample_demand(model: DemandModel, rng: np.random.Generator) -> DemandPoint:
@@ -160,12 +161,12 @@ def _evaluate_xy(policy: PLFunction, xy, order: str, rw: Rewards,
                  rng: np.random.Generator | None, n_perms: int) -> EvalReport:
     """``evaluate`` of the test set whose x and y are the rows of ``xy``."""
     if order not in ("adversarial", "stochastic"):
-        raise ValueError("order must be 'adversarial' or 'stochastic'")
+        raise InvalidInput("order must be 'adversarial' or 'stochastic'")
     # a bool is an Integral: True would count as 1
     if isinstance(n_perms, bool) or not isinstance(n_perms, Integral):
-        raise ValueError("n_perms must be an integer")
+        raise InvalidInput("n_perms must be an integer")
     if n_perms < 1:
-        raise ValueError("n_perms must be at least 1")
+        raise InvalidInput("n_perms must be at least 1")
     n = len(xy[0])
     if not n:
         return EvalReport(None, None, ())
@@ -203,28 +204,28 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         if self.advice_kind not in ("box", "ellipse", "point", "none", "grid"):
-            raise ValueError(f"unknown advice kind {self.advice_kind!r}")
+            raise InvalidInput(f"unknown advice kind {self.advice_kind!r}")
         if not 0.0 < self.c_rule <= 1.0:
-            raise ValueError("c_rule must lie in (0, 1]")
+            raise InvalidInput("c_rule must lie in (0, 1]")
         if not 0.0 < self.z <= 1.0:
-            raise ValueError("coverage z must lie in (0, 1]")
+            raise InvalidInput("coverage z must lie in (0, 1]")
         if self.order not in ("adversarial", "stochastic"):
-            raise ValueError(f"unknown order {self.order!r}")
+            raise InvalidInput(f"unknown order {self.order!r}")
         for name in ("n_samples", "K", "n_test", "seed", "n_perms"):
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, Integral):
-                raise ValueError(f"{name} must be an integer")
+                raise InvalidInput(f"{name} must be an integer")
         if self.n_samples < 1:
-            raise ValueError("n_samples must be at least 1")
+            raise InvalidInput("n_samples must be at least 1")
         if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+            raise InvalidInput("seed must be nonnegative")
         check_segments(self.segments)
         if self.K < 1:
-            raise ValueError("K must be at least 1")
+            raise InvalidInput("K must be at least 1")
         if self.n_test < 1:
-            raise ValueError("n_test must be at least 1")
+            raise InvalidInput("n_test must be at least 1")
         if self.n_perms < 1:
-            raise ValueError("n_perms must be at least 1")
+            raise InvalidInput("n_perms must be at least 1")
 
 
 def _grid_policy(samples, rw: Rewards) -> PLFunction:

@@ -32,12 +32,12 @@ class PLFunction:
 
     def __post_init__(self) -> None:
         if not self.breakpoints:
-            raise ValueError("need at least one breakpoint")
+            raise InvalidInput("need at least one breakpoint")
         xs, ps = zip(*self.breakpoints)
         if not (all(map(math.isfinite, xs)) and all(map(math.isfinite, ps))):
-            raise ValueError("breakpoints must be finite")
+            raise InvalidInput("breakpoints must be finite")
         if any(b - a < -SLOPE_TOL for a, b in zip(xs, xs[1:])):
-            raise ValueError("breakpoints must be sorted by x")
+            raise InvalidInput("breakpoints must be sorted by x")
         object.__setattr__(self, "xs", xs)
 
     def __call__(self, x: float) -> float:

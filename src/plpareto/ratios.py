@@ -32,11 +32,11 @@ class Rewards:
 
     def __post_init__(self) -> None:
         if not all(math.isfinite(v) for v in (self.r_low, self.r_high, self.m)):
-            raise ValueError("rewards and capacity must be finite")
+            raise InvalidInput("rewards and capacity must be finite")
         if not 0 < self.r_low < self.r_high:
-            raise ValueError("need 0 < r_low < r_high")
+            raise InvalidInput("need 0 < r_low < r_high")
         if self.m <= 0:
-            raise ValueError("capacity must be positive")
+            raise InvalidInput("capacity must be positive")
 
 
 @dataclass(frozen=True)
@@ -48,9 +48,9 @@ class DemandPoint:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError("demand must be finite")
+            raise InvalidInput("demand must be finite")
         if self.x < 0 or self.y < 0:
-            raise ValueError("demand must be nonnegative")
+            raise InvalidInput("demand must be nonnegative")
 
 
 def _as_point(pt) -> tuple[float, float]:
@@ -104,7 +104,7 @@ def cp_under_raw(p: float, pt, rw: Rewards) -> float:
 def cp(p: float, pt, rw: Rewards) -> float:
     """Branch dispatch: over-protection at and above min(m, y), else under."""
     if not -BRANCH_TOL <= p <= rw.m + BRANCH_TOL:
-        raise ValueError(f"protection level {p} outside [0, {rw.m}]")
+        raise InvalidInput(f"protection level {p} outside [0, {rw.m}]")
     _, y = _as_point(pt)
     if p >= min(rw.m, y) - BRANCH_TOL:
         return cp_over_raw(p, pt, rw)
@@ -179,7 +179,7 @@ def balance_point(under_pt, over_pt, shift: float, rw: Rewards) -> float:
     over ratio at ``over_pt`` evaluated at p - shift: ``balance_levels`` of
     one pair.  Raises NoSolution where that pair is unsolved."""
     if not shift >= 0.0:
-        raise ValueError(f"shift must be nonnegative, got {shift}")
+        raise InvalidInput(f"shift must be nonnegative, got {shift}")
     p, _, solved = balance_levels(*_as_point(under_pt), *_as_point(over_pt), shift, rw)
     if not solved:
         raise NoSolution("the balancing difference has no root on its interval")

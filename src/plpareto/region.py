@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from numbers import Integral
 
-from .errors import NegativeCoordinate, NotPSD, OutOfDomain
+from .errors import InvalidInput, NegativeCoordinate, NotPSD, OutOfDomain
 from .plfunction import PLFunction
 
 TOL = 1e-9
@@ -50,14 +50,6 @@ class MLRegion:
     @property
     def x_hi(self) -> float:
         return self.lower.breakpoints[-1][0]
-
-    @property
-    def y_lo(self) -> float:
-        return min(y for _, y in self.vertices)
-
-    @property
-    def y_hi(self) -> float:
-        return max(y for _, y in self.vertices)
 
 
 def _hulls(points: list[Point]) -> tuple[list[Point], list[Point]]:
@@ -101,11 +93,11 @@ def build_polygon(points: list[Point]) -> MLRegion:
     degenerate point/segment region.
     """
     if not points:
-        raise ValueError("need at least one point")
+        raise InvalidInput("need at least one point")
     clean: list[Point] = []
     for x, y in points:
         if not (math.isfinite(x) and math.isfinite(y)):
-            raise ValueError(f"non-finite coordinate in ({x}, {y})")
+            raise InvalidInput(f"non-finite coordinate in ({x}, {y})")
         if x < -TOL or y < -TOL:
             raise NegativeCoordinate(f"negative coordinate in ({x}, {y})")
         clean.append((max(float(x), 0.0), max(float(y), 0.0)))
@@ -152,7 +144,7 @@ def dedup_sorted(values, gap: float) -> list[float]:
 def envelope(region: MLRegion, x: float, side: str) -> float:
     """Evaluate the lower or upper envelope at x."""
     if side not in ("lower", "upper"):
-        raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
+        raise InvalidInput(f"side must be 'lower' or 'upper', got {side!r}")
     lo, hi = region.x_lo, region.x_hi
     if x < lo - TOL or x > hi + TOL:
         raise OutOfDomain(f"x={x} outside [{lo}, {hi}]")
@@ -165,76 +157,49 @@ class KeyPoints:
 
     L: Point
     H: Point
-    r0: tuple[Point, ...]
+
+
+def _check_capacity(m: float) -> None:
+    if not 0.0 < m < math.inf:
+        raise InvalidInput(f"capacity must be positive and finite, got {m}")
 
 
 def key_points(region: MLRegion, m: float) -> KeyPoints:
-    """Locate L (lowest capped-y, smallest x), H (highest capped-y, largest x)
-    and the intersections of the lower envelope with the line x + y = m."""
-    if not 0.0 < m < math.inf:
-        raise ValueError(f"capacity must be positive and finite, got {m}")
-    verts = region.vertices
-
-    def capped(p: Point) -> float:
-        return min(p[1], m)
-
-    y_min_c = min(capped(p) for p in verts)
-    y_max_c = max(capped(p) for p in verts)
-    if y_min_c >= m - TOL and region.y_lo >= m:
-        L = (region.x_lo, envelope(region, region.x_lo, "lower"))
-    else:
-        L = min((p for p in verts if capped(p) <= y_min_c + TOL), key=lambda p: p[0])
-    if y_max_c >= m - TOL and region.y_hi > m:
-        # largest x where the upper envelope still reaches the cap
-        chain = region.upper.breakpoints
-        H = None
-        for (x1, y1), (x2, y2) in zip(chain, chain[1:]):
-            if y2 >= m - TOL:
-                continue
-            if y1 >= m - TOL:
-                t = (y1 - m) / (y1 - y2) if y1 != y2 else 0.0
-                H = (x1 + t * (x2 - x1), m)
-        if H is None:
-            if chain[-1][1] >= m - TOL:
-                H = (chain[-1][0], min(chain[-1][1], m))
-            else:
-                H = max(
-                    (p for p in verts if capped(p) >= y_max_c - TOL), key=lambda p: p[0]
-                )
-    else:
-        H = max((p for p in verts if capped(p) >= y_max_c - TOL), key=lambda p: p[0])
-
-    r0: list[Point] = []
-    chain = region.lower.breakpoints
-    if len(chain) == 1:
-        if abs(sum(chain[0]) - m) <= TOL:
-            r0.append(chain[0])
-    for (x1, y1), (x2, y2) in zip(chain, chain[1:]):
-        f1, f2 = x1 + y1 - m, x2 + y2 - m
-        if abs(f1) <= TOL and abs(f2) <= TOL:
-            r0.extend([(x1, y1), (x2, y2)])
-        elif abs(f1) <= TOL:
-            r0.append((x1, y1))
-        elif abs(f2) <= TOL:
-            r0.append((x2, y2))
-        elif f1 * f2 < 0:
-            t = f1 / (f1 - f2)
-            r0.append((x1 + t * (x2 - x1), y1 + t * (y2 - y1)))
-    first = {p[0]: p for p in reversed(sorted(r0))}  # the first point at each x
-    return KeyPoints(L, H, tuple(first[x] for x in dedup_sorted(sorted(first), TOL)))
+    """Locate L, the leftmost lower-envelope breakpoint of smallest capped y
+    min(y, m), and H, the rightmost upper-envelope breakpoint of largest capped
+    y; an H above m moves down its right segment to where it crosses y = m."""
+    _check_capacity(m)
+    lower, upper = region.lower.breakpoints, region.upper.breakpoints
+    y_min = min(min(y, m) for _, y in lower)
+    L = next(p for p in lower if min(p[1], m) <= y_min + TOL)
+    y_max = max(min(y, m) for _, y in upper)
+    i = max(k for k, (_, y) in enumerate(upper) if min(y, m) >= y_max - TOL)
+    x1, y1 = upper[i]
+    if y1 > m and i + 1 < len(upper):
+        x2, y2 = upper[i + 1]
+        t = (y1 - m) / (y1 - y2)
+        return KeyPoints(L, (x1 + t * (x2 - x1), m))
+    return KeyPoints(L, (x1, min(y1, m)))
 
 
 def x_vertices(region: MLRegion, m: float) -> tuple[float, ...]:
     """Sorted deduplicated x-coordinates of the polygon vertices plus the
-    lower-envelope intersections with x + y = m."""
-    r0 = key_points(region, m).r0
-    return tuple(dedup_sorted(sorted({p[0] for p in region.vertices + r0}), TOL))
+    points where the lower envelope crosses x + y = m."""
+    _check_capacity(m)
+    xs = {p[0] for p in region.vertices}
+    chain = region.lower.breakpoints
+    for (x1, y1), (x2, y2) in zip(chain, chain[1:]):
+        f1, f2 = x1 + y1 - m, x2 + y2 - m
+        if abs(f1) > TOL and abs(f2) > TOL and f1 * f2 < 0:
+            t = f1 / (f1 - f2)
+            xs.add(x1 + t * (x2 - x1))
+    return tuple(dedup_sorted(sorted(xs), TOL))
 
 
 def check_segments(segments) -> None:
-    """Raise ValueError unless ``segments`` is an integer in [3, MAX_SEGMENTS]."""
+    """Raise InvalidInput unless ``segments`` is an integer in [3, MAX_SEGMENTS]."""
     if not (isinstance(segments, Integral) and 3 <= segments <= MAX_SEGMENTS):
-        raise ValueError(f"segments must be an integer in [3, {MAX_SEGMENTS}], got {segments!r}")
+        raise InvalidInput(f"segments must be an integer in [3, {MAX_SEGMENTS}], got {segments!r}")
 
 
 def polygonize_ellipse(center: Point, shape, segments: int = 64) -> MLRegion:
@@ -243,7 +208,7 @@ def polygonize_ellipse(center: Point, shape, segments: int = 64) -> MLRegion:
     check_segments(segments)
     (cx, cy), ((a, b1), (b2, c)) = center, shape
     if not all(map(math.isfinite, (cx, cy, a, b1, b2, c))):
-        raise ValueError(f"non-finite ellipse centre {tuple(center)} or shape {shape}")
+        raise InvalidInput(f"non-finite ellipse centre {tuple(center)} or shape {shape}")
     if abs(b1 - b2) > 1e-7:
         raise NotPSD("shape matrix is not symmetric")
     b = 0.5 * (b1 + b2)
@@ -288,7 +253,7 @@ def _clip_quadrant(poly: list[Point]) -> list[Point]:
 def contains(region: MLRegion, x: float, y: float, tol: float = TOL) -> bool:
     """Membership test with absolute tolerance on coordinates."""
     if not 0.0 <= tol < math.inf:
-        raise ValueError(f"tolerance must be nonnegative and finite, got {tol}")
+        raise InvalidInput(f"tolerance must be nonnegative and finite, got {tol}")
     if not (math.isfinite(x) and math.isfinite(y)):
         raise OutOfDomain(f"({x}, {y}) is not a finite point")
     if region.degenerate:

@@ -10,7 +10,7 @@ from plpareto.errors import NegativeCoordinate, NoSolution
 from plpareto.plfunction import PLFunction
 from plpareto.ratios import (BRANCH_TOL, _as_point, cp_over_raw, cp_under_raw,
                              hindsight_denominator, hindsight_denominators)
-from plpareto.region import TOL, check_segments, polygonize_ellipse
+from plpareto.region import TOL, check_segments, dedup_sorted, envelope, polygonize_ellipse
 
 
 @pytest.fixture
@@ -349,3 +349,64 @@ def oracle_ellipse_advice(samples, coverage: float = 1.0, segments: int = 64) ->
     shape = (v * np.sqrt(w)) @ v.T
     shape = shape / math.cos(math.pi / segments)
     return polygonize_ellipse((float(c[0]), float(c[1])), shape.tolist(), segments)
+
+
+def oracle_key_points(region: MLRegion, m: float):
+    """Oracle of ``region.key_points`` and ``region.x_vertices``: the walk that
+    found L, H and r0, the lower envelope's points on x + y = m, before L and
+    H were read off the envelopes, kept verbatim but for its return value and
+    the region's lowest and highest y, which it now takes itself.  Returns (L,
+    H, the x_vertices of that r0)."""
+    if not 0.0 < m < math.inf:
+        raise ValueError(f"capacity must be positive and finite, got {m}")
+    verts = region.vertices
+    y_lo, y_hi = min(y for _, y in verts), max(y for _, y in verts)
+
+    def capped(p):
+        return min(p[1], m)
+
+    y_min_c = min(capped(p) for p in verts)
+    y_max_c = max(capped(p) for p in verts)
+    if y_min_c >= m - TOL and y_lo >= m:
+        L = (region.x_lo, envelope(region, region.x_lo, "lower"))
+    else:
+        L = min((p for p in verts if capped(p) <= y_min_c + TOL), key=lambda p: p[0])
+    if y_max_c >= m - TOL and y_hi > m:
+        # largest x where the upper envelope still reaches the cap
+        chain = region.upper.breakpoints
+        H = None
+        for (x1, y1), (x2, y2) in zip(chain, chain[1:]):
+            if y2 >= m - TOL:
+                continue
+            if y1 >= m - TOL:
+                t = (y1 - m) / (y1 - y2) if y1 != y2 else 0.0
+                H = (x1 + t * (x2 - x1), m)
+        if H is None:
+            if chain[-1][1] >= m - TOL:
+                H = (chain[-1][0], min(chain[-1][1], m))
+            else:
+                H = max(
+                    (p for p in verts if capped(p) >= y_max_c - TOL), key=lambda p: p[0]
+                )
+    else:
+        H = max((p for p in verts if capped(p) >= y_max_c - TOL), key=lambda p: p[0])
+
+    r0 = []
+    chain = region.lower.breakpoints
+    if len(chain) == 1:
+        if abs(sum(chain[0]) - m) <= TOL:
+            r0.append(chain[0])
+    for (x1, y1), (x2, y2) in zip(chain, chain[1:]):
+        f1, f2 = x1 + y1 - m, x2 + y2 - m
+        if abs(f1) <= TOL and abs(f2) <= TOL:
+            r0.extend([(x1, y1), (x2, y2)])
+        elif abs(f1) <= TOL:
+            r0.append((x1, y1))
+        elif abs(f2) <= TOL:
+            r0.append((x2, y2))
+        elif f1 * f2 < 0:
+            t = f1 / (f1 - f2)
+            r0.append((x1 + t * (x2 - x1), y1 + t * (y2 - y1)))
+    first = {p[0]: p for p in reversed(sorted(r0))}  # the first point at each x
+    r0 = tuple(first[x] for x in dedup_sorted(sorted(first), TOL))
+    return L, H, tuple(dedup_sorted(sorted({p[0] for p in region.vertices + r0}), TOL))

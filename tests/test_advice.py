@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -196,7 +197,7 @@ def fitted_frame_weights(pts):
 def check_mvee_fit(pts, oracle_iter=20000):
     """``_mvee`` on pts against the stop test, the oracle and the samples;
     returns its weights and the oracle's pass count."""
-    (c, (m11, m12, m22), d), _, u = fitted_frame_weights(pts.tolist())
+    (c, (m11, m12, m22), d, _), _, u = fitted_frame_weights(pts.tolist())
     a = np.linalg.inv([[m11, m12], [m12, m22]])
     want_c, want_a, passes = mvee_oracle(pts, max_iter=oracle_iter)
     assert np.linalg.norm(c - want_c) <= 1e-7 * np.linalg.norm(want_c)
@@ -330,6 +331,27 @@ def test_mvee_thin_set_case():
     assert np.abs(np.array(fit[2]) - 1.0).max() <= 1e-12
 
 
+def test_ellipse_advice_root_on_the_thin_set(monkeypatch):
+    # the optimal weights are 1/3 on the three points, so M = 2 S for their
+    # scatter S and det M = 16e12/27; the polygon's shape (M + r I) / k has
+    # det r / cos(pi/64)^2 for the root r = sqrt(det M).  M11 M22 - M12^2 of
+    # the fit's rounded M put det M 2.6e-4 off
+    pts = [tuple(map(Fraction, p)) for p in THIN_FIT]
+    mean = [sum(p[k] for p in pts) / 3 for k in (0, 1)]
+    s11, s12, s22 = (sum((p[i] - mean[i]) * (p[j] - mean[j]) for p in pts) / 3
+                     for i, j in ((0, 0), (0, 1), (1, 1)))
+    det_m = 4 * (s11 * s22 - s12 * s12)
+    assert det_m == Fraction(16 * 10**12, 27)
+    fit = advice._mvee(THIN_FIT)
+    assert abs(Fraction(fit[3]) / det_m - 1) <= 1e-14
+    shapes = []
+    monkeypatch.setattr(advice, "polygonize_ellipse", lambda c, shape, segments: shapes.append(shape))
+    ellipse_advice(THIN_FIT)
+    (a, b), (_, e) = ([Fraction(v) for v in row] for row in shapes[0])
+    root = float(a * e - b * b) * math.cos(math.pi / 64) ** 2
+    assert abs(root / math.sqrt(det_m) - 1) <= 1e-9
+
+
 def test_ellipse_advice_matches_oracle(monkeypatch):
     # 2,100 regions of 10 samples at 64 segments against the numpy advice;
     # every fit's largest distance is 1, and the polygon's shape is a
@@ -361,7 +383,7 @@ def test_ellipse_advice_matches_oracle(monkeypatch):
             assert (np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref))).all()
             assert all(max(f[2]) == 1.0 for f in fits if f is not None)
             if shapes:
-                _, (m11, m12, m22), _ = fits[-1]
+                _, (m11, m12, m22), _, _ = fits[-1]
                 root = np.array(shapes[-1]) * math.cos(math.pi / 64)
                 assert root[0, 1] == root[1, 0]
                 m = np.array([[m11, m12], [m12, m22]])

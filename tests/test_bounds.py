@@ -30,6 +30,7 @@ from plpareto import (
     u_bound,
     u_ceiling,
     u_raw,
+    x_vertices,
 )
 from plpareto.bounds import _cone_floor, _running_max_bps
 from plpareto.errors import OutOfDomain, TargetOutOfRange
@@ -278,9 +279,9 @@ def _pl_breakpoints(f, xs, val_tol=1e-10, x_floor=1e-12):
 # the probe's own seed abscissae, independent of the rule bound_context
 # seeds its curves by: every vertex of both envelopes, the lower envelope's
 # crossings with x + y = m, and x = m, on [lo, hi]
-def _seed_xs(region, rw, kp, lo, hi):
+def _seed_xs(region, rw, lo, hi):
     xs = {lo, hi}
-    for x in dedup_sorted(sorted({p[0] for p in region.vertices + kp.r0}), TOL):
+    for x in x_vertices(region, rw.m):
         if lo - TOL <= x <= hi + TOL:
             xs.add(min(max(x, lo), hi))
     if lo < rw.m < hi:
@@ -292,7 +293,7 @@ def _probe_curves(region, rw, C):
     """(u, floor, band gap) as the probe built them."""
     ctx = bound_context(region, rw, C)
     x_lo, x_bar = region.x_lo, region.x_hi
-    seeds = _seed_xs(region, rw, ctx.kp, x_lo, x_bar)
+    seeds = _seed_xs(region, rw, x_lo, x_bar)
     pw = _pl_breakpoints(lambda t: _probe_l_raw(region, rw, C, t),
                          sorted(set(seeds) | {min(max(ctx.x_h, x_lo), x_bar)}))
     floor = PLFunction(tuple(_cone_floor(_running_max_bps([(x, max(0.0, v)) for x, v in pw]))))

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plpareto import build_polygon, contains, envelope, key_points, polygonize_ellipse, x_vertices
+from conftest import oracle_key_points, random_region
+from plpareto import (DemandModel, box_advice, build_polygon, contains, ellipse_advice, envelope,
+                      key_points, point_advice, polygonize_ellipse, x_vertices)
+from plpareto.harness import _sample_points
 from plpareto.errors import NegativeCoordinate, NotPSD, OutOfDomain
 from plpareto.region import MAX_SEGMENTS
 
@@ -71,8 +74,6 @@ def test_key_points_sum_region(sum_region):
     kp = key_points(sum_region, 20.0)
     assert kp.L == (16.0, 4.0)
     assert kp.H == (9.0, 16.0)
-    # the whole lower edge from (4,16) to (16,4) lies on x + y = 20
-    assert [p[0] for p in kp.r0] == [4.0, 16.0]
     assert x_vertices(sum_region, 20.0) == (4.0, 9.0, 16.0)
 
 
@@ -80,8 +81,65 @@ def test_key_points_diff_region(diff_region):
     kp = key_points(diff_region, 20.0)
     assert kp.L == (4.0, 4.0)
     assert kp.H == (16.0, 16.0)
-    assert len(kp.r0) == 1 and abs(kp.r0[0][0] - 10.0) < 1e-9
     assert x_vertices(diff_region, 20.0) == (4.0, 10.0, 11.0, 16.0)
+
+
+# the polygon of the CI micro-cone step: every vertex lies within 2.4e-7 of
+# an axis, of y = 20 or of x + y = 20
+MICRO_CONE = [(1.377950952722521e-07, 20.00000023103635), (5.000000078719275, 1.9550582783310235e-08),
+              (20.000000047637673, 1.2926461227593415e-07), (5.0, 20.00000006635352)]
+
+
+def key_points_corpus(m):
+    """Regions on which key_points and x_vertices are checked at capacity m:
+    random hulls, clouds of 1-11 points (points and segments among them),
+    the same on the integer grid (ties in y, vertical edges, vertices on
+    y = m and x + y = m), ellipse, box and point advice, and edge regions."""
+    rng = np.random.default_rng(23)
+    for _ in range(1000):
+        yield random_region(rng)
+    for grid in (False, True):
+        for _ in range(1000):
+            pts = rng.uniform(0.0, 40.0, size=(int(rng.integers(1, 12)), 2))
+            yield build_polygon([tuple(p) for p in (np.floor(pts) if grid else pts)])
+    model = DemandModel()
+    for _ in range(100):
+        pts = _sample_points(model, 10, rng).tolist()
+        yield ellipse_advice(pts, 0.9, 64)
+        yield box_advice(pts, 0.9)
+        yield point_advice(pts)
+    yield build_polygon([(2.0, m + 5.0), (8.0, m + 5.0), (8.0, m + 20.0), (2.0, m + 20.0)])
+    yield build_polygon([(2.0, 3.0), (9.0, 1.0), (9.0, m), (4.0, m)])
+    yield build_polygon([(3.0, 2.0), (9.0, 6.0), (9.0, m + 5.0), (3.0, m - 2.0)])
+    yield build_polygon([(2.0, m + 10.0), (12.0, 4.0)])
+    yield build_polygon([(5.0, m)])
+    yield build_polygon([(5.0, 7.0)])
+    yield build_polygon(MICRO_CONE)
+    # a segment along x + y = m with its ends within TOL of it, on either side
+    yield build_polygon([(0.0, m - 5e-10), (10.0, m - 10.0 + 2e-9)])
+    # bottom and top edges that tilt by less than TOL
+    yield build_polygon([(2.0, 3.0 + 5e-10), (9.0, 3.0), (9.0, 15.0), (4.0, 15.0 + 5e-10)])
+
+
+@pytest.mark.parametrize("m", [10.0, 20.0, 35.0])
+def test_key_points_match_the_walk_oracle(m):
+    # L and H read off the envelopes, and x_vertices' own crossings, equal the
+    # vertex scans and the r0 walk they replaced, exactly
+    for region in key_points_corpus(m):
+        L, H, xs = oracle_key_points(region, m)
+        kp = key_points(region, m)
+        assert (kp.L, kp.H) == (L, H), region.vertices
+        assert x_vertices(region, m) == xs, region.vertices
+
+
+def test_key_points_h_within_tol_below_m_stays_on_the_envelope():
+    # the upper envelope lies within TOL of m from x = 0 to 10, and H is its
+    # rightmost breakpoint there; the walk moved H to where the next segment's
+    # line crosses y = m, at t = -1/3 of that segment, off the envelope
+    reg = build_polygon([(0.0, 20.0 + 1e-12), (5.0, 20.0 - 5e-10), (10.0, 20.0 - 2e-9),
+                         (10.0, 0.0), (0.0, 0.0)])
+    assert key_points(reg, 20.0).H == (5.0, 20.0 - 5e-10)
+    assert oracle_key_points(reg, 20.0)[1][0] < 3.34
 
 
 def test_key_points_high_region_caps_h():
