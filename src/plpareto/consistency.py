@@ -17,14 +17,14 @@ from .bounds import FEAS_SLACK, _geometry, band_gap, bound_context, rho
 from .errors import InfeasibleTarget, TargetOutOfRange
 from .plfunction import PLFunction
 from .ratios import Rewards, balance_levels
-from .region import MLRegion, dedup_sorted
+from .region import MLRegion
 
 
 @dataclass(frozen=True)
 class CStarResult:
     """Outcome of a maximum-consistency computation.  ``candidate_set`` holds
-    the distinct balancing candidates in [0, 1], 1.0 among them, descending
-    (empty for bisection); ``c_star`` is the smallest whenever it is feasible."""
+    the distinct candidates in [0, 1] of the vertex pairs, 1.0 among them,
+    descending (empty for bisection); ``c_star`` is the smallest if feasible."""
 
     c_star: float
     method: str
@@ -76,46 +76,54 @@ def cstar_bisection(region: MLRegion, rw: Rewards, epsilon: float = 1e-6) -> CSt
     return CStarResult(c, "bisect", witness, (), 1 + n_checks)
 
 
-def _enum_xs(region: MLRegion, rw: Rewards) -> list[float]:
-    """Abscissae eligible as binding points: the ends of the pieces of both
-    bound curves in the region's bound geometry, that is both envelopes'
-    breakpoints, x_H, x = m and both envelopes' crossings with y = m and
-    x + y = m, all in [x_lo, x_hi]."""
-    geo = _geometry(region, rw)
-    xs = set()
-    for (t0, _, _), intervals in (geo.u_pieces, geo.l_pieces):
-        xs.add(t0)
-        xs.update(t for _, _, _, ends in intervals for t, _, _ in ends)
-    return dedup_sorted(sorted(xs), 1e-9)
-
-
 # most (under, over) pairs balanced at once: bounds the temporaries of
 # _pair_candidates to a few MB whatever the abscissa count
 _PAIR_BLOCK = 1 << 16
+_UNDER, _OVER = 1, 2  # tag bits: an abscissa ends a piece of pw (under) or u (over)
 
 
-def _pair_candidates(region: MLRegion, rw: Rewards, xs) -> list[float]:
-    """Balancing ratios for admissible (under, over) pairs of abscissae xs,
-    in row-major (under, over) order.
+def _enum_xs(region: MLRegion, rw: Rewards) -> dict[float, int]:
+    """Abscissae eligible as binding points, ascending, with their tags: the
+    ends of the pieces of both bound curves in the region's bound geometry
+    (both envelopes' breakpoints, x_H, x = m and both envelopes' crossings
+    with y = m and x + y = m, in [x_lo, x_hi]), less those within 1e-9 of the
+    last one kept, whose tags join its tag."""
+    geo = _geometry(region, rw)
+    pieces = ((_OVER, geo.u_pieces), (_UNDER, geo.l_pieces))
+    xs: dict[float, int] = {}
+    for t, tag in sorted((t, tag) for tag, ((t0, _, _), intervals) in pieces
+                         for t in [t0] + [t for _, _, _, ends in intervals for t, _, _ in ends]):
+        if not xs or t - x > 1e-9:
+            x = t
+        xs[x] = xs.get(x, 0) | tag
+    return xs
 
-    Each pair balances the under ratio at an upper-envelope point against the
+
+def _pair_candidates(region: MLRegion, rw: Rewards, xs: dict[float, int]) -> list[float]:
+    """Balancing ratios of the admissible vertex pairs of the ``_enum_xs``
+    abscissae xs: (x, x) unless x is under and over, then (under, over)
+    row-major, in blocks of whole under rows of about _PAIR_BLOCK pairs.
+    A pair balances the under ratio at an upper-envelope point against the
     over ratio at a lower-envelope point, shifted by the slope -1 cone when
-    the over point lies to the right.  The envelopes are evaluated once per
-    abscissa, the cone test is a mask, and ``ratios.balance_levels`` balances
-    the admissible pairs in blocks of at most about _PAIR_BLOCK pairs.
-    Every abscissa must lie in [x_lo, x_hi], as those of ``_enum_xs`` do.
+    the over point lies to the right.  The under and over piece ends and the
+    diagonal, where the shift starts, cut the plane of pairs into an
+    arrangement with these vertices; any other pair has a coordinate strictly
+    inside its own curve's piece and off the diagonal, so it lies inside an
+    edge.  Were the smallest vertex candidate not C*, it would be infeasible,
+    and ``cstar_enumeration`` would bisect below it.
     """
-    x = np.array(xs, dtype=float)
+    x, tag = np.array(list(xs), dtype=float), np.array(list(xs.values()))
     yu, yl = np.array(region.upper.at(xs)), np.array(region.lower.at(xs))
-    rows = max(1, _PAIR_BLOCK // x.size)
+    under, over = np.flatnonzero(tag & _UNDER), np.flatnonzero(tag & _OVER)
+    diagonal = np.flatnonzero((tag != _UNDER | _OVER) & ~(yu < yl))
+    xo, yo, rows = x[over], yl[over], max(1, _PAIR_BLOCK // over.size)
     out: list[float] = []
-    for r0 in range(0, x.size, rows):
-        x1, y1 = x[r0:r0 + rows, None], yu[r0:r0 + rows, None]
-        right = x > x1
-        ok = np.where(right, ~(y1 - yl < x - x1), ~(y1 < yl))
-        i, j = np.nonzero(ok)
-        shift = np.where(right[ok], x[j] - x1[i, 0], 0.0)
-        _, c, solved = balance_levels(x1[i, 0], y1[i, 0], x[j], yl[j], shift, rw)
+    for r0 in range(0, under.size, rows):
+        u = under[r0:r0 + rows, None]
+        a, b = np.nonzero(np.where(xo > x[u], ~(yu[u] - yo < xo - x[u]), ~(yu[u] < yo)))
+        i, j = np.append(diagonal, u[a, 0]), np.append(diagonal, over[b])
+        diagonal = diagonal[:0]  # balanced with the first block only
+        _, c, solved = balance_levels(x[i], yu[i], x[j], yl[j], np.maximum(x[j] - x[i], 0.0), rw)
         out.extend(c[solved].tolist())
     return out
 

@@ -55,12 +55,19 @@ class EngineState:
     high_accepted: float = 0.0
     reward: float = 0.0
 
+    def _check_totals(self) -> None:
+        """Raise InvalidInput unless every total but ``remaining`` is finite and nonnegative."""
+        for name in ("low_seen", "low_accepted", "high_seen", "high_accepted", "reward"):
+            if not 0.0 <= (v := getattr(self, name)) < math.inf:
+                raise InvalidInput(f"{name} must be finite and nonnegative, got {v}")
+
 
 def offer(state: EngineState, arrival: Arrival, pl: PLFunction, rw: Rewards) -> float:
     """Serve one chunk and return the amount accepted; InvalidInput unless
-    ``state.remaining`` is finite and nonnegative."""
+    every field of ``state`` is finite and nonnegative."""
     if not 0.0 <= state.remaining < math.inf:
         raise InvalidInput(f"remaining capacity must be finite and nonnegative, got {state.remaining}")
+    state._check_totals()
     if arrival.kind == "high":
         a = min(arrival.size, state.remaining)
         state.high_seen += arrival.size
@@ -85,7 +92,8 @@ def run_sequence(arrivals, pl: PLFunction, rw: Rewards) -> EngineState:
 
 
 def performance_ratio(state: EngineState, rw: Rewards) -> float:
-    """Realized reward over hindsight optimum; 1 on empty sequences."""
+    """Realized reward over hindsight optimum, 1 on empty sequences; checks the totals as offer does."""
+    state._check_totals()
     opt = hindsight_denominator((state.low_seen, state.high_seen), rw)
     if opt <= 0.0:
         return 1.0

@@ -16,9 +16,8 @@ from .errors import InvalidInput, NegativeCoordinate, NotPSD, OutOfDomain
 from .plfunction import PLFunction
 
 TOL = 1e-9
-# most polygon segments an ellipse may take.  C* by enumeration balances
-# every pair of vertices in numpy, so its work grows with the square of the
-# count: about 0.22 s at 1024 segments on a 2-vCPU machine.
+# most polygon segments an ellipse may take.  C* by enumeration's work grows
+# with the square of the count: about 0.08 s at 1024 segments on 2 vCPUs.
 MAX_SEGMENTS = 1024
 
 Point = tuple[float, float]

@@ -5,10 +5,11 @@ import pytest
 
 from plpareto import MLRegion, Rewards, build_polygon
 from plpareto.advice import _keep_count, _mvee_weights
-from plpareto.bounds import BoundContext, _roots
+from plpareto.bounds import BoundContext, _geometry, _roots, rho
+from plpareto.consistency import _PAIR_BLOCK, _bisect, _check
 from plpareto.errors import NegativeCoordinate, NoSolution
 from plpareto.plfunction import PLFunction
-from plpareto.ratios import (BRANCH_TOL, _as_point, cp_over_raw, cp_under_raw,
+from plpareto.ratios import (BRANCH_TOL, _as_point, balance_levels, cp_over_raw, cp_under_raw,
                              hindsight_denominator, hindsight_denominators)
 from plpareto.region import TOL, check_segments, dedup_sorted, envelope, polygonize_ellipse
 
@@ -410,3 +411,52 @@ def oracle_key_points(region: MLRegion, m: float):
     first = {p[0]: p for p in reversed(sorted(r0))}  # the first point at each x
     r0 = tuple(first[x] for x in dedup_sorted(sorted(first), TOL))
     return L, H, tuple(dedup_sorted(sorted({p[0] for p in region.vertices + r0}), TOL))
+
+
+# Oracle of C* by enumeration over the full grid of abscissae: the pair set
+# that consistency._pair_candidates balanced before it kept only the vertex
+# pairs of its arrangement.  _full_grid_xs and _full_grid_pair_candidates
+# are its _enum_xs and _pair_candidates, kept verbatim but for their names.
+
+
+def _full_grid_xs(region: MLRegion, rw: Rewards) -> list[float]:
+    """Abscissae eligible as binding points: the ends of the pieces of both
+    bound curves in the region's bound geometry, that is both envelopes'
+    breakpoints, x_H, x = m and both envelopes' crossings with y = m and
+    x + y = m, all in [x_lo, x_hi]."""
+    geo = _geometry(region, rw)
+    xs = set()
+    for (t0, _, _), intervals in (geo.u_pieces, geo.l_pieces):
+        xs.add(t0)
+        xs.update(t for _, _, _, ends in intervals for t, _, _ in ends)
+    return dedup_sorted(sorted(xs), 1e-9)
+
+
+def _full_grid_pair_candidates(region: MLRegion, rw: Rewards, xs) -> list[float]:
+    """Balancing ratios for admissible (under, over) pairs of abscissae xs,
+    in row-major (under, over) order."""
+    x = np.array(xs, dtype=float)
+    yu, yl = np.array(region.upper.at(xs)), np.array(region.lower.at(xs))
+    rows = max(1, _PAIR_BLOCK // x.size)
+    out: list[float] = []
+    for r0 in range(0, x.size, rows):
+        x1, y1 = x[r0:r0 + rows, None], yu[r0:r0 + rows, None]
+        right = x > x1
+        ok = np.where(right, ~(y1 - yl < x - x1), ~(y1 < yl))
+        i, j = np.nonzero(ok)
+        shift = np.where(right[ok], x[j] - x1[i, 0], 0.0)
+        _, c, solved = balance_levels(x1[i, 0], y1[i, 0], x[j], yl[j], shift, rw)
+        out.extend(c[solved].tolist())
+    return out
+
+
+def oracle_full_grid_cstar(region: MLRegion, rw: Rewards) -> tuple[float, int]:
+    """(C*, checks made) of ``cstar_enumeration`` over every admissible pair
+    of the full grid of abscissae: the smallest candidate if it is feasible,
+    else the bisection below it."""
+    cands = [1.0] + _full_grid_pair_candidates(region, rw, _full_grid_xs(region, rw))
+    c = min(min(v, 1.0) for v in cands if 0.0 <= v <= 1.0 + 1e-9)
+    if _check(region, rw, c)[0]:
+        return c, 1
+    c_star, _, n_checks = _bisect(region, rw, rho(rw), c, 0.0)
+    return c_star, 1 + n_checks

@@ -20,7 +20,7 @@ from plpareto import (DemandModel, PLFunction, Rewards, bound_context, build_pol
                       cstar_enumeration, envelope, rho)
 from plpareto import bounds
 from plpareto.advice import box_advice, ellipse_advice, point_advice
-from plpareto.consistency import _PAIR_BLOCK, _enum_xs, _pair_candidates
+from plpareto.consistency import _OVER, _UNDER, _enum_xs, _pair_candidates
 from plpareto.harness import _sample_points
 from plpareto.ratios import balance_levels
 from plpareto.region import dedup_sorted
@@ -90,21 +90,20 @@ def _seeds(region, rw, geo):
 
 def _oracle_pair_candidates(region, rw, xs):
     # consistency._pair_candidates with the envelopes read through envelope()
-    # and the oracle balancing
-    x = np.array(xs, dtype=float)
-    yu = np.array([envelope(region, v, "upper") for v in xs])
-    yl = np.array([envelope(region, v, "lower") for v in xs])
-    rows = max(1, _PAIR_BLOCK // x.size)
-    out = []
-    for r0 in range(0, x.size, rows):
-        x1, y1 = x[r0:r0 + rows, None], yu[r0:r0 + rows, None]
-        right = x > x1
-        ok = np.where(right, ~(y1 - yl < x - x1), ~(y1 < yl))
-        i, j = np.nonzero(ok)
-        shift = np.where(right[ok], x[j] - x1[i, 0], 0.0)
-        _, c, solved = oracle_balance_levels(x1[i, 0], y1[i, 0], x[j], yl[j], shift, rw)
-        out.extend(c[solved].tolist())
-    return out
+    # and the oracle balancing, over the same pairs in one block: (x, x) for
+    # each abscissa not tagged both under and over, then each (under, over)
+    # pair in row-major order
+    pairs = [(v, v) for v, tag in xs.items() if tag != _UNDER | _OVER]
+    pairs += [(v, w) for v, tag_v in xs.items() if tag_v & _UNDER
+              for w, tag_w in xs.items() if tag_w & _OVER]
+    x1, x2 = (np.array(v, dtype=float) for v in zip(*pairs))
+    y1 = np.array([envelope(region, v, "upper") for v in x1])
+    y2 = np.array([envelope(region, v, "lower") for v in x2])
+    right = x2 > x1
+    ok = np.where(right, ~(y1 - y2 < x2 - x1), ~(y1 < y2))
+    shift = np.where(right, x2 - x1, 0.0)
+    _, c, solved = oracle_balance_levels(x1[ok], y1[ok], x2[ok], y2[ok], shift[ok], rw)
+    return c[solved].tolist()
 
 
 def _oracle_floor(pw: PLFunction):

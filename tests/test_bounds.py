@@ -1,3 +1,4 @@
+import bisect
 from dataclasses import replace
 
 import numpy as np
@@ -541,7 +542,7 @@ CHAIN_END_POLYGONS = [
 
 
 def test_each_curve_is_seeded_at_its_own_envelope(rw, diff_region):
-    from plpareto.consistency import _enum_xs
+    from plpareto.consistency import _OVER, _UNDER, _enum_xs
 
     regions = [diff_region, _ellipse(np.random.default_rng(12), 64)]
     regions += [build_polygon(pts) for pts, _, _ in CHAIN_END_POLYGONS]
@@ -561,7 +562,17 @@ def test_each_curve_is_seeded_at_its_own_envelope(rw, diff_region):
         assert seeds == [x for i, x in enumerate(want) if i == 0 or x - want[i - 1] > 1e-12]
         ends = [t for first, intervals in (geo.u_pieces, geo.l_pieces)
                 for t in [first[0]] + [e[0] for iv in intervals for e in iv[3]]]
-        assert all(lo <= t <= hi for t in ends + _enum_xs(region, rw))
+        xs = _enum_xs(region, rw)
+        assert all(lo <= t <= hi for t in ends + list(xs))
+        # each curve's own piece ends tag the abscissa kept for them, the
+        # last one at or within 1e-9 below, and nothing else tags one
+        kept, tags = list(xs), dict.fromkeys(xs, 0)
+        for tag, (first, intervals) in ((_OVER, geo.u_pieces), (_UNDER, geo.l_pieces)):
+            for t in [first[0]] + [e[0] for iv in intervals for e in iv[3]]:
+                x = kept[bisect.bisect_right(kept, t) - 1]
+                assert 0.0 <= t - x <= 1e-9
+                tags[x] |= tag
+        assert tags == xs
 
 
 @pytest.mark.parametrize("pts,c_star,r_star", CHAIN_END_POLYGONS)

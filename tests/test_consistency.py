@@ -1,3 +1,4 @@
+import functools
 import math
 import signal
 import struct
@@ -21,7 +22,7 @@ from plpareto import (
     run_sequence,
 )
 from plpareto.errors import InfeasibleTarget, TargetOutOfRange
-from conftest import random_region, scalar_balance_point
+from conftest import oracle_full_grid_cstar, random_region, scalar_balance_point
 
 
 def _bits(v: float) -> bytes:
@@ -240,29 +241,33 @@ def test_enum_matches_bisection_property(region):
 
 def _scalar_pair_candidates(region, rw, xs):
     """Oracle: the Python pair loop that consistency._pair_candidates ran
-    before it balanced all pairs in numpy, kept verbatim."""
+    before it balanced all pairs in numpy, kept verbatim but for the pairs it
+    walks: those of _pair_candidates, (x, x) for each abscissa not tagged
+    both under and over, then each (under, over) pair in row-major order."""
+    from plpareto.consistency import _OVER, _UNDER
     from plpareto.errors import NoSolution
     from plpareto.ratios import cp_under_raw
 
+    pairs = [(x, x) for x, tag in xs.items() if tag != _UNDER | _OVER]
+    pairs += [(x1, x2) for x1, tag1 in xs.items() if tag1 & _UNDER
+              for x2, tag2 in xs.items() if tag2 & _OVER]
     cands: list[float] = []
-    overs = [(x2, envelope(region, x2, "lower")) for x2 in xs]
-    for x1 in xs:
-        y1 = envelope(region, x1, "upper")
+    for x1, x2 in pairs:
+        y1, y2 = envelope(region, x1, "upper"), envelope(region, x2, "lower")
         under = (x1, y1)
-        for x2, y2 in overs:
-            if x2 <= x1:
-                if y1 < y2:
-                    continue
-                shift = 0.0
-            else:
-                if y1 - y2 < x2 - x1:
-                    continue
-                shift = x2 - x1
-            try:
-                p_b = scalar_balance_point(under, (x2, y2), shift, rw)
-            except NoSolution:
+        if x2 <= x1:
+            if y1 < y2:
                 continue
-            cands.append(cp_under_raw(p_b, under, rw))
+            shift = 0.0
+        else:
+            if y1 - y2 < x2 - x1:
+                continue
+            shift = x2 - x1
+        try:
+            p_b = scalar_balance_point(under, (x2, y2), shift, rw)
+        except NoSolution:
+            continue
+        cands.append(cp_under_raw(p_b, under, rw))
     return cands
 
 
@@ -404,3 +409,59 @@ def test_enum_on_the_largest_ellipse_is_fast_and_small(rw):
     finally:
         tracemalloc.stop()
     assert peak < 32e6
+
+
+# the reward settings above, one with a small capacity that most regions
+# overshoot, and one with nearly equal rewards
+FULL_GRID_REWARDS = REWARD_SETTINGS + [Rewards(0.5, 1.0, 10.0), Rewards(0.9, 1.0, 25.0)]
+
+
+@functools.cache
+def _full_grid_corpus():
+    # seeded regions of every kind: 64-gon ellipse advice, random hulls,
+    # clouds of integer points, 8-100-segment ellipses (some clipped by the
+    # quadrant), boxes, segments, points and the near-circles
+    from plpareto import DemandModel
+    from plpareto.advice import box_advice, ellipse_advice, point_advice
+    from plpareto.harness import _sample_points
+
+    rng = np.random.default_rng(7)
+    regions = []
+    for k in range(200):
+        samples = _sample_points(DemandModel(), 10, rng).tolist()
+        regions.append(ellipse_advice(samples, 0.9))
+        if k % 5 == 0:
+            regions += [box_advice(samples, 0.9), point_advice(samples)]
+    rng = np.random.default_rng(61)
+    regions += [random_region(rng) for _ in range(100)]
+    regions += [build_polygon([tuple(p) for p in rng.integers(0, 31, size=(k, 2)).tolist()])
+                for k in rng.integers(1, 12, size=80)]
+    for _ in range(40):
+        regions.append(_ellipse(tuple(rng.uniform(-3.0, 28.0, size=2)), tuple(rng.uniform(0.5, 8.0, size=2)),
+                                rng.uniform(0.0, 1.0), int(rng.integers(8, 101))))
+    for _ in range(20):
+        (x0, x1), (y0, y1) = np.sort(rng.uniform(0.0, 30.0, size=(2, 2)))
+        regions.append(build_polygon([(x0, y0), (x1, y0), (x1, y1), (x0, y1)]))
+        regions.append(build_polygon([tuple(p) for p in rng.uniform(0.0, 30.0, size=(2, 2)).tolist()]))
+        regions.append(build_polygon([tuple(rng.uniform(0.0, 30.0, size=2).tolist())]))
+    return regions + [_ellipse(*spec) for spec in NEAR_CIRCLES]
+
+
+def _check_full_grid(region, rw):
+    # balancing only the vertex pairs gives the C* of every pair on the full
+    # grid, bit for bit, and both find it in one check
+    c_star, n_checks = oracle_full_grid_cstar(region, rw)
+    res = cstar_enumeration(region, rw)
+    assert (_bits(res.c_star), res.n_checks) == (_bits(c_star), n_checks) == (_bits(c_star), 1)
+
+
+def test_enum_matches_the_full_grid_oracle():
+    for rw in FULL_GRID_REWARDS:
+        for region in _full_grid_corpus():
+            _check_full_grid(region, rw)
+
+
+@given(regions, st.sampled_from(FULL_GRID_REWARDS))
+@settings(max_examples=150, deadline=None)
+def test_enum_matches_the_full_grid_oracle_property(region, rw):
+    _check_full_grid(region, rw)

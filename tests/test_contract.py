@@ -75,14 +75,21 @@ def _ctx(C):
     return bound_context(REGION, RW, C)
 
 
+# the running totals of an EngineState after 4 low units (3 accepted, at
+# 1/3 each) and 5 high units (all accepted, at 1 each); 12 units remain
+TOTALS = "low_seen low_accepted high_seen high_accepted reward"
+STATE = (4.0, 3.0, 5.0, 5.0, 6.0)
+
+
 def _config(z, K, n_test, seed):
     return ExperimentConfig(advice_kind="box", z=z, K=K, n_test=n_test, seed=seed)
 
 
 # name -> (call on the numbers, the names of the numbers, the numbers of a
 # valid call).  A name is an argument, or a field of the argument object
-# that the call builds: Rewards, DemandModel, ExperimentConfig, Arrival,
-# DemandPoint and EngineState(remaining) check their own fields.
+# that the call builds: Rewards, DemandModel, ExperimentConfig, Arrival and
+# DemandPoint check their own fields, offer and performance_ratio those of
+# EngineState.
 CALLS = {
     "Arrival": (lambda size: Arrival("low", size), "size", (3.0,)),
     "DemandModel": (lambda *f: DemandModel("uniform-mixture", *f),
@@ -129,9 +136,11 @@ CALLS = {
     "no_advice_level": (lambda *r: no_advice_level(Rewards(*r)), "r_low r_high m", (1.0 / 3.0, 1.0, 20.0)),
     "offer": (lambda remaining, size: offer(EngineState(remaining), Arrival("low", size), PL, RW),
               "remaining size", (20.0, 3.0)),
+    "offer totals": (lambda *t: offer(EngineState(12.0, *t), Arrival("low", 3.0), PL, RW), TOTALS, STATE),
     "ordered_sequence": (ordered_sequence, "x y", (12.0, 9.0)),
     "performance_ratio": (lambda remaining: performance_ratio(EngineState(remaining), RW),
                           "remaining", (20.0,)),
+    "performance_ratio totals": (lambda *t: performance_ratio(EngineState(12.0, *t), RW), TOTALS, STATE),
     "point_advice": (lambda *v: point_advice(_pairs(v)), "x0 y0 x1 y1 x2 y2 x3 y3", SAMPLES),
     "policy_floor": (lambda C, x: policy_floor(_ctx(C), x), "C x", (0.8, 8.0)),
     "polygonize_ellipse": (lambda cx, cy, a, b1, b2, c, seg: polygonize_ellipse(
