@@ -76,9 +76,9 @@ def cstar_bisection(region: MLRegion, rw: Rewards, epsilon: float = 1e-6) -> CSt
     return CStarResult(c, "bisect", witness, (), 1 + n_checks)
 
 
-# most (under, over) pairs balanced at once: bounds the temporaries of
-# _pair_candidates to a few MB whatever the abscissa count
-_PAIR_BLOCK = 1 << 16
+# most (under, over) pairs balanced at once, so the (5, n) temporaries of
+# balance_levels stay small: the 1024-gon C* peaks at about 9 MB traced
+_PAIR_BLOCK = 1 << 12
 _UNDER, _OVER = 1, 2  # tag bits: an abscissa ends a piece of pw (under) or u (over)
 
 
@@ -114,14 +114,14 @@ def _pair_candidates(region: MLRegion, rw: Rewards, xs: dict[float, int]) -> lis
     """
     x, tag = np.array(list(xs), dtype=float), np.array(list(xs.values()))
     yu, yl = np.array(region.upper.at(xs)), np.array(region.lower.at(xs))
-    under, over = np.flatnonzero(tag & _UNDER), np.flatnonzero(tag & _OVER)
-    diagonal = np.flatnonzero((tag != _UNDER | _OVER) & ~(yu < yl))
+    (under,), (over,) = (tag & _UNDER).nonzero(), (tag & _OVER).nonzero()
+    (diagonal,) = ((tag != _UNDER | _OVER) & ~(yu < yl)).nonzero()
     xo, yo, rows = x[over], yl[over], max(1, _PAIR_BLOCK // over.size)
     out: list[float] = []
     for r0 in range(0, under.size, rows):
         u = under[r0:r0 + rows, None]
-        a, b = np.nonzero(np.where(xo > x[u], ~(yu[u] - yo < xo - x[u]), ~(yu[u] < yo)))
-        i, j = np.append(diagonal, u[a, 0]), np.append(diagonal, over[b])
+        a, b = np.nonzero(~np.where(xo > x[u], yu[u] - yo < xo - x[u], yu[u] < yo))
+        i, j = np.concatenate((diagonal, u[a, 0])), np.concatenate((diagonal, over[b]))
         diagonal = diagonal[:0]  # balanced with the first block only
         _, c, solved = balance_levels(x[i], yu[i], x[j], yl[j], np.maximum(x[j] - x[i], 0.0), rw)
         out.extend(c[solved].tolist())
@@ -143,7 +143,7 @@ def cstar_enumeration(region: MLRegion, rw: Rewards) -> CStarResult:
     # the range test also drops NaN and the infinities; the distinct values
     # come from a sort and a mask, as np.unique imports numpy.ma (+1.3 MB RSS)
     c = np.sort(np.minimum(c[(c >= 0.0) & (c <= 1.0 + 1e-9)], 1.0))[::-1]
-    cands = c[np.append(True, c[1:] != c[:-1])].tolist()
+    cands = c[np.concatenate(([True], c[1:] != c[:-1]))].tolist()
     ok, witness = _check(region, rw, cands[-1])
     if ok:
         return CStarResult(cands[-1], "enum", witness, tuple(cands), 1)

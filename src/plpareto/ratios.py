@@ -5,8 +5,8 @@ high-reward demand", a fixed protection level p earns a known fraction of the
 hindsight-optimal reward.  Two closed forms cover the over-protection branch
 (p at or above the realized high demand) and the under-protection branch.
 ``balance_levels`` solves the balancing equation between an under ratio and
-an over ratio for arrays of point pairs; ``balance_point`` is its one-pair
-form.
+an over ratio for arrays of point pairs, taking both ratios in one stacked
+pass over each pair's levels; ``balance_point`` is its one-pair form.
 """
 
 from __future__ import annotations
@@ -121,57 +121,64 @@ def hindsight_denominators(x, y, rw: Rewards):
 @np.errstate(all="ignore")
 def balance_levels(xu, yu, xo, yo, shift, rw: Rewards):
     """Level p equalizing the under ratio at (xu, yu) with the over ratio at
-    (xo, yo) evaluated at p - shift, for arrays of pairs; returns p, the
-    under ratio at p, and a mask that is False where p means nothing.
+    (xo, yo) evaluated at p - shift, for arrays of pairs of one shape;
+    returns p, the under ratio at p, and a mask that is False where p means
+    nothing.
 
     The difference is non-decreasing and piecewise linear in p; on the
     interval [min(yo, m) + shift, min(m, yu)] its only kinks are m - xu and
     m - xo + shift.  A pair is unsolved when the interval is empty or the
     difference does not change sign on it.  Otherwise p is an end, or the
-    linear root of the piece where the difference changes sign.
+    linear root of the piece where the difference changes sign.  Both ratios
+    are taken in one pass over a (5, n) stack of levels: the ends, the kinks
+    ascending, and -inf, where the over ratio is on its left plateau.
     """
     m, rh, rl = rw.m, rw.r_high, rw.r_low
-    # both points' denominators and the parts of their numerators free of p
-    den_u, den_o = hindsight_denominators(xu, yu, rw), hindsight_denominators(xo, yo, rw)
-    cap_u, top_o = np.minimum(yu, np.maximum(m - xu, 0.0)), np.minimum(yo, m) * rh
-    pos_u, pos_o = den_u > 0.0, den_o > 0.0
-    safe_u, safe_o = np.where(pos_u, den_u, 1.0), np.where(pos_o, den_o, 1.0)
+    # both points' denominators in one pass: row 0 under, row 1 over
+    den = hindsight_denominators(np.array((xu, xo), dtype=float), np.array((yu, yo), dtype=float), rw)
+    pos = den > 0.0
+    hi, cap_o, k1, k2 = np.minimum(yu, m), np.minimum(yo, m), m - xu, m - xo + shift
+    cap_u, top_o, bottom = np.minimum(yu, np.maximum(k1, 0.0)), cap_o * rh, np.maximum(0.0, cap_o + shift)
 
-    def under(p):
-        num = np.maximum(p, cap_u) * rh + np.minimum(xu, m - p) * rl
-        return np.where(pos_u, num / safe_u, 1.0)
+    # the ratios are built in place (under writes over its levels q): with few
+    # (5, n) arrays alive, a 64-gon's thousand pairs reuse the heap, not grow it
+    def under(q):
+        rest = np.minimum(xu, m - q) * rl
+        np.multiply(np.maximum(q, cap_u, out=q), rh, out=q)
+        q += rest
+        q /= den[0]
+        return np.where(pos[0], q, 1.0)
 
-    def over(p):
-        num = top_o + np.minimum(xo, np.maximum(m - (p - shift), 0.0)) * rl
-        return np.where(pos_o, num / safe_o, 1.0)
-
-    lo = np.maximum(0.0, np.minimum(yo, m) + shift)
-    hi = np.minimum(m, yu)
-    empty = lo > hi + BRANCH_TOL
-    lo = np.minimum(lo, hi)
-    under_hi = under(hi)
-    flo, fhi = under(lo) - over(lo), under_hi - over(hi)
-    unsolved = empty | (flo > 1e-9) | (fhi < -1e-9)
-    p = np.where(flo >= 0.0, lo, hi)
-    k1, k2 = m - xu, m - xo + shift
+    lo, t1, t2 = np.minimum(bottom, hi), np.minimum(k1, k2), np.maximum(k1, k2)
+    levels = np.array((lo, hi, t1, t2, np.full_like(lo, -np.inf)))
+    over = m - (levels - shift)  # capacity left to low demand at the over level p - shift
+    lost = (k2 >= hi) & (over[1] < xo)
+    np.multiply(np.minimum(xo, np.maximum(over, 0.0, out=over), out=over), rl, out=over)
+    over += top_o
+    over /= den[1]
+    over = np.where(pos[1], over, 1.0)
+    gaps = under(levels[:4])
+    left = gaps[1] - over[4]
+    gaps -= over[:4]
+    flo, fhi, start = gaps[0], gaps[1], gaps[0] >= 0.0
+    solved = ~((bottom > hi + BRANCH_TOL) | (flo > 1e-9) | (fhi < -1e-9))
+    p = np.where(start, lo, hi)
     # the over kink can lie within rounding below hi and round onto it; the
     # over ratio of a nearly empty point falls by up to 1 past it, so the
-    # last piece ends at the kink's left-hand value, and where that is still
-    # not positive the root is hi
-    lost = (k2 >= hi) & (m - (hi - shift) < xo)
-    left = under_hi - np.where(pos_o, (top_o + xo * rl) / safe_o, 1.0)
+    # last piece ends at the kink's left-hand value (the plateau's, at -inf),
+    # and where that is still not positive the root is hi
     fhi = np.where(lost, left, fhi)
-    inner = ~(flo >= 0.0) & ~(fhi <= 0.0)
+    inner = ~(start | (fhi <= 0.0))
     # the kinks in ascending order: once one moves hi, the next is not below it
-    for t in (np.minimum(k1, k2), np.maximum(k1, k2)):
-        ft = under(t) - over(t)
+    for t, ft in zip((t1, t2), gaps[2:4]):
         inside = (lo < t) & (t < hi)
-        up, down = inside & (ft >= 0.0), inside & ~(ft >= 0.0)
+        up = inside & (ft >= 0.0)
+        down = inside ^ up
         hi, fhi = np.where(up, t, hi), np.where(up, ft, fhi)
         lo, flo = np.where(down, t, lo), np.where(down, ft, flo)
     root = lo - flo * (hi - lo) / (fhi - flo)
     p = np.where(inner, root, p)
-    return p, under(p), ~unsolved
+    return p, under(p.copy()), solved
 
 
 def balance_point(under_pt, over_pt, shift: float, rw: Rewards) -> float:

@@ -17,7 +17,7 @@ from .plfunction import PLFunction
 
 TOL = 1e-9
 # most polygon segments an ellipse may take.  C* by enumeration's work grows
-# with the square of the count: about 0.08 s at 1024 segments on 2 vCPUs.
+# with the square of the count: 0.06-0.09 s at 1024 segments on 2 vCPUs.
 MAX_SEGMENTS = 1024
 
 Point = tuple[float, float]

@@ -12,6 +12,7 @@ import dataclasses
 import functools
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from plpareto.region import dedup_sorted
 
 from conftest import (oracle_balance_levels, oracle_band_gap, oracle_cone_floor,
                       oracle_curve, oracle_pieces, random_region)
-from test_consistency import NEAR_CIRCLES, _ellipse
+from test_consistency import FULL_GRID_REWARDS, NEAR_CIRCLES, _ellipse
 
 RW = Rewards(1.0 / 3.0, 1.0, 20.0)
 
@@ -160,17 +161,31 @@ def test_band_gap_reads_an_inverted_curve_as_plfunction_does(rw):
         assert _bits(f.values(np.array(probe)).tolist()) == _bits(f.at(probe))
 
 
-def test_balance_levels_match_the_oracle_on_degenerate_pairs(rw):
-    # zero denominators, points on x + y = m, y = m and x = m, shifts past
-    # the interval, and pairs within an ulp of the kinks
+def test_balance_levels_match_the_oracle_on_degenerate_pairs():
+    # zero denominators, points on x + y = m, y = m and x = m, magnitudes at
+    # both ends of the float range, shifts past the interval or infinite,
+    # and pairs within an ulp of the kinks, under every reward setting; no
+    # numpy warning leaks out of the kernel, and Python floats give the bits
+    # of one-element arrays
     rng = np.random.default_rng(31)
-    special = np.array([0.0, 1e-300, 5e-324, 1e-17, 4.0, 10.0, 16.0, 20.0,
-                        math.nextafter(20.0, 0.0), math.nextafter(20.0, 30.0), 25.0])
     n = 20000
-    cols = [np.where(rng.random(n) < 0.5, rng.choice(special, n), rng.uniform(0.0, 30.0, n))
-            for _ in range(4)]
-    shift = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(0.0, 25.0, n))
-    got = balance_levels(*cols, shift, rw)
-    want = oracle_balance_levels(*cols, shift, rw)
-    for g, w in zip(got, want):
-        assert g.tobytes() == w.tobytes()
+    for rw in FULL_GRID_REWARDS:
+        m = rw.m
+        special = np.array([0.0, 1e-300, 5e-324, 1e-17, 1e300, 4.0, 10.0, 16.0, 20.0,
+                            math.nextafter(20.0, 0.0), math.nextafter(20.0, 30.0), 25.0,
+                            m, math.nextafter(m, 0.0), math.nextafter(m, math.inf), m / 2.0])
+        cols = [np.where(rng.random(n) < 0.5, rng.choice(special, n), rng.uniform(0.0, 30.0, n))
+                for _ in range(4)]
+        shift = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(0.0, 25.0, n))
+        shift = np.where(rng.random(n) < 0.1, rng.choice([math.inf, 1e300], n), shift)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = balance_levels(*cols, shift, rw)
+            ones = [balance_levels(*(float(c[i]) for c in cols), float(shift[i]), rw)
+                    for i in range(0, n, 41)]
+        want = oracle_balance_levels(*cols, shift, rw)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+        for i, one in zip(range(0, n, 41), ones):
+            for a, g in zip(one, got):
+                assert a.shape == () and a.tobytes() == g[i:i + 1].tobytes()

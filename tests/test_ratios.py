@@ -229,3 +229,25 @@ def test_tuple_point_within_rounding_of_zero_is_accepted():
     # envelope interpolation can round a zero height to about -1e-15
     assert hindsight_denominator((-1e-15, 5.0), RW) == hindsight_denominator((0.0, 5.0), RW)
     assert cp_over_raw(4.0, (3.0, -1e-15), RW) == cp_over_raw(4.0, (3.0, 0.0), RW)
+
+
+def test_balance_levels_keeps_few_stacks_alive():
+    # a 64-gon's C* balances about a thousand pairs in one call; with many
+    # (5, n) arrays alive at once, each such call grows the heap and gives it
+    # back (about 40 page faults per C*), so the peak is bounded in arrays of n
+    import tracemalloc
+
+    from plpareto.ratios import balance_levels
+
+    rng = np.random.default_rng(7)
+    n = 1000
+    cols = [rng.uniform(0.0, 25.0, n) for _ in range(4)]
+    shift = np.maximum(rng.uniform(-5.0, 5.0, n), 0.0)
+    balance_levels(*cols, shift, RW)
+    tracemalloc.start()
+    try:
+        balance_levels(*cols, shift, RW)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 8 * n
