@@ -28,10 +28,14 @@ from functools import cached_property
 from .errors import InvalidInput, OutOfDomain, TargetOutOfRange
 from .plfunction import SLOPE_TOL, PLFunction
 from .ratios import Rewards, _denominator, hindsight_denominator
-from .region import TOL, MLRegion, dedup_sorted, envelope, key_points
+from .region import TOL, MLRegion, envelope, key_points
 
-# a band gap at or above -FEAS_SLACK counts as feasible
+# a band gap at or above -FEAS_SLACK counts as feasible: at C* it is 0, rounded
 FEAS_SLACK = 1e-9
+# levels within LEVEL_TIE are one: the floor, the ceiling and the corridor's
+# edges, equal in exact arithmetic (at C* the floor meets the ceiling), come
+# from different formulas and round a few ulps of m apart
+LEVEL_TIE = 1e-12
 # an under ratio at p = 0 within RATIO_SLACK of C meets C.  At C = 1 that
 # ratio is exactly 1 on all of t + y <= m, and rounding on the line itself
 # must not move the step l takes there.
@@ -52,6 +56,8 @@ def no_advice_level(rw: Rewards) -> float:
 def g_corridor(rw: Rewards, R: float, x: float, side: str) -> float:
     """Robustness corridor: constant floor g_lower and line g_upper = -Rx + m
     (frozen beyond x = m)."""
+    # R comes from the caller, and rho's formula can round below the exact
+    # rho: with r_low/r_high = 2/3 it gives 0.7499999999999999, not 3/4
     if not 0.0 < R <= rho(rw) + 1e-9:
         raise TargetOutOfRange(f"robust target {R} outside (0, {rho(rw)}]")
     if not x >= 0.0:
@@ -196,7 +202,7 @@ def _running_max_bps(bps):
         if v1 <= cur:
             out.append((x1, cur))
         else:
-            if v2 < cur - 1e-15 and x2 > x1:
+            if v2 < cur and x2 > x1:
                 # segment drops through the suffix maximum
                 t = (v1 - cur) / (v1 - v2)
                 out.append((x1 + t * (x2 - x1), cur))
@@ -225,7 +231,7 @@ def _cone_floor(mbps):
         if cone2 > m2 + 1e-15:
             out.append((x2, cone2))
         else:
-            if n1 > m1 + 1e-12:
+            if n1 > m1 + LEVEL_TIE:
                 s = (m2 - m1) / d
                 t = (n1 - m1) / (1.0 + s)
                 if 0.0 < t < d:
@@ -293,20 +299,17 @@ class BoundContext:
     def x_lo_u(self) -> float:
         """Largest abscissa up to x_hi_u where even full protection keeps the
         ratio at C."""
-        m, x_hi_u = self.rw.m, self.x_hi_u
+        # u <= m, so u leaves m at a breakpoint, a switch root where u rounds
+        # a few ulps below m
+        full = self.rw.m - 1e-9
         x_lo_u = self.region.x_lo
-        u_bps = self.u.breakpoints
-        for (x1, y1), (x2, y2) in zip(u_bps, u_bps[1:]):
-            if x1 >= x_hi_u:
+        for x, y in self.u.breakpoints:
+            if x >= self.x_hi_u:
+                if self.u(self.x_hi_u) >= full:
+                    x_lo_u = self.x_hi_u
                 break
-            if x2 > x_hi_u:
-                x2, y2 = x_hi_u, self.u(x_hi_u)
-            if y2 >= m - 1e-9:
-                x_lo_u = x2
-            elif y1 >= m - 1e-9:
-                x_lo_u = x1 + (x2 - x1) * (y1 - m) / (y1 - y2)
-        if len(u_bps) == 1 and u_bps[0][1] >= m - 1e-9:
-            x_lo_u = x_hi_u
+            if y >= full:
+                x_lo_u = x
         return x_lo_u
 
 
@@ -329,8 +332,7 @@ def _build_geometry(region: MLRegion, rw: Rewards) -> _Geometry:
     # pw's seeds also take x_H, and are clamped to [x_lo, x_bar], which the
     # upper chain's ends can overshoot by up to TOL
     x_h = kp.H[0]
-    l_seeds = dedup_sorted(
-        sorted(min(max(x, x_lo), x_bar) for x in region.upper.xs + (x_h,)), 1e-12)
+    l_seeds = sorted({min(max(x, x_lo), x_bar) for x in region.upper.xs + (x_h,)})
     return _Geometry(
         x_hi_u, x_h,
         _pieces(region.lower.breakpoints, rw),
@@ -383,7 +385,7 @@ def _lower_thresholds(pw: PLFunction, x_h: float, x_bar: float) -> tuple[float, 
     # bound has just left of it (nonzero at a step)
     x_hi_l, v_hi, prev = x_bar, 0.0, None
     for x, v in pw.breakpoints:
-        if x < x_h - 1e-12:
+        if x < x_h:
             continue
         if v <= 1e-9:
             if prev is not None:
@@ -394,18 +396,19 @@ def _lower_thresholds(pw: PLFunction, x_h: float, x_bar: float) -> tuple[float, 
                 x_hi_l = max(x, x_h)
             break
         prev = (x, v)
-    if x_hi_l <= x_h + 1e-12:
+    if x_hi_l <= x_h:
         # l is the constant pw(x_H)
         return x_hi_l, x_bar
 
     # x_minus1: the left end of l's first segment from x_H on that falls
     # faster than slope -1; a step down counts
     bps = [(x_h, pw(x_h))]
-    bps += [(x, v) for x, v in pw.breakpoints if x_h + 1e-12 < x < x_hi_l - 1e-12]
-    bps += [(x_hi_l, v_hi), (x_hi_l, 0.0)] if x_hi_l < x_bar - 1e-12 else [(x_bar, pw(x_bar))]
+    bps += [(x, v) for x, v in pw.breakpoints if x_h + 1e-12 < x < x_hi_l]
+    bps += [(x_hi_l, v_hi), (x_hi_l, 0.0)] if x_hi_l < x_bar else [(x_bar, pw(x_bar))]
+    # validate's slope test: l_tilde follows l while l passes it
     for (x1, y1), (x2, y2) in zip(bps, bps[1:]):
         drop = y1 - y2
-        if (drop > 1e-9) if x2 - x1 <= 1e-9 else (drop / (x2 - x1) > 1.0 + 1e-9):
+        if (drop > SLOPE_TOL) if x2 - x1 <= SLOPE_TOL else (drop / (x2 - x1) > 1.0 + SLOPE_TOL):
             return x_hi_l, x1
     return x_hi_l, x_bar
 
@@ -428,11 +431,11 @@ def u_bound(ctx: BoundContext, x: float) -> float:
 
 def _l(ctx: BoundContext, x: float) -> float:
     """The published lower bound l at x in [0, x_bar]: pw on [x_H, x_hi_l),
-    pw(x_H) left of it and 0 from x_hi_l on, unless x_hi_l is about x_bar."""
+    pw(x_H) left of it and 0 from x_hi_l on, unless x_hi_l is x_bar."""
     x_hi_l, x_h = ctx.x_hi_l, ctx.x_h
-    if x_hi_l <= x_h + 1e-12:
+    if x_hi_l <= x_h:
         return ctx.pw(x_h)
-    if x >= x_hi_l and x_hi_l < ctx.region.x_hi - 1e-12:
+    if x >= x_hi_l and x_hi_l < ctx.region.x_hi:
         return 0.0
     return ctx.pw(max(x, x_h))
 

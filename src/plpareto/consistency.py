@@ -142,7 +142,7 @@ def cstar_enumeration(region: MLRegion, rw: Rewards) -> CStarResult:
     c = np.array([1.0] + _pair_candidates(region, rw, _enum_xs(region, rw)))
     # the range test also drops NaN and the infinities; the distinct values
     # come from a sort and a mask, as np.unique imports numpy.ma (+1.3 MB RSS)
-    c = np.sort(np.minimum(c[(c >= 0.0) & (c <= 1.0 + 1e-9)], 1.0))[::-1]
+    c = np.sort(c[(c >= 0.0) & (c <= 1.0)])[::-1]
     cands = c[np.concatenate(([True], c[1:] != c[:-1]))].tolist()
     ok, witness = _check(region, rw, cands[-1])
     if ok:
@@ -160,6 +160,6 @@ def consistent_pl(region: MLRegion, rw: Rewards, C: float) -> PLFunction:
         raise InfeasibleTarget(f"consistency target {C} is not achievable")
     bps = [(x, max(0.0, v)) for x, v in ctx.floor.breakpoints]
     end = max(rw.m, region.x_hi)
-    if end > bps[-1][0] + 1e-12:
+    if end > bps[-1][0]:
         bps.append((end, bps[-1][1]))
     return PLFunction(tuple(bps))

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .bounds import (
     FEAS_SLACK,
+    LEVEL_TIE,
     BoundContext,
     bound_context,
     band_gap,
@@ -42,35 +43,29 @@ class ParetoSolution:
 def _right_tail(ctx: BoundContext, p_r: float):
     """Extension of the policy beyond the advice range and its robust ratio.
 
-    Returns (tail breakpoints after x_bar, r_right).  The worst instances to
+    Returns (tail breakpoints from x_bar on, r_right).  The worst instances to
     the right are the all-low corner (x_bar, 0) at the start of the tail and
     the all-capacity corner (max(m, x_bar), m) at its end.
     """
     rw, m = ctx.rw, ctx.rw.m
     x_bar = ctx.region.x_hi
-    if x_bar >= m - 1e-12:
-        p_end = p_r
-        tail = []
-    else:
+    p_end, tail = p_r, []
+    if x_bar < m:
         g_lo = no_advice_level(rw)
         g_hi = -rho(rw) * x_bar + m
-        if p_r > g_hi + 1e-12:
+        if p_r > g_hi + LEVEL_TIE:
             # steeper-than-corridor start: descend along the line -Rx + m
             R = (m - p_r) / x_bar
             p_end = m * (1.0 - R)
-            tail = [(m, p_end)]
-        elif p_r < g_lo - 1e-12:
-            p_end = p_r
-            tail = [(m, p_end)]
-        else:
+        elif p_r >= g_lo:
             # inside the corridor: descend at slope -1 down to the floor
             x_hit = x_bar + (p_r - g_lo)
-            if x_hit < m - 1e-12:
+            if x_hit < m:
                 p_end = g_lo
-                tail = [(x_hit, g_lo), (m, g_lo)]
+                tail = [(x_hit, g_lo)]
             else:
                 p_end = p_r - (m - x_bar)
-                tail = [(m, p_end)]
+        tail.append((m, p_end))
     r_right = min(
         cp_over_raw(p_r, (x_bar, 0.0), rw),
         cp_under_raw(p_end, (max(m, x_bar), m), rw),
@@ -89,24 +84,16 @@ def _left_part(ctx: BoundContext, p_r: float):
     rw, m = ctx.rw, ctx.rw.m
     x_bar = ctx.region.x_hi
 
-    bps: list[tuple[float, float]] = []
+    # the floor does not increase: keep its part above p_r, cut where it meets p_r
     src = [(x, max(0.0, v)) for x, v in ctx.floor.breakpoints]
-    for i, (x, v) in enumerate(src):
-        if v > p_r + 1e-12:
-            bps.append((x, v))
-        else:
-            if bps:
-                x1, v1 = bps[-1]
-                x0, v0 = src[i - 1]
-                if v0 != v:
-                    t = (v0 - p_r) / (v0 - v)
-                    xc = x0 + t * (x - x0)
-                    if xc > x1 + 1e-12:
-                        bps.append((xc, p_r))
-            break
-    if not bps:
-        bps = [(0.0, p_r)]
-    if bps[-1][0] < x_bar - 1e-12 or bps[-1][1] > p_r + 1e-12:
+    k = next((i for i, (_, v) in enumerate(src) if v <= p_r + LEVEL_TIE), len(src))
+    bps = src[:k] or [(0.0, p_r)]
+    if 0 < k < len(src):
+        (x0, v0), (x, v) = src[k - 1], src[k]
+        xc = x0 + (v0 - p_r) / (v0 - v) * (x - x0)
+        if xc > x0:
+            bps.append((xc, p_r))
+    if bps[-1] != (x_bar, p_r):
         bps.append((x_bar, p_r))
 
     cand_xs = {x for x, _ in bps if x > 0.0} | {x_bar}
@@ -140,16 +127,11 @@ def solve_pareto(region: MLRegion, rw: Rewards, C: float) -> ParetoSolution:
     tail, r_right = _right_tail(ctx, p_r)
     left_bps, r_left, inf_over = _left_part(ctx, p_r)
 
-    bps = list(left_bps)
-    for x, v in tail:
-        if x > bps[-1][0] + 1e-12:
-            bps.append((x, v))
-    end = max(rw.m, x_bar)
-    if end > bps[-1][0] + 1e-12:
-        bps.append((end, bps[-1][1]))
+    # the left part ends at (x_bar, p_r) and the tail at max(m, x_bar)
+    bps = left_bps + [(x, v) for x, v in tail if x > x_bar]
 
     r_star = min(r_right, inf_over)
-    if not abs(r_star - min(r_right, r_left)) <= 1e-9:
+    if not abs(r_star - min(r_right, r_left)) <= 1e-9:  # a fault check: both round the same ratios
         raise InternalError(
             f"r_star={r_star} disagrees with min(r_right={r_right}, r_left={r_left})"
         )

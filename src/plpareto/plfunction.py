@@ -15,6 +15,8 @@ import numpy as np
 
 from .errors import InvalidInput, OutOfDomain
 
+# the rounding a built curve may carry: levels, slopes and breakpoint order up
+# to SLOPE_TOL off; a segment narrower than SLOPE_TOL is judged by its jump
 SLOPE_TOL = 1e-9
 
 

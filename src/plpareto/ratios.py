@@ -19,6 +19,8 @@ import numpy as np
 from .errors import InvalidInput, NoSolution
 from .region import TOL
 
+# a protection level within BRANCH_TOL of 0, m or min(m, y) is on that
+# branch boundary: levels built by other formulas round a few ulps of m off it
 BRANCH_TOL = 1e-12
 
 

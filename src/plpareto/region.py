@@ -15,6 +15,8 @@ from numbers import Integral
 from .errors import InvalidInput, NegativeCoordinate, NotPSD, OutOfDomain
 from .plfunction import PLFunction
 
+# coordinates within TOL are one: input a rounding below 0, chain points with
+# nearly equal x, and abscissae that interpolation puts just outside the region
 TOL = 1e-9
 # most polygon segments an ellipse may take.  C* by enumeration's work grows
 # with the square of the count: 0.06-0.09 s at 1024 segments on 2 vCPUs.

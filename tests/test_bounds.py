@@ -57,6 +57,40 @@ def test_g_corridor_values(rw):
         g_corridor(rw, 0.0, 10.0, "lower")
 
 
+def test_g_corridor_accepts_rho_that_rounds_above_its_formula():
+    """With r_low/r_high = 2/3, rho is exactly 3/4, but 1/(2 - 2/3) rounds to
+    0.7499999999999999; the caller's exact 0.75 is still a valid target."""
+    rw = Rewards(2.0, 3.0, 20.0)
+    assert rho(rw) < 0.75
+    assert g_corridor(rw, 0.75, 10.0, "upper") == 12.5
+
+
+def test_x_lo_u_where_u_leaves_m_at_a_rounded_root():
+    """u is m on [0.92, 5.66] and leaves it at a switch root, where it rounds
+    to m - 3.6e-15.  x_lo_u is that root, not 2.65, the last breakpoint where
+    u is exactly m."""
+    region = build_polygon([(0.9241641165302905, 26.843946092483908),
+                            (17.738345556882354, 8.829856835907846),
+                            (27.68177059268743, 26.079946340357083),
+                            (10.924152788715686, 29.19530443898682)])
+    rw, C = Rewards(0.8, 1.0, 25.0), 0.8937624823583491
+    ctx = bound_context(region, rw, C)
+    x = ctx.x_lo_u
+    assert rw.m - 1e-12 < ctx.u(x) < rw.m
+    assert u_raw(region, rw, C, x - 1e-4) == rw.m
+    assert u_raw(region, rw, C, x + 1e-4) < rw.m
+
+
+def test_x_minus1_ignores_a_slope_minus_one_that_rounds_steeper(rw):
+    """On the segment from (13, 14) to (14, 13) at C = 1, pw falls at slope
+    -1 exactly, computed as -1.0000000000000018.  l never falls faster than
+    slope -1, so x_minus1 is x_bar."""
+    region = build_polygon([(13.0, 14.0), (14.0, 13.0)])
+    ctx = bound_context(region, rw, 1.0)
+    assert ctx.pw.breakpoints == ((13.0, 14.0), (14.0, 12.999999999999998))
+    assert ctx.x_minus1 == 14.0
+
+
 def _bisect_u(region, rw, C, t, iters=200):
     """Independent oracle: largest p with over-ratio >= C at the lower point."""
     y = envelope(region, t, "lower")

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from plpareto import (
+    Rewards,
+    bound_context,
     build_polygon,
     cstar_bisection,
     cstar_enumeration,
@@ -112,6 +114,32 @@ def test_r_star_mismatch_raises_internal_error(rw, diff_region, monkeypatch):
     with pytest.raises(InternalError, match="r_star"):
         solve_pareto(diff_region, rw, 0.8)
     assert issubclass(InternalError, PlparetoError)
+
+
+def test_policy_at_cstar_is_flat_where_the_floor_meets_the_ceiling(rw):
+    """At C* the floor's plateau equals the ceiling p_r in exact arithmetic;
+    here it rounds 3.6e-15 above it.  The policy is the constant p_r that
+    exact arithmetic gives, not the floor's 8 breakpoints a few ulps above
+    p_r and a drop to it at x_bar."""
+    region = polygonize_ellipse([26.0, 5.3], [[28.8, 3.2], [3.2, 7.5]], 6)
+    c_star = cstar_enumeration(region, rw).c_star
+    sol = solve_pareto(region, rw, c_star)
+    p_r = sol.p_right_at_xbar
+    assert 0.0 < bound_context(region, rw, c_star).floor(0.0) - p_r < 1e-12
+    assert sol.p_star.breakpoints == ((0.0, p_r), (region.x_hi, p_r))
+
+
+def test_tail_on_the_corridor_edge_descends_at_slope_minus_one():
+    """A point region where p_r equals the corridor's upper edge
+    m - rho * x_bar = 12.5 in exact arithmetic and rounds 3.6e-15 above it.
+    The tail takes the exact-arithmetic branch, slope -1 down to the
+    no-advice level, not the line -Rx + m that starts above the corridor."""
+    rw = Rewards(0.8, 1.0, 25.0)
+    sol = solve_pareto(build_polygon([(15.0, 26.0)]), rw, 0.9)
+    p_r, g_lo = sol.p_right_at_xbar, no_advice_level(rw)
+    assert 0.0 < p_r - (rw.m - rho(rw) * 15.0) < 1e-12
+    assert sol.p_star.breakpoints == (
+        (0.0, p_r), (15.0, p_r), (15.0 + (p_r - g_lo), g_lo), (rw.m, g_lo))
 
 
 # -- guarantee replay on degenerate regions and ellipse polygons --------------

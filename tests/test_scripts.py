@@ -1,6 +1,7 @@
 """Smoke runs of the scripts under scripts/, which read library types."""
 
 import importlib.util
+import shutil
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -27,3 +28,45 @@ def test_run_benchmarks_small(capsys):
     for row in rows:
         avg, worst = (float(v) for v in row.split()[1:3])
         assert 0.0 <= worst <= avg <= 1.0
+
+
+def test_mutate_tolerances_lists_code_sites_only(capsys):
+    """Each listed site is a tolerance literal on a code line."""
+    assert _load("mutate_tolerances").main(["--list"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines
+    for line in lines:
+        site, literal = line.split()
+        path, row, col = site.split(":")
+        assert float(literal) in (1e-9, 1e-12, 1e-15)
+        text = (SCRIPTS.parent / path).read_text().splitlines()[int(row) - 1]
+        assert text[int(col) - 1:].startswith(literal)
+        assert "#" not in text[:int(col) - 1] and '"""' not in text
+
+
+def test_mutate_tolerances_verdicts(tmp_path, capsys):
+    """In a small repo of their own, the literals in a docstring and a comment
+    are not sites, and of the two sites one is killed and one survives."""
+    (tmp_path / "scripts").mkdir()
+    shutil.copy(SCRIPTS / "mutate_tolerances.py", tmp_path / "scripts")
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "toy.py").write_text(
+        '"""A docstring that quotes 1e-9."""\n'
+        "SLACK = 1e-9  # a comment that quotes 1e-12\n"
+        "UNUSED = 2 * 1e-12\n"
+    )
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_toy.py").write_text(
+        "from toy import SLACK\n\n\ndef test_slack():\n    assert SLACK > 0\n"
+    )
+    script = importlib.util.spec_from_file_location("toy_mutate", tmp_path / "scripts" / "mutate_tolerances.py")
+    module = importlib.util.module_from_spec(script)
+    script.loader.exec_module(module)
+    assert module.main(["--list", "src/toy.py"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["src/toy.py:2:9 1e-9", "src/toy.py:3:14 1e-12"]
+    assert module.main(["src/toy.py"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "src/toy.py:2:9 killed tests/test_toy.py::test_slack",
+        "src/toy.py:3:14 survived",
+        "2 sites: 1 killed, 1 survived",
+    ]
