@@ -84,13 +84,15 @@ def _left_part(ctx: BoundContext, p_r: float):
     rw, m = ctx.rw, ctx.rw.m
     x_bar = ctx.region.x_hi
 
-    # the floor does not increase: keep its part above p_r, cut where it meets p_r
+    # the floor does not increase: keep its part above p_r, cut where it meets
+    # p_r; a floor point tied with p_r is the cut itself, so the cut never
+    # rounds to an ulp beside it (or past it, where v > p_r)
     src = [(x, max(0.0, v)) for x, v in ctx.floor.breakpoints]
     k = next((i for i, (_, v) in enumerate(src) if v <= p_r + LEVEL_TIE), len(src))
     bps = src[:k] or [(0.0, p_r)]
     if 0 < k < len(src):
         (x0, v0), (x, v) = src[k - 1], src[k]
-        xc = x0 + (v0 - p_r) / (v0 - v) * (x - x0)
+        xc = x if v >= p_r - LEVEL_TIE else x0 + (v0 - p_r) / (v0 - v) * (x - x0)
         if xc > x0:
             bps.append((xc, p_r))
     if bps[-1] != (x_bar, p_r):

@@ -91,6 +91,23 @@ def test_x_minus1_ignores_a_slope_minus_one_that_rounds_steeper(rw):
     assert ctx.x_minus1 == 14.0
 
 
+def test_x_minus1_ignores_a_drop_within_slope_tol_over_a_narrower_segment():
+    """pw falls 8e-10 over 5e-10 at x = 5: slope -1.6, but both the width
+    and the drop are within SLOPE_TOL, which validate reads as no step, so
+    l never falls faster than slope -1 and x_minus1 is x_bar."""
+    pw = PLFunction(((0.0, 10.0), (5.0, 8.0), (5.0 + 5e-10, 8.0 - 8e-10), (10.0, 3.0)))
+    assert bounds._lower_thresholds(pw, 0.0, 10.0) == (10.0, 10.0)
+
+
+def test_cone_floor_adds_no_piece_for_a_rounding_excess():
+    """The cone leaves (1, 4), 1e-13 above the curve at x = 1, and the curve
+    falls at slope -0.5 from there.  Within LEVEL_TIE the two are one level,
+    so the floor follows the curve from x = 1 on, with no cone piece 2e-13
+    wide before it."""
+    mbps = [(0.0, 5.0), (1.0, 4.0 - 1e-13), (2.0, 3.5)]
+    assert _cone_floor(mbps) == [(0.0, 5.0), (1.0, 4.0), (2.0, 3.5)]
+
+
 def _bisect_u(region, rw, C, t, iters=200):
     """Independent oracle: largest p with over-ratio >= C at the lower point."""
     y = envelope(region, t, "lower")
@@ -232,6 +249,36 @@ def test_bound_curves_at_nan_raise_out_of_domain(rw, diff_region, fn):
     ctx = bound_context(diff_region, rw, 0.8)
     with pytest.raises(OutOfDomain):
         fn(ctx, float("nan"))
+
+
+@pytest.mark.parametrize("fn", [u_bound, l_bound, l_tilde, policy_floor])
+def test_bound_curves_read_an_end_a_rounding_outside_the_region(rw, diff_region, fn):
+    """An abscissa within TOL outside [0, x_bar], as a caller's arithmetic
+    leaves it, is read at the nearer end; one further out is rejected."""
+    ctx = bound_context(diff_region, rw, 0.8)
+    x_bar = diff_region.x_hi
+    assert fn(ctx, -1e-12) == fn(ctx, 0.0)
+    assert fn(ctx, x_bar + 1e-12) == fn(ctx, x_bar)
+    for x in (-1e-6, x_bar + 1e-6):
+        with pytest.raises(OutOfDomain):
+            fn(ctx, x)
+
+
+def test_u_freezes_at_l_when_l_is_on_the_line_up_to_rounding():
+    """L = (0.1, 0.7) lies on x + y = m = 0.8, but 0.1 + 0.7 rounds to
+    0.7999999999999999.  L on the line freezes u at L itself, not at the
+    right end (0.5) of the flat bottom that starts at L."""
+    region = build_polygon([(0.1, 0.7), (0.5, 0.7), (0.6, 1.2), (0.05, 1.2)])
+    assert 0.1 + 0.7 < 0.8
+    assert bound_context(region, Rewards(1.0 / 3.0, 1.0, 0.8), 0.8).x_hi_u == 0.1
+
+
+def test_u_freezes_at_the_right_end_of_a_bottom_flat_within_tol(rw):
+    """L = (10, 5) lies below x + y = m, so u freezes at the right end of
+    the lower envelope's flat bottom.  (14, 5 + 4e-10) is within TOL of the
+    bottom, so the flat bottom ends there, not at L."""
+    region = build_polygon([(10.0, 5.0), (14.0, 5.0 + 4e-10), (16.0, 12.0), (8.0, 12.0)])
+    assert bound_context(region, rw, 0.8).x_hi_u == 14.0
 
 
 def test_g_corridor_rejects_nan_abscissa(rw):

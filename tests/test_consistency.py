@@ -89,6 +89,18 @@ def test_consistent_pl_infeasible_raises(rw, diff_region):
         consistent_pl(diff_region, rw, 0.95)
 
 
+def test_consistent_pl_at_cstar_where_the_band_gap_rounds_below_zero():
+    """At C* the band closes: its gap is 0 in exact arithmetic and here
+    rounds to -7.1e-15.  C* is feasible, so its floor is returned."""
+    from plpareto import band_gap, bound_context
+
+    region = build_polygon([(1.0, 24.0), (28.0, 0.0), (20.0, 16.0)])
+    rw = Rewards(0.5, 1.0, 20.0)
+    c_star = cstar_enumeration(region, rw).c_star
+    assert -1e-12 < band_gap(bound_context(region, rw, c_star))[0] < 0.0
+    assert consistent_pl(region, rw, c_star).validate(rw.m, region.x_hi) == []
+
+
 def test_consistent_pl_meets_target_in_engine(rw, sum_region, diff_region):
     for region in (sum_region, diff_region):
         c_star = cstar_enumeration(region, rw).c_star

@@ -129,6 +129,23 @@ def test_policy_at_cstar_is_flat_where_the_floor_meets_the_ceiling(rw):
     assert sol.p_star.breakpoints == ((0.0, p_r), (region.x_hi, p_r))
 
 
+def test_policy_cuts_the_floor_at_its_point_tied_with_p_r(rw):
+    """At C* the floor's last point, at x_bar, rounds 3.6e-15 below p_r,
+    where exact arithmetic puts it on p_r.  The policy follows the floor and
+    ends at (x_bar, p_r), not at a cut an ulp left of x_bar and a flat piece
+    one ulp wide after it."""
+    region = build_polygon([(8.666677270429787, 24.43896625641191),
+                            (29.29931455838997, 3.844366990959638),
+                            (15.388313851238205, 25.105093727479343),
+                            (10.379952116980393, 29.07338474044362)])
+    c_star = cstar_enumeration(region, rw).c_star
+    sol = solve_pareto(region, rw, c_star)
+    x_bar, p_r = region.x_hi, sol.p_right_at_xbar
+    floor = bound_context(region, rw, c_star).floor.breakpoints
+    assert floor[-1][0] == x_bar and -1e-12 < floor[-1][1] - p_r < 0.0
+    assert sol.p_star.breakpoints == floor[:-1] + ((x_bar, p_r),)
+
+
 def test_tail_on_the_corridor_edge_descends_at_slope_minus_one():
     """A point region where p_r equals the corridor's upper edge
     m - rho * x_bar = 12.5 in exact arithmetic and rounds 3.6e-15 above it.

@@ -31,22 +31,31 @@ def test_run_benchmarks_small(capsys):
 
 
 def test_mutate_tolerances_lists_code_sites_only(capsys):
-    """Each listed site is a tolerance literal on a code line."""
+    """Each listed site is a tolerance literal, or a tolerance name in use,
+    on a code line."""
     assert _load("mutate_tolerances").main(["--list"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines
+    names = set()
     for line in lines:
-        site, literal = line.split()
+        site, token = line.split()
         path, row, col = site.split(":")
-        assert float(literal) in (1e-9, 1e-12, 1e-15)
+        if token[0].isdigit():
+            assert float(token) in (1e-9, 1e-12, 1e-15)
+        else:
+            names.add(token)
         text = (SCRIPTS.parent / path).read_text().splitlines()[int(row) - 1]
-        assert text[int(col) - 1:].startswith(literal)
-        assert "#" not in text[:int(col) - 1] and '"""' not in text
+        assert text[int(col) - 1:].startswith(token)
+        assert int(col) > 1 and "#" not in text[:int(col) - 1] and '"""' not in text
+        assert not text.lstrip().startswith(("import ", "from "))
+    assert {"FEAS_SLACK", "LEVEL_TIE", "SLOPE_TOL"} <= names
 
 
 def test_mutate_tolerances_verdicts(tmp_path, capsys):
     """In a small repo of their own, the literals in a docstring and a comment
-    are not sites, and of the two sites one is killed and one survives."""
+    and a tolerance name's definition are not sites; of the three
+    sites two are killed, each naming its first failing test, and one
+    survives."""
     (tmp_path / "scripts").mkdir()
     shutil.copy(SCRIPTS / "mutate_tolerances.py", tmp_path / "scripts")
     (tmp_path / "src").mkdir()
@@ -54,19 +63,23 @@ def test_mutate_tolerances_verdicts(tmp_path, capsys):
         '"""A docstring that quotes 1e-9."""\n'
         "SLACK = 1e-9  # a comment that quotes 1e-12\n"
         "UNUSED = 2 * 1e-12\n"
+        "HALF = SLACK / 2\n"
     )
     (tmp_path / "tests").mkdir()
     (tmp_path / "tests" / "test_toy.py").write_text(
-        "from toy import SLACK\n\n\ndef test_slack():\n    assert SLACK > 0\n"
+        "from toy import HALF, SLACK\n\n\ndef test_slack():\n    assert SLACK > 0\n\n\n"
+        "def test_half():\n    assert HALF > 0\n"
     )
     script = importlib.util.spec_from_file_location("toy_mutate", tmp_path / "scripts" / "mutate_tolerances.py")
     module = importlib.util.module_from_spec(script)
     script.loader.exec_module(module)
     assert module.main(["--list", "src/toy.py"]) == 0
-    assert capsys.readouterr().out.splitlines() == ["src/toy.py:2:9 1e-9", "src/toy.py:3:14 1e-12"]
+    assert capsys.readouterr().out.splitlines() == [
+        "src/toy.py:2:9 1e-9", "src/toy.py:3:14 1e-12", "src/toy.py:4:8 SLACK"]
     assert module.main(["src/toy.py"]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "src/toy.py:2:9 killed tests/test_toy.py::test_slack",
         "src/toy.py:3:14 survived",
-        "2 sites: 1 killed, 1 survived",
+        "src/toy.py:4:8 killed tests/test_toy.py::test_half",
+        "3 sites: 2 killed, 1 survived",
     ]
