@@ -8,12 +8,14 @@ far including the current chunk.
 ``offer`` and ``run_sequence`` replay one sequence chunk by chunk and are the
 scalar reference.  ``replay_ratios`` replays a batch of sequences at once with
 the same floating-point operations in the same order, so its ratios equal the
-reference's bit for bit.
+reference's bit for bit.  Its work arrays, and the blocks the harness builds,
+are views of buffers each thread keeps (``_work``).
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +28,22 @@ from .region import TOL
 # most whole unit chunks one demand point may split into for stochastic
 # replay; a batch of replays holds one padded row per chunk
 MAX_CHUNKS = 10_000
+
+# a replay work array of at most this many cells is a view of a buffer kept per
+# thread, so the heap does not grow and shrink on every block (the largest
+# mc-box-stoch block has 30,720); larger ones are fresh, so a thread keeps <= 2.7 MB
+_KEEP_CELLS = 1 << 16
+_kept = threading.local()
+
+
+def _work(key: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """An uninitialised array: a view of this thread's buffer ``key``, which
+    the next call with that key reuses, or above _KEEP_CELLS a fresh array."""
+    if math.prod(shape) > _KEEP_CELLS:
+        return np.empty(shape, dtype)
+    if not hasattr(_kept, key):
+        setattr(_kept, key, np.empty(_KEEP_CELLS, dtype))
+    return getattr(_kept, key)[:math.prod(shape)].reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -178,16 +196,12 @@ def replay_ratios(pl: PLFunction, rw: Rewards, sizes, is_low) -> np.ndarray:
         return np.ones(n)
     # the kinds as 0.0/1.0: multiplying a size or an acceptance by them is
     # exact, and far cheaper than a bool operand or a where= mask
-    low_f = low.astype(float)
-    # flat indices of the low cells; one (steps, n) work buffer holds the
-    # high sizes, then the running low demand, then (from the level on) the
-    # capacity above the protection level and the acceptances
-    at = np.flatnonzero(low)
-    head = s.copy()
-    head.put(at, 0.0)
-    y = _step_sum(head)
-    head.fill(0.0)
-    head.put(at, s.take(at))
+    low_f = _work("low_f", s.shape, float)
+    np.copyto(low_f, low)
+    # head holds the low sizes, then the running low demand, then (from the
+    # level on) the capacity above the protection level and the acceptances
+    head = np.multiply(s, low_f, out=_work("head", s.shape, float))
+    y = _step_sum(np.subtract(s, head, out=_work("spare", s.shape, float)))
     # row by row, as np.cumsum(axis=0) adds, without its temporaries
     for j in range(1, n_steps):
         np.add(head[j - 1], head[j], out=head[j])
@@ -196,33 +210,31 @@ def replay_ratios(pl: PLFunction, rw: Rewards, sizes, is_low) -> np.ndarray:
     # acceptances; +inf on high steps, where offer's low-chunk formula
     # min(remaining, min(max(cap, 0), size)) reduces to its high-chunk
     # formula min(size, remaining)
-    level = pl.values(head.take(at))
+    at = np.flatnonzero(low)
+    level = head.take(at, out=_work("spare", at.shape, float), mode="clip")
+    pl.values(level, out=level)
     np.subtract(rw.m, level, out=level)
     head.fill(np.inf)
     head.put(at, level)
 
-    # step j overwrites head[j] with its acceptances
+    # step j writes its acceptances over head[j], its low ones over low_f[j]
     remaining = np.full(n, float(rw.m))
     low_accepted = np.zeros(n)
-    a_low = np.empty(n)
     for j in range(n_steps):
         a = head[j]
         np.subtract(a, low_accepted, out=a)
         np.maximum(a, 0.0, out=a)
         np.minimum(a, s[j], out=a)
         np.minimum(remaining, a, out=a)
-        np.multiply(a, low_f[j], out=a_low)
-        low_accepted += a_low
+        np.multiply(a, low_f[j], out=low_f[j])
+        low_accepted += low_f[j]
         remaining -= a
-    # each acceptance times its kind's reward
-    low_reward = head.take(at)
-    low_reward *= rw.r_low
+    # each acceptance times its kind's reward; one product is 0.0, added exactly
+    np.subtract(head, low_f, out=head)
     head *= rw.r_high
-    head.put(at, low_reward)
+    low_f *= rw.r_low
+    head += low_f
     reward = _step_sum(head)
 
     opt = hindsight_denominators(x, y, rw)
-    out = np.ones(n)
-    pos = opt > 0.0
-    out[pos] = reward[pos] / opt[pos]
-    return out
+    return np.divide(reward, opt, out=np.ones(n), where=opt > 0.0)

@@ -14,7 +14,7 @@ import numpy as np
 from .advice import box_advice, ellipse_advice, point_advice
 from .bounds import no_advice_level
 from .consistency import cstar_enumeration
-from .engine import chunk_runs, replay_ratios
+from .engine import _work, chunk_runs, replay_ratios
 from .errors import InvalidInput
 from .pareto import solve_pareto
 from .plfunction import PLFunction, constant_pl
@@ -96,13 +96,14 @@ class EvalReport:
     per_trial: tuple[tuple[float, float], ...] = ()
 
 
-# replays per kernel call: bounds the batch's arrays whatever n_test and n_perms
+# replays per kernel call: bounds the batch's arrays whatever n_test and n_perms;
+# a block of up to 128 steps then fits the kept buffers (engine._KEEP_CELLS)
 _BLOCK_ROWS = 512
 # chunk kinds of the adversarial order: all low demand, then all high demand
 _ORDERED_LOW = np.array([[True], [False]])
 
 
-def _blocks(chunks, reps, rng):
+def _blocks(chunks, reps, rng, work=lambda key, shape, dtype: np.empty(shape, dtype)):
     """Zero-padded (steps, replays) sizes and is_low arrays, at most
     _BLOCK_ROWS replays each.
 
@@ -111,7 +112,9 @@ def _blocks(chunks, reps, rng):
     ``engine.chunk_runs`` chunks in a random order, held as indices into the
     test set's chunk list: one ``rng.permuted`` call per instance shuffles
     its columns one after another as ``rng.permutation`` does, so the orders
-    and the generator's state are those of one call per replay.
+    and the generator's state are those of one call per replay.  A stochastic
+    block is written into ``work(key, shape, dtype)``'s arrays, fresh ones by
+    default; the next block overwrites ``engine._work``'s.
     """
     if rng is None:
         for start in range(0, chunks.shape[1], _BLOCK_ROWS):
@@ -129,13 +132,16 @@ def _blocks(chunks, reps, rng):
     for start in range(0, n_rows, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n_rows)
         inst = np.arange(start, stop) // reps
-        idx = np.full((n[inst].max(), stop - start), table.size - 1)
+        idx = work("idx", (n[inst].max(), stop - start), np.intp)
+        idx.fill(table.size - 1)
         for i in range(inst[0], inst[-1] + 1):
             a, b = max(start, i * reps) - start, min(stop, (i + 1) * reps) - start
             cols = idx[:n[i], a:b]
             cols[...] = ids[ends[i] - n[i]:ends[i]]
             rng.permuted(cols, axis=0, out=cols)
-        yield table.take(idx), idx < low_ends[inst]
+        # mode="clip" writes into out directly; "raise" would buffer it
+        yield (table.take(idx, out=work("sizes", idx.shape, float), mode="clip"),
+               np.less(idx, low_ends[inst], out=work("is_low", idx.shape, bool)))
 
 
 def evaluate(policy: PLFunction, testset, order: str, rw: Rewards,
@@ -177,7 +183,7 @@ def _evaluate_xy(policy: PLFunction, xy, order: str, rw: Rewards,
         chunks, reps, rng = np.array(xy), 1, None
     per_row = np.concatenate([
         replay_ratios(policy, rw, sizes, is_low)
-        for sizes, is_low in _blocks(chunks, reps, rng)
+        for sizes, is_low in _blocks(chunks, reps, rng, _work)
     ]).reshape(n, reps)
     # a running sum over replays, as the scalar reference adds them up;
     # np.mean sums pairwise and rounds differently

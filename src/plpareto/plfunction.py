@@ -63,32 +63,44 @@ class PLFunction:
                 out.append(p2 if x2 == x1 else p1 + (x - x1) * (p2 - p1) / (x2 - x1))
         return out
 
-    def values(self, x: np.ndarray) -> np.ndarray:
+    def values(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``at`` of every element of the array ``x``, with the same formula
-        and rounding (``np.interp`` rounds differently)."""
+        and rounding (``np.interp`` rounds differently); into ``out``, even ``x``, if given."""
         x = np.asarray(x, dtype=float)
         if np.isnan(x).any():
             raise OutOfDomain("x contains NaN")
+        out = np.empty(x.shape) if out is None else out
         bx = np.array(self.xs)
         bp = np.array([b[1] for b in self.breakpoints])
-        if len(bx) == 1:
-            return np.full(x.shape, bp[0])
         dx, dp = bx[1:] - bx[:-1], bp[1:] - bp[:-1]
         if np.any(dx < 0):
-            # bisect on the tolerated sub-SLOPE_TOL inversions has no
-            # searchsorted equivalent
-            return np.array(self.at(x.ravel().tolist())).reshape(x.shape)
-        k = np.searchsorted(bx, x, side="right") - 1  # segment [x1, x2] = bx[k:k+2]
-        np.clip(k, 0, len(dx) - 1, out=k)
-        out = x - bx[k]
-        out *= dp[k]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out /= dx[k]
-        out += bp[k]
-        if not dx.all():
-            np.copyto(out, bp[1:][k], where=dx[k] == 0.0)
-        np.copyto(out, bp[-1], where=x >= bx[-1])
-        np.copyto(out, bp[0], where=x <= bx[0])
+            # bisect on the tolerated sub-SLOPE_TOL inversions has no array equivalent
+            out[...] = np.reshape(self.at(x.ravel().tolist()), x.shape)
+            return out
+        right, left = x >= bx[-1], x <= bx[0]
+        if len(bx) <= 8:
+            # segment [x1, x2] = bx[k:k+2], k the count of interior breakpoints up
+            # to x; each is written on its own cells, with no float temporaries
+            k = np.zeros(x.shape, np.uint8)
+            for b in bx[1:-1]:
+                np.add(k, x >= b, out=k)
+            for i in np.flatnonzero(dx).tolist():
+                on = k == i
+                np.subtract(x, bx[i], out=out, where=on)
+                np.multiply(out, dp[i], out=out, where=on)
+                np.divide(out, dx[i], out=out, where=on)
+                np.add(out, bp[i], out=out, where=on)
+        else:
+            k = np.searchsorted(bx, x, side="right") - 1
+            np.clip(k, 0, len(dx) - 1, out=k)
+            np.subtract(x, bx.take(k), out=out)
+            out *= dp.take(k)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out /= dx.take(k)
+            out += bp.take(k)
+        # an x on a zero-width segment is at or beyond an end, set here
+        np.copyto(out, bp[-1], where=right)
+        np.copyto(out, bp[0], where=left)
         return out
 
     def validate(self, m: float, x_bar: float | None = None) -> list[str]:

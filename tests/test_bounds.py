@@ -65,6 +65,16 @@ def test_g_corridor_accepts_rho_that_rounds_above_its_formula():
     assert g_corridor(rw, 0.75, 10.0, "upper") == 12.5
 
 
+@pytest.mark.parametrize("side", ["lower", "upper"])
+def test_g_corridor_rejects_a_target_just_above_rho(rw, side):
+    """rho + 1e-7 is no rounding of rho: no policy reaches it.  The 2/3
+    rewards' rho, which rounds below 3/4, still takes 0.75."""
+    with pytest.raises(TargetOutOfRange):
+        g_corridor(rw, rho(rw) + 1e-7, 10.0, side)
+    g_corridor(rw, rho(rw), 10.0, side)
+    assert g_corridor(Rewards(2.0, 3.0, 20.0), 0.75, 10.0, side) >= 5.0
+
+
 def test_x_lo_u_where_u_leaves_m_at_a_rounded_root():
     """u is m on [0.92, 5.66] and leaves it at a switch root, where it rounds
     to m - 3.6e-15.  x_lo_u is that root, not 2.65, the last breakpoint where

@@ -116,6 +116,28 @@ def test_r_star_mismatch_raises_internal_error(rw, diff_region, monkeypatch):
     assert issubclass(InternalError, PlparetoError)
 
 
+@pytest.mark.parametrize("skew, raises", [(1e-7, True), (5e-10, False)])
+def test_r_star_agreement_allows_rounding_only(rw, diff_region, monkeypatch, skew, raises):
+    """r_left = r_right = 0.575 here, so a skewed r_left moves min(r_right,
+    r_left) by the skew: 1e-7, well inside 1e-6, is a fault; 5e-10 is the
+    rounding the 1e-9 bound absorbs."""
+    import plpareto.pareto as pareto
+    from plpareto.errors import InternalError
+
+    real = pareto._left_part
+
+    def skewed(ctx, p_r):
+        bps, r_left, inf_over = real(ctx, p_r)
+        return bps, r_left - skew, inf_over
+
+    monkeypatch.setattr(pareto, "_left_part", skewed)
+    if raises:
+        with pytest.raises(InternalError, match="r_star"):
+            solve_pareto(diff_region, rw, 0.8)
+    else:
+        assert solve_pareto(diff_region, rw, 0.8).r_star == 0.575
+
+
 def test_policy_at_cstar_is_flat_where_the_floor_meets_the_ceiling(rw):
     """At C* the floor's plateau equals the ceiling p_r in exact arithmetic;
     here it rounds 3.6e-15 above it.  The policy is the constant p_r that

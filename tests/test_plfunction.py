@@ -50,6 +50,34 @@ def test_validate_flags_a_sloped_segment_straddling_the_tail(x_bar):
     assert PLFunction(((0.0, 15.0), (30.0 + 5e-10, 5.0))).validate(20.0, 30.0) == []
 
 
+@pytest.mark.parametrize("level, flagged", [
+    (-5e-10, False), (20.0 + 5e-10, False), (-1e-8, True), (20.0 + 1e-8, True)])
+def test_validate_takes_a_level_within_slope_tol_of_the_range(level, flagged):
+    # SLOPE_TOL = 1e-9 absorbs a built level's rounding, not a real excess
+    got = constant_pl(level, 30.0).validate(20.0)
+    assert {v.split(":")[0] for v in got} == ({"RangeViolation"} if flagged else set())
+
+
+@pytest.mark.parametrize("rise, flagged", [(5e-10, False), (1e-8, True)])
+def test_validate_takes_a_rise_within_slope_tol_as_flat(rise, flagged):
+    got = PLFunction(((0.0, 10.0), (1.0, 10.0 + rise), (25.0, 10.0 + rise))).validate(20.0)
+    assert [v.split(":")[0] for v in got] == (["IncreaseViolation"] if flagged else [])
+
+
+@pytest.mark.parametrize("drop, flagged", [(5e-9, False), (1e-7, True)])
+def test_validate_takes_a_tail_slope_within_slope_tol_as_flat(drop, flagged):
+    # a segment past the cut m = 20 with slope -drop / 10
+    got = PLFunction(((0.0, 15.0), (20.0, 15.0), (30.0, 15.0 - drop))).validate(20.0)
+    assert got == (["TailViolation: non-constant beyond x = 20.0"] if flagged else [])
+
+
+def test_validate_reads_a_slope_starting_within_slope_tol_of_the_cut_as_past_it():
+    # [20 - 5e-10, 20 + 9e-10] is wider than SLOPE_TOL, ends before cut +
+    # SLOPE_TOL and starts within SLOPE_TOL of the cut: it is sloped at the cut
+    pl = PLFunction(((0.0, 15.0), (20.0 - 5e-10, 15.0), (20.0 + 9e-10, 15.0 - 1e-9)))
+    assert pl.validate(20.0) == ["TailViolation: non-constant beyond x = 20.0"]
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_non_finite_breakpoints_rejected(bad):
     with pytest.raises(ValueError):

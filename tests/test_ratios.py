@@ -52,6 +52,24 @@ def test_branch_dispatch_and_mismatch():
         cp(25.0, pt, RW)
 
 
+@pytest.mark.parametrize("p", [-5e-13, 20.0 + 5e-13, -1e-11, 20.0 + 1e-11])
+def test_cp_takes_a_level_within_branch_tol_of_the_range(p):
+    # BRANCH_TOL = 1e-12 absorbs a level a few ulps of 0 or m off, no more
+    if -1e-12 <= p <= 20.0 + 1e-12:
+        assert 0.0 < cp(p, (15.0, 10.0), RW) <= 1.0
+    else:
+        with pytest.raises(InvalidInput):
+            cp(p, (15.0, 10.0), RW)
+
+
+def test_cp_takes_the_over_branch_within_branch_tol_below_min_m_y():
+    # min(m, y) = 10; at 10 - 5e-13 the two formulas differ by about 5e-14
+    pt, p = (15.0, 10.0), 10.0 - 5e-13
+    assert cp_over_raw(p, pt, RW) != cp_under_raw(p, pt, RW)
+    assert cp(p, pt, RW) == cp_over_raw(p, pt, RW)
+    assert cp(10.0 - 1e-11, pt, RW) == cp_under_raw(10.0 - 1e-11, pt, RW)
+
+
 @given(demand, demand, level, level)
 @settings(max_examples=500, deadline=None)
 def test_over_nonincreasing_under_nondecreasing_in_p(x, y, p1, p2):

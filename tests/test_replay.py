@@ -1,7 +1,12 @@
 """The batched replay (``replay_ratios`` / ``evaluate``) against the scalar
 reference (``offer`` / ``run_sequence``): ratios must be equal, not close."""
 
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +30,8 @@ from plpareto import (
     solve_pareto,
     unit_chunks,
 )
+import plpareto
+from plpareto import engine
 from plpareto.engine import MAX_CHUNKS, chunk_arrays, chunk_runs, replay_ratios
 from plpareto.errors import TooManyChunks
 from plpareto import harness
@@ -129,6 +136,24 @@ def test_kernel_equals_scalar_replay_pareto_policies(seed, points):
 @settings(max_examples=200, deadline=None)
 def test_pl_values_equal_call(pl, xs):
     assert pl.values(np.array(xs)).tolist() == [pl(x) for x in xs]
+
+
+@pytest.mark.parametrize("n_bps", [2, 3, 8, 9])
+def test_pl_values_by_comparison_equal_at(n_bps):
+    # up to 8 breakpoints values finds the segment by comparisons, from 9 by
+    # searchsorted; both must give at's bits, also at duplicate abscissae,
+    # on breakpoints, one ulp beside them and outside the span
+    rng = np.random.default_rng(n_bps)
+    for dup in range(n_bps):
+        xs = np.sort(rng.uniform(0.0, 30.0, n_bps))
+        xs[dup] = xs[dup - 1] if dup else xs[0]
+        ps = np.sort(rng.uniform(0.0, 20.0, n_bps))[::-1]
+        pl = PLFunction(tuple(zip(xs.tolist(), ps.tolist())))
+        x = np.concatenate([xs, np.nextafter(xs, -np.inf), np.nextafter(xs, np.inf),
+                            rng.uniform(-5.0, 35.0, 200), [-1e300, -0.0, 0.0, 1e300]])
+        want = np.array(pl.at(x.tolist())).tobytes()
+        assert pl.values(x).tobytes() == want
+        assert pl.values(x, out=x).tobytes() == x.tobytes() == want  # in place, as replay does
 
 
 def test_pl_values_tolerated_inversion():
@@ -255,9 +280,9 @@ def test_zero_size_low_chunks_equal_scalar_replay(seed):
 
 
 def test_replay_block_peak_memory():
-    # one seeded stochastic block of 512 replays; its arrays other than
-    # sizes and is_low are the kinds as floats and one work buffer, so the
-    # traced peak stays well below 5 times the sizes matrix
+    # one seeded stochastic block of 512 replays; its (steps, replays) work
+    # arrays are the thread's kept buffers, made by the first call, so the
+    # second call's traced peak stays well below 5 times the sizes matrix
     rng = np.random.default_rng(21)
     xy = harness._sample_points(DemandModel(), 100, rng).T
     sizes, is_low = next(harness._blocks(chunk_runs(*xy), 20, rng))
@@ -295,6 +320,89 @@ def test_evaluate_equals_scalar_reference_across_blocks():
     got = evaluate(pl, testset, "stochastic", RW, np.random.default_rng(8), n_perms)
     assert got.per_instance == scalar_evaluate(pl, testset, "stochastic",
                                                np.random.default_rng(8), n_perms)
+
+
+def test_evaluate_above_the_kept_cells_equals_scalar_reference():
+    # 150-200 units per coordinate: a block of 512 replays has about 350
+    # steps, far above _KEEP_CELLS, so its work arrays are fresh ones
+    testset = [DemandPoint(171.25, 158.5), DemandPoint(150.0, 196.75), DemandPoint(3.0, 2.5)]
+    pl = PLFunction(((0.0, 14.0), (6.0, 11.0), (18.0, 5.0)))
+    xy = [pt.x for pt in testset], [pt.y for pt in testset]
+    sizes, _ = next(harness._blocks(chunk_runs(*xy), 90, np.random.default_rng(4)))
+    assert sizes.size > engine._KEEP_CELLS
+    evaluate(pl, testset[2:], "stochastic", RW, n_perms=9)  # fills the kept buffers
+    kept = dict(vars(engine._kept))
+    got = evaluate(pl, testset, "stochastic", RW, np.random.default_rng(4), n_perms=90)
+    assert got.per_instance == scalar_evaluate(pl, testset, "stochastic",
+                                               np.random.default_rng(4), 90)
+    # a large block pins nothing more: the kept buffers are the same
+    assert len(kept) == 6 and vars(engine._kept).keys() == kept.keys()
+    assert all(vars(engine._kept)[key] is buf and buf.size == engine._KEEP_CELLS
+               for key, buf in kept.items())
+
+
+def test_threads_replay_in_their_own_buffers():
+    # three threads evaluate at once, each in its own kept buffers, and get
+    # what serial runs get
+    policies = [PLFunction(((0.0, 14.0), (6.0, 11.0), (18.0, 5.0))), constant_pl(8.0, 20.0),
+                PLFunction(((0.0, 16.0), (10.0, 6.0)))]
+    testset = [DemandPoint(float(x), float(y))
+               for x, y in np.random.default_rng(5).uniform(0, 35, size=(60, 2))]
+
+    def run(i):
+        return [evaluate(policies[i], testset, "stochastic", RW, np.random.default_rng(i),
+                         n_perms=3 + 4 * i).per_instance for _ in range(5)]
+
+    want = [run(i) for i in range(3)]
+    got = [None] * 3
+    start = threading.Barrier(3)
+
+    def work(i):
+        start.wait()
+        got[i] = run(i)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads between the blocks' numpy calls
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert got == want
+
+
+CHURN_PROBE = """
+import resource
+from plpareto import ExperimentConfig, Rewards, run_experiment
+
+def call(seed):
+    cfg = ExperimentConfig(advice_kind="box", order="stochastic", K=1, n_test=100,
+                           n_perms=12, z=0.9, c_rule=0.9, seed=seed)
+    run_experiment(cfg, Rewards(1.0 / 3.0, 1.0, 20.0))
+
+call(0)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for seed in range(1, 21):
+    call(seed)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_minflt counts minor page faults on Linux")
+def test_stochastic_replay_does_not_churn_the_heap():
+    # the replay's (steps, replays) arrays reuse kept buffers, so after one
+    # warm-up call the heap neither grows nor shrinks per block; with fresh
+    # arrays per block a call made about 330 minor page faults.  A new
+    # interpreter, since the test process's heap need not give pages back
+    paths = [str(Path(plpareto.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    out = subprocess.run([sys.executable, "-c", CHURN_PROBE], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert int(out) < 2 * 20, out
 
 
 def loop_chunk_arrays(x, y):
