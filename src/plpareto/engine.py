@@ -8,8 +8,7 @@ far including the current chunk.
 ``offer`` and ``run_sequence`` replay one sequence chunk by chunk and are the
 scalar reference.  ``replay_ratios`` replays a batch of sequences at once with
 the same floating-point operations in the same order, so its ratios equal the
-reference's bit for bit.  Its work arrays, and the blocks the harness builds,
-are views of buffers each thread keeps (``_work``).
+reference's bit for bit; its work arrays are views of buffers kept per thread.
 """
 
 from __future__ import annotations
@@ -29,16 +28,15 @@ from .region import TOL
 # replay; a batch of replays holds one padded row per chunk
 MAX_CHUNKS = 10_000
 
-# a replay work array of at most this many cells is a view of a buffer kept per
-# thread, so the heap does not grow and shrink on every block (the largest
-# mc-box-stoch block has 30,720); larger ones are fresh, so a thread keeps <= 2.7 MB
+# work arrays of up to this many cells (mc-box-stoch blocks: <= 30,720) are views of buffers
+# kept per thread, so blocks do not churn the heap; larger are fresh: a thread keeps <= 2.7 MB
 _KEEP_CELLS = 1 << 16
 _kept = threading.local()
 
 
 def _work(key: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-    """An uninitialised array: a view of this thread's buffer ``key``, which
-    the next call with that key reuses, or above _KEEP_CELLS a fresh array."""
+    """An uninitialised view of this thread's buffer ``key``, which every call with ``key``
+    reuses; above _KEEP_CELLS a fresh array."""
     if math.prod(shape) > _KEEP_CELLS:
         return np.empty(shape, dtype)
     if not hasattr(_kept, key):

@@ -103,7 +103,7 @@ _BLOCK_ROWS = 512
 _ORDERED_LOW = np.array([[True], [False]])
 
 
-def _blocks(chunks, reps, rng, work=lambda key, shape, dtype: np.empty(shape, dtype)):
+def _blocks(chunks, reps, rng):
     """Zero-padded (steps, replays) sizes and is_low arrays, at most
     _BLOCK_ROWS replays each.
 
@@ -112,10 +112,8 @@ def _blocks(chunks, reps, rng, work=lambda key, shape, dtype: np.empty(shape, dt
     ``engine.chunk_runs`` chunks in a random order, held as indices into the
     test set's chunk list: one ``rng.permuted`` call per instance shuffles
     its columns one after another as ``rng.permutation`` does, so the orders
-    and the generator's state are those of one call per replay.  A stochastic
-    block is written into ``work(key, shape, dtype)``'s arrays, fresh ones by
-    default; the next block overwrites ``engine._work``'s.
-    """
+    and the generator's state are those of one call per replay.  Stochastic
+    blocks are ``engine._work`` buffers, which the next block overwrites."""
     if rng is None:
         for start in range(0, chunks.shape[1], _BLOCK_ROWS):
             sizes = chunks[:, start:start + _BLOCK_ROWS]
@@ -132,7 +130,7 @@ def _blocks(chunks, reps, rng, work=lambda key, shape, dtype: np.empty(shape, dt
     for start in range(0, n_rows, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n_rows)
         inst = np.arange(start, stop) // reps
-        idx = work("idx", (n[inst].max(), stop - start), np.intp)
+        idx = _work("idx", (n[inst].max(), stop - start), np.intp)
         idx.fill(table.size - 1)
         for i in range(inst[0], inst[-1] + 1):
             a, b = max(start, i * reps) - start, min(stop, (i + 1) * reps) - start
@@ -140,8 +138,8 @@ def _blocks(chunks, reps, rng, work=lambda key, shape, dtype: np.empty(shape, dt
             cols[...] = ids[ends[i] - n[i]:ends[i]]
             rng.permuted(cols, axis=0, out=cols)
         # mode="clip" writes into out directly; "raise" would buffer it
-        yield (table.take(idx, out=work("sizes", idx.shape, float), mode="clip"),
-               np.less(idx, low_ends[inst], out=work("is_low", idx.shape, bool)))
+        yield (table.take(idx, out=_work("sizes", idx.shape, float), mode="clip"),
+               np.less(idx, low_ends[inst], out=_work("is_low", idx.shape, bool)))
 
 
 def evaluate(policy: PLFunction, testset, order: str, rw: Rewards,
@@ -183,7 +181,7 @@ def _evaluate_xy(policy: PLFunction, xy, order: str, rw: Rewards,
         chunks, reps, rng = np.array(xy), 1, None
     per_row = np.concatenate([
         replay_ratios(policy, rw, sizes, is_low)
-        for sizes, is_low in _blocks(chunks, reps, rng, _work)
+        for sizes, is_low in _blocks(chunks, reps, rng)
     ]).reshape(n, reps)
     # a running sum over replays, as the scalar reference adds them up;
     # np.mean sums pairwise and rounds differently

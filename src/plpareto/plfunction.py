@@ -18,6 +18,10 @@ from .errors import InvalidInput, OutOfDomain
 # the rounding a built curve may carry: levels, slopes and breakpoint order up
 # to SLOPE_TOL off; a segment narrower than SLOPE_TOL is judged by its jump
 SLOPE_TOL = 1e-9
+# values looks segments up by comparisons, masked passes per segment, up to this many
+# breakpoints: on 10^4 x that halves searchsorted's time on box policies, whose x lie
+# on one segment, but is about 3x slower on x spread over 2 segments (scripts/time_values_lookup.py)
+_COMPARE_BPS = 3
 
 
 @dataclass(frozen=True)
@@ -78,7 +82,7 @@ class PLFunction:
             out[...] = np.reshape(self.at(x.ravel().tolist()), x.shape)
             return out
         right, left = x >= bx[-1], x <= bx[0]
-        if len(bx) <= 8:
+        if len(bx) <= _COMPARE_BPS:
             # segment [x1, x2] = bx[k:k+2], k the count of interior breakpoints up
             # to x; each is written on its own cells, with no float temporaries
             k = np.zeros(x.shape, np.uint8)

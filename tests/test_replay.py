@@ -34,7 +34,7 @@ import plpareto
 from plpareto import engine
 from plpareto.engine import MAX_CHUNKS, chunk_arrays, chunk_runs, replay_ratios
 from plpareto.errors import TooManyChunks
-from plpareto import harness
+from plpareto import harness, plfunction
 
 from conftest import random_region
 
@@ -138,11 +138,15 @@ def test_pl_values_equal_call(pl, xs):
     assert pl.values(np.array(xs)).tolist() == [pl(x) for x in xs]
 
 
-@pytest.mark.parametrize("n_bps", [2, 3, 8, 9])
-def test_pl_values_by_comparison_equal_at(n_bps):
-    # up to 8 breakpoints values finds the segment by comparisons, from 9 by
-    # searchsorted; both must give at's bits, also at duplicate abscissae,
-    # on breakpoints, one ulp beside them and outside the span
+@pytest.mark.parametrize("n_bps", [2, 3, 4, 8, 9])
+@pytest.mark.parametrize("compare_bps", [None, 0, 99])
+def test_pl_values_by_comparison_equal_at(n_bps, compare_bps, monkeypatch):
+    # up to _COMPARE_BPS breakpoints values finds the segment by comparisons,
+    # above by searchsorted; each must give at's bits at every count (0 and 99
+    # force one lookup), also at duplicate abscissae, on breakpoints, one ulp
+    # beside them and outside the span
+    if compare_bps is not None:
+        monkeypatch.setattr(plfunction, "_COMPARE_BPS", compare_bps)
     rng = np.random.default_rng(n_bps)
     for dup in range(n_bps):
         xs = np.sort(rng.uniform(0.0, 30.0, n_bps))
@@ -384,7 +388,8 @@ def call(seed):
                            n_perms=12, z=0.9, c_rule=0.9, seed=seed)
     run_experiment(cfg, Rewards(1.0 / 3.0, 1.0, 20.0))
 
-call(0)
+for seed in range(1, 21):
+    call(seed)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for seed in range(1, 21):
     call(seed)
@@ -394,9 +399,12 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_minflt counts minor page faults on Linux")
 def test_stochastic_replay_does_not_churn_the_heap():
-    # the replay's (steps, replays) arrays reuse kept buffers, so after one
-    # warm-up call the heap neither grows nor shrinks per block; with fresh
-    # arrays per block a call made about 330 minor page faults.  A new
+    # the replay's (steps, replays) arrays reuse kept buffers, so once a pass
+    # over the same seeds has touched their pages the heap neither grows nor
+    # shrinks per block: the 20 calls read 0-1 faults in all, where fresh
+    # arrays per block made about 300 per call.  The warm-up is that pass, not
+    # one call, since blocks larger than one call's would first touch kept
+    # pages in the count (17-31 faults, placed by the heap layout).  A new
     # interpreter, since the test process's heap need not give pages back
     paths = [str(Path(plpareto.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
@@ -441,7 +449,8 @@ def per_instance_stochastic_blocks(testset, reps, rng):
 def check_stochastic_blocks(testset, reps, seed):
     one, each = np.random.default_rng(seed), np.random.default_rng(seed)
     xy = [pt.x for pt in testset], [pt.y for pt in testset]
-    got = list(harness._blocks(chunk_runs(*xy), reps, one))
+    # a block is the thread's kept buffers until the next one: keep copies
+    got = [(s.copy(), low.copy()) for s, low in harness._blocks(chunk_runs(*xy), reps, one)]
     want = list(per_instance_stochastic_blocks(testset, reps, each))
     assert len(got) == len(want) == -(-len(testset) * reps // harness._BLOCK_ROWS)
     for (g_sizes, g_low), (w_sizes, w_low) in zip(got, want):
