@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Mutation check of the tolerances in plpareto's source.
 
-A site is one literal 1e-9, 1e-12 or 1e-15 on a code line of the given
-modules (comments and docstrings are not code), or one use there of a
-tolerance name: a module-level name under src/ bound to such a literal,
-like SLOPE_TOL.  For each site in turn the script copies the repo to a
+A site is one tolerance literal, a power of ten 1e-6 or smaller such as
+1e-9 or 1e-18, on a code line of the given modules (comments and
+docstrings are not code, and a parameter's default on a ``def`` line is a
+setting, not a guard), or one use there of a tolerance name: a
+module-level name under src/ bound to such a literal, like SLOPE_TOL.
+The modules default to every one under src/plpareto/.  For each site in turn the script copies the repo to a
 temporary directory, sets that literal or use to 0.0 (or multiplies it by
 --scale) in the copy, and runs the tier-1 pytest command there with a fixed
 hypothesis seed, stopping at the first failure.  It prints one line per
@@ -28,6 +30,7 @@ Example:
 
 import argparse
 import io
+import math
 import os
 import re
 import shutil
@@ -38,8 +41,7 @@ import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = ["src/plpareto/pareto.py", "src/plpareto/bounds.py", "src/plpareto/consistency.py"]
-LITERALS = {1e-9, 1e-12, 1e-15}
+MODULES = sorted(str(p.relative_to(ROOT)) for p in ROOT.glob("src/plpareto/*.py"))
 PYTEST = ["-m", "pytest", "-q", "--continue-on-collection-errors",
           "--hypothesis-seed=0", "-p", "no:cacheprovider", "-x"]
 TIMEOUT = 900.0  # seconds per mutant; a mutant can loop forever
@@ -47,29 +49,40 @@ SKIP = shutil.ignore_patterns(".git", ".hypothesis", ".pytest_cache", "__pycache
                               "*.egg-info", ".benchmarks", ".perfbench_out")
 
 
+def is_tolerance(literal: str) -> bool:
+    """True when the number ``literal`` is 10**-N for some N >= 6."""
+    try:
+        value = float(literal)
+    except ValueError:  # an integer with underscores or an imaginary literal
+        return False
+    return 0.0 < value <= 1e-6 and float(f"1e{round(math.log10(value))}") == value
+
+
 def tolerance_names() -> set[str]:
     """Module-level names under src/ bound to a tolerance literal."""
     pattern = re.compile(r"^([A-Za-z_]\w*) = ([0-9.]+(?:e[+-]?[0-9]+)?)\s*(?:#.*)?$", re.M)
     return {name for path in ROOT.glob("src/**/*.py")
             for name, value in pattern.findall(path.read_text())
-            if float(value) in LITERALS}
+            if is_tolerance(value)}
 
 
 def sites(path: str, names: set[str]) -> list[tuple[str, int, int, str]]:
     """(path, line, 0-based column, token) of each tolerance literal on a
     code line of ``path``, relative to the repo root, and of each use there
-    of a name in ``names`` (not its definition, not an import)."""
+    of a name in ``names`` (not its definition, not an import).  A literal
+    on a ``def`` line is a parameter's default, a setting, and not a site."""
     text = (ROOT / path).read_text()
-    found, imports, start = [], False, True
+    found, imports, header, start = [], False, False, True
     for tok in tokenize.generate_tokens(io.StringIO(text).readline):
         if start and tok.string in ("import", "from"):
             imports = True
-        if tok.type == tokenize.NUMBER and float(tok.string) in LITERALS or \
+        header = header or start and tok.string == "def"
+        if tok.type == tokenize.NUMBER and is_tolerance(tok.string) and not header or \
                 tok.type == tokenize.NAME and tok.string in names and not imports \
                 and tok.start[1] > 0:
             found.append((path, tok.start[0], tok.start[1], tok.string))
         if tok.type == tokenize.NEWLINE:
-            imports = False
+            imports = header = False
         start = tok.type in (tokenize.NEWLINE, tokenize.NL, tokenize.INDENT,
                              tokenize.DEDENT, tokenize.COMMENT)
     return found

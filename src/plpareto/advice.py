@@ -40,7 +40,7 @@ def box_advice(samples, coverage: float = 1.0) -> MLRegion:
 
     While more than ceil(coverage * n) samples remain, drop whichever of the
     four extreme samples (min/max in x or y) shrinks the bounding-box area the
-    most.
+    most; areas within 1e-15, equal but for rounding, drop the first of them.
     """
     pts = _samples(samples)
     keep = _keep_count(len(pts), coverage)
@@ -72,7 +72,8 @@ def _newton_weights(u, kappa, vq, pts, support):
     boundary where its first weight reaches 0; None when the system is singular."""
     rows = [[(pts[i][0] * vq[j][0] + pts[i][1] * vq[j][1] + vq[j][2]) ** 2 for j in support]
             + [kappa[i], 1.0] for i in support]
-    # PSD (Schur product): no pivoting; K is affine invariant and K_ii is near 3 on S
+    # PSD (Schur product): no pivoting; K is affine invariant and K_ii is near 3 on S.
+    # K o K has rank at most 6: a pivot at rounding level means it is singular
     for col in range(len(rows)):
         piv = rows[col]
         if piv[col] <= 1e-10:
@@ -105,7 +106,8 @@ def _kappa(pts, u):
 
 def _stop_error(u, kappa):
     """(err, up, down, j_max, j_min, support) of the stop test at weights u:
-    up = max kappa / 3 - 1, down = 1 - min kappa / 3 on the support."""
+    up = max kappa / 3 - 1, down = 1 - min kappa / 3 on the support, where a
+    weight of at most 1e-12 is an away step's rounding residue, not support."""
     support = [i for i, w in enumerate(u) if w > 1e-12]
     j_max = max(range(len(u)), key=kappa.__getitem__)
     j_min = min(support, key=kappa.__getitem__)
@@ -144,9 +146,9 @@ def _mvee_weights(pts, tol, max_iter):
             continue
         j = j_max if up >= down else j_min
         k = kappa[j]
-        if abs(k - 1.0) <= 1e-15:
-            break
-        lam = (k - 3.0) / (3.0 * (k - 1.0))
+        # kappa >= 1, = 1 only at the weighted mean, where the away step's
+        # line search runs to the simplex edge: j is dropped
+        lam = (k - 3.0) / (3.0 * (k - 1.0)) if k > 1.0 else -math.inf
         lam = max(lam, -u[j] / (1.0 - u[j])) if u[j] < 1.0 else lam
         u = [max((1.0 - lam) * w + (lam if i == j else 0.0), 0.0) for i, w in enumerate(u)]
         total = math.fsum(u)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import FEAS_SLACK, _geometry, band_gap, bound_context, rho
+from .bounds import FEAS_SLACK, BoundContext, _geometry, band_gap, bound_context, rho
 from .errors import InfeasibleTarget, TargetOutOfRange
 from .plfunction import PLFunction
 from .ratios import Rewards, balance_levels
@@ -33,10 +33,21 @@ class CStarResult:
     n_checks: int
 
 
-def _check(region: MLRegion, rw: Rewards, C: float) -> tuple[bool, float]:
-    """Feasibility of target C and the witness abscissa of its band gap."""
-    gap, witness = band_gap(bound_context(region, rw, C))
-    return gap >= -FEAS_SLACK, witness
+def _check(region: MLRegion, rw: Rewards, C: float) -> tuple[bool, float, BoundContext]:
+    """Feasibility of target C, the witness abscissa of its band gap and its
+    bound context: the one feasibility test of the package."""
+    ctx = bound_context(region, rw, C)
+    gap, witness = band_gap(ctx)
+    return gap >= -FEAS_SLACK, witness, ctx
+
+
+def feasible_context(region: MLRegion, rw: Rewards, C: float) -> BoundContext:
+    """The bound context of target C; InfeasibleTarget when no valid
+    protection level meets it."""
+    ok, _, ctx = _check(region, rw, C)
+    if not ok:
+        raise InfeasibleTarget(f"consistency target {C} is not achievable")
+    return ctx
 
 
 def feasible(region: MLRegion, rw: Rewards, C: float) -> bool:
@@ -55,7 +66,7 @@ def _bisect(region: MLRegion, rw: Rewards, lo: float, hi: float,
         if mid in (lo, hi):
             break
         n_checks += 1
-        ok, w = _check(region, rw, mid)
+        ok, w, _ = _check(region, rw, mid)
         if ok:
             lo, witness = mid, w
         else:
@@ -69,7 +80,7 @@ def cstar_bisection(region: MLRegion, rw: Rewards, epsilon: float = 1e-6) -> CSt
     """Maximum consistency by bisection on [rho, 1]; returns the feasible end."""
     if not (math.isfinite(epsilon) and epsilon > 0.0):
         raise TargetOutOfRange(f"epsilon must be finite and positive, got {epsilon}")
-    ok, witness = _check(region, rw, 1.0)
+    ok, witness, _ = _check(region, rw, 1.0)
     if ok:
         return CStarResult(1.0, "bisect", witness, (), 1)
     c, witness, n_checks = _bisect(region, rw, rho(rw), 1.0, epsilon)
@@ -144,7 +155,7 @@ def cstar_enumeration(region: MLRegion, rw: Rewards) -> CStarResult:
     # come from a sort and a mask, as np.unique imports numpy.ma (+1.3 MB RSS)
     c = np.sort(c[(c >= 0.0) & (c <= 1.0)])[::-1]
     cands = c[np.concatenate(([True], c[1:] != c[:-1]))].tolist()
-    ok, witness = _check(region, rw, cands[-1])
+    ok, witness, _ = _check(region, rw, cands[-1])
     if ok:
         return CStarResult(cands[-1], "enum", witness, tuple(cands), 1)
     c_star, witness, n_checks = _bisect(region, rw, rho(rw), cands[-1], 0.0)
@@ -154,10 +165,7 @@ def cstar_enumeration(region: MLRegion, rw: Rewards) -> CStarResult:
 def consistent_pl(region: MLRegion, rw: Rewards, C: float) -> PLFunction:
     """Pointwise-smallest valid protection level meeting target C: the exact
     necessary floor, extended as a constant to max(m, x_bar)."""
-    ctx = bound_context(region, rw, C)
-    gap, _ = band_gap(ctx)
-    if gap < -FEAS_SLACK:
-        raise InfeasibleTarget(f"consistency target {C} is not achievable")
+    ctx = feasible_context(region, rw, C)
     bps = [(x, max(0.0, v)) for x, v in ctx.floor.breakpoints]
     end = max(rw.m, region.x_hi)
     if end > bps[-1][0]:

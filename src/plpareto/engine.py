@@ -153,18 +153,13 @@ def chunk_runs(x, y) -> tuple[np.ndarray, np.ndarray]:
     return sizes, lengths.astype(np.intp)
 
 
-def chunk_arrays(x: float, y: float) -> tuple[np.ndarray, np.ndarray]:
-    """Sizes and low-kind flags of the unit chunks of (x, y), in
-    ``unit_chunks`` order; raises as ``chunk_runs`` does."""
-    sizes, lengths = chunk_runs([x], [y])
-    return np.repeat(sizes[0], lengths[0]), np.arange(lengths.sum()) < lengths[0, :2].sum()
-
-
 def unit_chunks(x: float, y: float) -> list[Arrival]:
-    """Split totals into unit chunks plus fractional remainders (unpermuted)."""
-    sizes, is_low = chunk_arrays(x, y)
-    return [Arrival("low" if low else "high", size)
-            for size, low in zip(sizes.tolist(), is_low.tolist())]
+    """Split totals into unit chunks plus fractional remainders (unpermuted),
+    the low ones first; raises as ``chunk_runs`` does."""
+    sizes, lengths = chunk_runs([x], [y])
+    n_low = lengths[0, :2].sum()
+    return [Arrival("low" if i < n_low else "high", size)
+            for i, size in enumerate(np.repeat(sizes[0], lengths[0]).tolist())]
 
 
 def _step_sum(a: np.ndarray) -> np.ndarray:

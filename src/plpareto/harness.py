@@ -234,7 +234,8 @@ class ExperimentConfig:
 
 def _grid_policy(samples, rw: Rewards) -> PLFunction:
     """Best fixed protection level on the training samples by grid search
-    (maximizes the worst ordered-arrival ratio); a non-paper baseline."""
+    (maximizes the worst ordered-arrival ratio; of levels within 1e-12, tied
+    up to rounding, the lowest); a non-paper baseline."""
     grid = np.linspace(0.0, rw.m, 201)
     best_p, best_v = 0.0, -1.0
     for p in grid:

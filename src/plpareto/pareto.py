@@ -11,17 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bounds import (
-    FEAS_SLACK,
-    LEVEL_TIE,
-    BoundContext,
-    bound_context,
-    band_gap,
-    no_advice_level,
-    policy_floor,
-    rho,
-    u_ceiling,
-)
+from .bounds import LEVEL_TIE, BoundContext, no_advice_level, policy_floor, rho, u_ceiling
+from .consistency import feasible_context
 from .errors import InfeasibleTarget, InternalError
 from .plfunction import PLFunction
 from .ratios import Rewards, cp_over_raw, cp_under_raw
@@ -116,10 +107,7 @@ def _left_part(ctx: BoundContext, p_r: float):
 def solve_pareto(region: MLRegion, rw: Rewards, C: float) -> ParetoSolution:
     """Best robust ratio and its policy among all valid protection levels
     meeting consistency target C."""
-    ctx = bound_context(region, rw, C)
-    gap, _ = band_gap(ctx)
-    if gap < -FEAS_SLACK:
-        raise InfeasibleTarget(f"consistency target {C} is not achievable")
+    ctx = feasible_context(region, rw, C)
 
     x_bar = region.x_hi
     floor = policy_floor(ctx, x_bar)

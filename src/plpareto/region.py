@@ -73,8 +73,8 @@ def _hulls(points: list[Point]) -> tuple[list[Point], list[Point]]:
 
 
 def _envelope_pl(chain, keep_low: bool) -> PLFunction:
-    """The chain as a function of x: each run of points with the same x
-    collapses to its lowest (``keep_low``) or highest point."""
+    """The chain as a function of x: each run of points within TOL of its
+    first x collapses to its lowest (``keep_low``) or highest point."""
     pick = min if keep_low else max
     out: list[Point] = []
     i = 0
@@ -103,10 +103,9 @@ def build_polygon(points: list[Point]) -> MLRegion:
             raise NegativeCoordinate(f"negative coordinate in ({x}, {y})")
         clean.append((max(float(x), 0.0), max(float(y), 0.0)))
     lower, upper = _hulls(clean)
-    hull = lower[:-1] + upper[::-1][:-1] if len(lower) > 2 or len(upper) > 2 else lower
-    # collinear input collapses both hulls onto the same chain
-    degenerate = len(set(lower + upper)) <= 2 or abs(_area(hull)) <= TOL
-    if degenerate:
+    # collinear input collapses both hulls onto one chain; a hull of three or
+    # more points is a polygon, however thin
+    if len(set(lower + upper)) <= 2:
         flat = sorted(set(clean))
         if len(flat) == 1:
             verts: tuple[Point, ...] = (flat[0],)
@@ -117,18 +116,8 @@ def build_polygon(points: list[Point]) -> MLRegion:
             p1 = max(flat, key=lambda p: math.hypot(p[0] - p0[0], p[1] - p0[1]))
             verts = tuple(sorted((p0, p1)))
         return MLRegion(verts, True, _envelope_pl(verts, True), _envelope_pl(verts, False))
-    verts = tuple(dict.fromkeys(hull))
+    verts = tuple(dict.fromkeys(lower[:-1] + upper[::-1][:-1]))
     return MLRegion(verts, False, _envelope_pl(lower, True), _envelope_pl(upper, False))
-
-
-def _area(poly: list[Point]) -> float:
-    if len(poly) < 3:
-        return 0.0
-    s = 0.0
-    for i, (x1, y1) in enumerate(poly):
-        x2, y2 = poly[(i + 1) % len(poly)]
-        s += x1 * y2 - x2 * y1
-    return 0.5 * s
 
 
 def dedup_sorted(values, gap: float) -> list[float]:
@@ -260,15 +249,13 @@ def contains(region: MLRegion, x: float, y: float, tol: float = TOL) -> bool:
     if region.degenerate:
         if len(region.vertices) == 1:
             px, py = region.vertices[0]
-            return math.hypot(x - px, y - py) <= tol * 10
-        return _segment_dist(region.vertices[0], region.vertices[-1], (x, y)) <= tol * 10
+            return math.hypot(x - px, y - py) <= tol
+        return _segment_dist(region.vertices[0], region.vertices[-1], (x, y)) <= tol
+    # every edge counts, however short: one closes the end of a thin polygon
     verts = region.vertices
     for i, p in enumerate(verts):
         q = verts[(i + 1) % len(verts)]
-        edge = math.hypot(q[0] - p[0], q[1] - p[1])
-        if edge <= TOL:
-            continue
-        if _cross(p, q, (x, y)) < -tol * edge:
+        if _cross(p, q, (x, y)) < -tol * math.hypot(q[0] - p[0], q[1] - p[1]):
             return False
     return True
 

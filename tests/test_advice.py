@@ -6,10 +6,10 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from plpareto import advice, box_advice, contains, ellipse_advice, point_advice
+from plpareto import advice, box_advice, build_polygon, contains, ellipse_advice, point_advice
 from plpareto.errors import NegativeCoordinate
 from plpareto.harness import DemandModel, _sample_points, sample_demand
-from plpareto.region import MAX_SEGMENTS
+from plpareto.region import MAX_SEGMENTS, TOL
 
 from conftest import oracle_ellipse_advice
 
@@ -388,3 +388,70 @@ def test_ellipse_advice_matches_oracle(monkeypatch):
                 assert root[0, 1] == root[1, 0]
                 m = np.array([[m11, m12], [m12, m22]])
                 assert np.abs(root @ root - m).max() <= 1e-14 * np.abs(m).max()
+
+
+@pytest.mark.parametrize("build", [box_advice, ellipse_advice, point_advice])
+def test_samples_take_a_coordinate_a_rounding_below_zero(build):
+    # as build_polygon does: -TOL / 2 is taken, -10 TOL is negative
+    pts = [(1.0, 2.0), (4.0, 1.0), (3.0, 5.0), (2.0, 3.5)]
+    build(pts + [(-0.5 * TOL, 3.0)])
+    with pytest.raises(NegativeCoordinate):
+        build(pts + [(-10.0 * TOL, 3.0)])
+
+
+def test_box_trimming_ties_areas_that_round_apart():
+    # dropping (0.9, 0.9) or (0.1, 0.1) leaves an area of 63/100, computed as
+    # 0.6300000000000001 and 0.63: a tie, which drops the first extreme
+    pts = [(0.9, 0.9), (0.7, 0.6), (0.8, 0.9), (0.2, 0.5), (0.1, 0.1), (0.6, 0.0)]
+    assert box_advice(pts, 0.8).vertices == ((0.1, 0.0), (0.8, 0.0), (0.8, 0.9), (0.1, 0.9))
+
+
+def test_stop_error_leaves_a_rounding_residue_off_the_support():
+    # away steps can leave a weight of a few ulps on a point they dropped;
+    # counted on the support, its kappa (inside the ellipse, below 3) would
+    # hold the stop error up though the other weights meet the stop test
+    u = [0.4, 0.3, 0.3 - 1e-13, 1e-13]
+    err, up, down, j_max, j_min, support = advice._stop_error(u, [3.0, 3.0, 3.0, 0.5])
+    assert support == [0, 1, 2] and err == 0.0 and j_min != 3
+
+
+@pytest.mark.parametrize("d", [0.1, 1.0 / 3.0, 0.5, 0.7, 2.0])
+def test_mvee_drops_a_support_point_at_the_weighted_mean(d):
+    # uniform start weights (two points are the extremes of both coordinates)
+    # put (1, 1), the weighted mean, on the support with kappa = 1, which
+    # rounds to either side of 1: the away step drops it
+    pts = [(0.0, 0.0), (2.0, 2.0), (1.0, 1.0 + d), (1.0, 1.0 - d), (1.0, 1.0)]
+    u = advice._mvee_weights(pts, 1e-9, 20000)
+    assert u[-1] == 0.0
+    assert advice._stop_error(u, advice._kappa(pts, u)[1])[0] <= 1e-9
+
+
+@pytest.mark.parametrize("n", [6, 7, 8, 12])
+def test_newton_step_refuses_a_singular_system(n):
+    # K o K has rank at most 6, and 5 on a circle, where x^2 + y^2 = 1 ties
+    # the quadratic terms: with n cocircular support points the elimination
+    # meets a pivot at rounding level, and the step is refused
+    pts = [(math.cos(2.0 * math.pi * k / n), math.sin(2.0 * math.pi * k / n)) for k in range(n)]
+    u = [1.0 / n] * n
+    vq, kappa = advice._kappa(pts, u)
+    assert advice._newton_weights(u, kappa, vq, pts, list(range(n))) is None
+
+
+@pytest.mark.parametrize("off,hull", [(1e-7, True), (1e-6, False)])
+def test_ellipse_advice_takes_samples_near_a_line_as_collinear(off, hull):
+    # 1e-7 off the line y = 0.7 x + 2 the scatter's pivot is below 1e-14 s22:
+    # the samples are collinear up to rounding, and their hull is the region
+    pts = [(0.0, 2.0), (5.0, 5.5 + off), (10.0, 9.0), (20.0, 16.0), (15.0, 12.5 - off)]
+    region = ellipse_advice(pts)
+    assert (region.vertices == build_polygon(pts).vertices) == hull
+    assert (advice._mvee(pts) is None) == hull
+
+
+@pytest.mark.parametrize("h,hull", [(1e-8, True), (1e-7, False)])
+def test_ellipse_advice_takes_a_fit_of_no_area_as_collinear(h, hull):
+    # samples within 1e-8 of y = 5 pass the scatter's pivot test, but the fit
+    # has det S below 1e-18 tr S^2: their hull is the region
+    pts = [(0.0, 5.0), (10.0, 5.0 + h), (20.0, 5.0), (30.0, 5.0 + h), (15.0, 5.0 - h)]
+    region = ellipse_advice(pts)
+    assert (region.vertices == build_polygon(pts).vertices) == hull
+    assert (advice._mvee(pts) is None) == hull

@@ -672,3 +672,20 @@ def test_chain_end_polygons_keep_cstar_and_pareto_robustness(rw, pts, c_star, r_
     got = cstar_enumeration(region, rw).c_star
     assert got == c_star
     assert solve_pareto(region, rw, 0.95 * got).r_star == r_star
+
+
+@pytest.mark.parametrize("below,x_hi_u", [(0.0, 5.0), (0.5 * TOL, 5.0), (1e-8, 8.0)])
+def test_upper_bound_freezes_at_l_only_on_the_line(rw, below, x_hi_u):
+    # the paper's case split: L on x + y = m (up to TOL) freezes u at x_L; L
+    # 1e-8 below the line is below it, and u freezes at the right end of the
+    # flat bottom
+    y0 = rw.m - 5.0 - below
+    region = build_polygon([(5.0, y0), (8.0, y0), (10.0, 18.0), (5.0, 19.0)])
+    assert bound_context(region, rw, 0.9).x_hi_u == x_hi_u
+
+
+@pytest.mark.parametrize("above,x_hi_u", [(0.0, 6.0), (0.5 * TOL, 6.0), (1e-8, 2.0)])
+def test_flat_bottom_takes_vertices_within_tol_of_the_minimum(rw, above, x_hi_u):
+    # a lower-envelope vertex 1e-8 above y_min is not part of the flat bottom
+    region = build_polygon([(2.0, 3.0), (6.0, 3.0 + above), (10.0, 8.0), (4.0, 12.0)])
+    assert bound_context(region, rw, 0.9).x_hi_u == x_hi_u

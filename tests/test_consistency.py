@@ -20,6 +20,7 @@ from plpareto import (
     Rewards,
     rho,
     run_sequence,
+    solve_pareto,
 )
 from plpareto.errors import InfeasibleTarget, TargetOutOfRange
 from conftest import oracle_full_grid_cstar, random_region, scalar_balance_point
@@ -477,3 +478,46 @@ def test_enum_matches_the_full_grid_oracle():
 @settings(max_examples=150, deadline=None)
 def test_enum_matches_the_full_grid_oracle_property(region, rw):
     _check_full_grid(region, rw)
+
+
+def test_enum_keeps_piece_ends_1e7_apart_with_their_own_tags():
+    # an upper vertex 1e-7 left of a lower vertex: each end keeps its own
+    # tag, and C* is the full-grid oracle's
+    from plpareto.consistency import _OVER, _UNDER, _enum_xs
+
+    region = build_polygon([(1.0, 16.0), (15.0, 4.0), (23.0, 12.0), (15.0 - 1e-7, 18.0), (6.0, 22.0)])
+    for rw in (Rewards(1.0 / 3.0, 1.0, 20.0), Rewards(0.5, 1.0, 10.0)):
+        xs = _enum_xs(region, rw)
+        assert (xs[15.0 - 1e-7], xs[15.0]) == (_UNDER, _OVER)
+        _check_full_grid(region, rw)
+
+
+def test_thin_polygons_below_tol_area_solve_as_polygons():
+    # triangles of area up to 1e-9 are polygons, not their carrier segments:
+    # C* is the full-grid oracle's, within 1e-10 of the segment's, and the
+    # Pareto policies at and below it are valid
+    rng = np.random.default_rng(5)
+    solved = 0
+    for k in range(40):
+        a, b = rng.uniform(0.0, 30.0, size=(2, 2))
+        d = b - a
+        normal = np.array([-d[1], d[0]]) / np.hypot(*d)
+        apex = a + rng.uniform(0.1, 0.9) * d + rng.uniform(1e-13, 1e-9) * 2.0 / np.hypot(*d) * normal
+        region = build_polygon([tuple(a), tuple(b), tuple(apex)])
+        assert not region.degenerate and len(region.vertices) == 3
+        if not 0.0 < region_area(region) <= 1e-9:
+            continue
+        solved += 1
+        for rw in FULL_GRID_REWARDS[-3:]:
+            _check_full_grid(region, rw)
+            c_star = cstar_enumeration(region, rw).c_star
+            segment = cstar_enumeration(build_polygon([tuple(a), tuple(b)]), rw).c_star
+            assert abs(c_star - segment) <= 1e-10
+            for C in (c_star, 0.9 * c_star):
+                assert solve_pareto(region, rw, C).p_star.validate(rw.m, region.x_hi) == []
+    assert solved >= 30
+
+
+def region_area(region):
+    v = region.vertices
+    return 0.5 * sum(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in zip(v, v[1:] + v[:1]))

@@ -224,3 +224,13 @@ def test_run_experiment_samples_uniform_mixture_in_bulk(rw, monkeypatch):
     monkeypatch.setattr(harness, "sample_demand", scalar)
     cfg = ExperimentConfig(advice_kind="box", order="stochastic", K=2, n_test=5, n_perms=3)
     assert len(run_experiment(cfg, rw).per_trial) == 2
+
+
+def test_grid_policy_takes_the_lowest_of_levels_tied_up_to_rounding(rw):
+    # the worst ratios at 6.8 and 6.9 are both 14/15, computed one ulp apart
+    # (0.9333333333333332 and 0.9333333333333333): the lower level is kept
+    samples = [(6.0, 8.0), (2.0, 23.0), (15.0, 8.0)]
+    grid = np.linspace(0.0, rw.m, 201)
+    worst = [min(harness.cp(float(p), pt, rw) for pt in samples) for p in grid[68:70]]
+    assert 0.0 < worst[1] - worst[0] <= 2e-16
+    assert harness._grid_policy(samples, rw).breakpoints[0][1] == grid[68]

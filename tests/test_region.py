@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import oracle_key_points, random_region
-from plpareto import (DemandModel, box_advice, build_polygon, contains, ellipse_advice, envelope,
-                      key_points, point_advice, polygonize_ellipse, x_vertices)
+from plpareto import (DemandModel, Rewards, box_advice, build_polygon, contains, cstar_enumeration,
+                      ellipse_advice, envelope, key_points, point_advice, polygonize_ellipse,
+                      solve_pareto, x_vertices)
 from plpareto.harness import _sample_points
 from plpareto.errors import NegativeCoordinate, NotPSD, OutOfDomain
-from plpareto.region import MAX_SEGMENTS
+from plpareto.region import MAX_SEGMENTS, TOL
 
 coord = st.floats(0.0, 50.0, allow_nan=False, allow_infinity=False)
 points = st.lists(st.tuples(coord, coord), min_size=1, max_size=20)
@@ -117,6 +118,10 @@ def key_points_corpus(m):
     yield build_polygon(MICRO_CONE)
     # a segment along x + y = m with its ends within TOL of it, on either side
     yield build_polygon([(0.0, m - 5e-10), (10.0, m - 10.0 + 2e-9)])
+    # the same with the right end within TOL: neither end starts a crossing
+    yield build_polygon([(0.0, m - 2e-9), (10.0, m - 10.0 + 5e-10)])
+    # vertices 5e-10 apart in x are one abscissa
+    yield build_polygon([(0.0, 0.0), (10.0, 0.0), (10.0 + 5e-10, 5.0), (10.0, 10.0), (0.0, 10.0)])
     # bottom and top edges that tilt by less than TOL
     yield build_polygon([(2.0, 3.0 + 5e-10), (9.0, 3.0), (9.0, 15.0), (4.0, 15.0 + 5e-10)])
 
@@ -272,3 +277,88 @@ def test_polygonize_ellipse_accepts_the_largest_segment_count():
 def test_polygonize_ellipse_rejects_centre_of_wrong_length(center):
     with pytest.raises(ValueError):
         polygonize_ellipse(center, [[2.0, 0.0], [0.0, 2.0]])
+
+
+# -- input-boundary tolerances: a rounding past a bound is taken, 10x TOL is not
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_build_polygon_takes_a_coordinate_a_rounding_below_zero_as_zero(axis):
+    for below, ok in ((-0.5 * TOL, True), (-10.0 * TOL, False)):
+        pt = [3.0, 4.0]
+        pt[axis] = below
+        if ok:
+            assert build_polygon([tuple(pt)]).vertices[0][axis] == 0.0
+        else:
+            with pytest.raises(NegativeCoordinate):
+                build_polygon([tuple(pt)])
+
+
+@pytest.mark.parametrize("end", ["lo", "hi"])
+def test_envelope_reads_an_abscissa_a_rounding_outside_at_the_end(end, sum_region):
+    x, step = (sum_region.x_lo, -TOL) if end == "lo" else (sum_region.x_hi, TOL)
+    for side in ("lower", "upper"):
+        assert envelope(sum_region, x + 0.5 * step, side) == envelope(sum_region, x, side)
+        with pytest.raises(OutOfDomain):
+            envelope(sum_region, x + 10.0 * step, side)
+
+
+def test_polygonize_ellipse_takes_a_shape_a_rounding_from_psd():
+    # trace and determinant a rounding below 0, a shape a rounding from 0 and
+    # a rounding of asymmetry are taken; ten times those bounds are not
+    point = [(5.0, 6.0)]
+    assert polygonize_ellipse((5.0, 6.0), [[-0.5 * TOL, 0.0], [0.0, 0.0]]).vertices == tuple(point)
+    assert polygonize_ellipse((5.0, 6.0), [[0.5 * TOL, 0.0], [0.0, 0.5 * TOL]]).vertices == tuple(point)
+    assert len(polygonize_ellipse((5.0, 6.0), [[10.0 * TOL, 0.0], [0.0, 10.0 * TOL]]).vertices) > 1
+    with pytest.raises(NotPSD):
+        polygonize_ellipse((5.0, 6.0), [[-10.0 * TOL, 0.0], [0.0, 0.0]])
+    # the determinant's bound is 1e-7 max(1, tr^2), here 4e-7
+    for slack, ok in ((2e-7, True), (4e-6, False)):
+        b = math.sqrt(1.0 + slack)
+        if ok:
+            assert not polygonize_ellipse((5.0, 6.0), [[1.0, b], [b, 1.0]]).degenerate
+        else:
+            with pytest.raises(NotPSD):
+                polygonize_ellipse((5.0, 6.0), [[1.0, b], [b, 1.0]])
+    assert not polygonize_ellipse((5.0, 6.0), [[1.0, 0.2 + 5e-8], [0.2, 1.0]]).degenerate
+    with pytest.raises(NotPSD):
+        polygonize_ellipse((5.0, 6.0), [[1.0, 0.2 + 1e-6], [0.2, 1.0]])
+
+
+@pytest.mark.parametrize("region,outside", [
+    ([(0, 0), (4, 0), (4, 4), (0, 4)], (4.0, 2.0)),
+    ([(3.0, 4.0)], (3.0, 4.0)),
+    ([(0.0, 0.0), (2.0, 2.0)], (1.0, 1.0)),
+], ids=["polygon", "point", "segment"])
+def test_contains_default_tolerance_is_tol(region, outside):
+    # from a boundary point, a rounding outside is in and 5 or 10 times TOL
+    # outside is out: points and segments take the same tolerance as polygons
+    reg = build_polygon(region)
+    x, y = outside
+    dx, dy = (1.0, 0.0) if len(region) != 2 else (0.5 ** 0.5, -(0.5 ** 0.5))
+    assert contains(reg, x + 0.5 * TOL * dx, y + 0.5 * TOL * dy)
+    for far in (5.0, 10.0):
+        assert not contains(reg, x + far * TOL * dx, y + far * TOL * dy)
+
+
+def test_contains_checks_every_edge_however_short():
+    # a 100 x 1e-10 strip: its two short edges close it on the left and right
+    reg = build_polygon([(0.0, 0.0), (100.0, 0.0), (100.0, 1e-10), (0.0, 1e-10)])
+    assert not reg.degenerate
+    assert contains(reg, 50.0, 5e-11)
+    assert not contains(reg, 1000.0, 0.0)
+    assert not contains(reg, -500.0, 5e-11)
+
+
+def test_envelope_joins_chain_points_within_tol_in_x():
+    # an edge that leans 1e-10 off the vertical is one vertical edge: each
+    # envelope keeps its end, and the region solves as the vertical one
+    rw = Rewards(1.0 / 3.0, 1.0, 20.0)
+    for lean in (1e-10, -1e-10):
+        reg = build_polygon([(2.0, 3.0), (10.0, 1.0), (10.0 + lean, 8.0), (4.0, 15.0)])
+        upright = build_polygon([(2.0, 3.0), (10.0, 1.0), (10.0, 8.0), (4.0, 15.0)])
+        assert reg.lower.breakpoints == upright.lower.breakpoints == ((2.0, 3.0), (10.0, 1.0))
+        assert reg.x_hi == 10.0
+        c_star = cstar_enumeration(reg, rw).c_star
+        assert c_star == cstar_enumeration(upright, rw).c_star
+        assert solve_pareto(reg, rw, 0.9 * c_star).p_star == solve_pareto(upright, rw, 0.9 * c_star).p_star

@@ -32,7 +32,7 @@ from plpareto import (
 )
 import plpareto
 from plpareto import engine
-from plpareto.engine import MAX_CHUNKS, chunk_arrays, chunk_runs, replay_ratios
+from plpareto.engine import MAX_CHUNKS, chunk_runs, replay_ratios
 from plpareto.errors import TooManyChunks
 from plpareto import harness, plfunction
 
@@ -86,6 +86,13 @@ def scalar_evaluate(policy, testset, order, rng, n_perms):
     return tuple(out)
 
 
+def unit_chunk_arrays(x, y):
+    """Sizes and low-kind flags of unit_chunks(x, y) as arrays."""
+    chunks = unit_chunks(x, y)
+    return (np.array([c.size for c in chunks], dtype=float),
+            np.array([c.kind == "low" for c in chunks], dtype=bool))
+
+
 def batch(rows):
     """Zero-padded (steps, rows) arrays of a list of (sizes, is_low) rows."""
     width = max(len(s) for s, _ in rows)
@@ -103,7 +110,7 @@ def check_kernel(pl, points, seed):
     for x, y in points:
         rows.append(([x, y], [True, False]))
         expected.append(scalar_ratio(ordered_sequence(x, y), pl))
-        sizes, is_low = chunk_arrays(x, y)
+        sizes, is_low = unit_chunk_arrays(x, y)
         chunks = unit_chunks(x, y)
         for _ in range(3):
             perm = rng.permutation(len(chunks))
@@ -166,21 +173,24 @@ def test_pl_values_tolerated_inversion():
     assert pl.values(np.array(xs)).tolist() == [pl(x) for x in xs]
 
 
-def test_chunk_arrays_match_unit_chunks():
+def test_unit_chunks_match_chunk_runs():
+    # unit_chunks repeats each run of chunk_runs by its length, low runs first
     for x, y in ((3.5, 2.0), (0.0, 0.0), (1e-13, 4.25), (22.0, 0.75)):
-        sizes, is_low = chunk_arrays(x, y)
+        sizes, lengths = chunk_runs([x], [y])
         chunks = unit_chunks(x, y)
-        assert sizes.tolist() == [c.size for c in chunks]
-        assert is_low.tolist() == [c.kind == "low" for c in chunks]
+        assert np.repeat(sizes[0], lengths[0]).tolist() == [c.size for c in chunks]
+        n_low = int(lengths[0, :2].sum())
+        assert [True] * n_low + [False] * int(lengths[0, 2:].sum()) == [c.kind == "low" for c in chunks]
 
 
-def test_chunk_arrays_cap():
+def test_unit_chunks_cap():
     # the cap counts whole units; fractional remainders ride along
-    sizes, is_low = chunk_arrays(MAX_CHUNKS - 4000 + 0.5, 4000.75)
-    assert sizes.size == MAX_CHUNKS + 2 and is_low.sum() == MAX_CHUNKS - 4000 + 1
+    chunks = unit_chunks(MAX_CHUNKS - 4000 + 0.5, 4000.75)
+    assert len(chunks) == MAX_CHUNKS + 2
+    assert sum(c.kind == "low" for c in chunks) == MAX_CHUNKS - 4000 + 1
     for x, y in ((MAX_CHUNKS + 1.0, 0.0), (0.0, MAX_CHUNKS + 1.5), (6000.0, 4001.0), (1e9, 0.0)):
         with pytest.raises(TooManyChunks):
-            chunk_arrays(x, y)
+            unit_chunks(x, y)
 
 
 @pytest.mark.parametrize("x,y", [(-3.5, 2.0), (2.0, -0.25), (float("nan"), 1.0), (float("inf"), 0.0)])
@@ -245,7 +255,7 @@ def test_kernel_equals_scalar_replay_single_column():
     pl = PLFunction(((0.0, 14.0), (6.0, 11.0), (18.0, 5.0)))
     rng = np.random.default_rng(4)
     for x, y in ((17.3, 12.6), (31.7, 3.2), (2.9, 28.4)):
-        sizes, is_low = chunk_arrays(x, y)
+        sizes, is_low = unit_chunk_arrays(x, y)
         chunks = unit_chunks(x, y)
         perm = rng.permutation(len(chunks))
         got = replay_ratios(pl, RW, sizes[perm, None], is_low[perm, None]).tolist()
@@ -270,7 +280,7 @@ def test_zero_size_low_chunks_equal_scalar_replay(seed):
     pl = PLFunction(((0.0, 14.0), (6.0, 11.0), (18.0, 5.0)))
     rows, expected = [], []
     for x, y in rng.uniform(0, 30, size=(9, 2)).tolist() + [(0.0, 0.0), (25.0, 0.0)]:
-        sizes, is_low = chunk_arrays(x, y)
+        sizes, is_low = unit_chunk_arrays(x, y)
         perm = rng.permutation(sizes.size)
         sizes, is_low = sizes[perm], is_low[perm]
         at = np.sort(rng.integers(0, sizes.size + 1, size=rng.integers(0, 4)))
@@ -414,7 +424,8 @@ def test_stochastic_replay_does_not_churn_the_heap():
 
 
 def loop_chunk_arrays(x, y):
-    """chunk_arrays as it was written per instance, before chunk_runs."""
+    """The sizes and low-kind flags of unit_chunks as they were written per
+    instance, before chunk_runs."""
     DemandPoint(x, y)
     parts = []
     for total in (x, y):
@@ -471,10 +482,13 @@ STOCHASTIC_TESTSETS = {
 }
 
 
-def test_chunk_arrays_equal_per_instance_loop():
+def test_unit_chunks_equal_per_instance_loop():
     for x, y in [pt for case in STOCHASTIC_TESTSETS.values() for pt in case]:
-        for got, want in zip(chunk_arrays(x, y), loop_chunk_arrays(x, y)):
-            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        chunks = unit_chunks(x, y)
+        sizes, is_low = loop_chunk_arrays(x, y)
+        assert all(type(c.size) is float for c in chunks)
+        assert [c.size for c in chunks] == sizes.tolist()
+        assert [c.kind == "low" for c in chunks] == is_low.tolist()
 
 
 @pytest.mark.parametrize("reps", [1, 7, 512 + 37])

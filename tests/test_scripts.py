@@ -32,16 +32,20 @@ def test_run_benchmarks_small(capsys):
 
 def test_mutate_tolerances_lists_code_sites_only(capsys):
     """Each listed site is a tolerance literal, or a tolerance name in use,
-    on a code line."""
-    assert _load("mutate_tolerances").main(["--list"]) == 0
+    on a code line; by default every module under src/plpareto/ is read.
+    (The script runs this test on mutants too, so it asks nothing of a
+    literal that a mutant may change.)"""
+    module = _load("mutate_tolerances")
+    assert module.main(["--list"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines
-    names = set()
+    names, paths = set(), set()
     for line in lines:
         site, token = line.split()
         path, row, col = site.split(":")
+        paths.add(path)
         if token[0].isdigit():
-            assert float(token) in (1e-9, 1e-12, 1e-15)
+            assert float(token) in {10.0 ** -n for n in range(6, 19)}
         else:
             names.add(token)
         text = (SCRIPTS.parent / path).read_text().splitlines()[int(row) - 1]
@@ -49,6 +53,29 @@ def test_mutate_tolerances_lists_code_sites_only(capsys):
         assert int(col) > 1 and "#" not in text[:int(col) - 1] and '"""' not in text
         assert not text.lstrip().startswith(("import ", "from "))
     assert {"FEAS_SLACK", "LEVEL_TIE", "SLOPE_TOL"} <= names
+    every = sorted(f"src/plpareto/{p.name}" for p in (SCRIPTS.parent / "src" / "plpareto").glob("*.py"))
+    assert module.MODULES == every
+    assert {"src/plpareto/advice.py", "src/plpareto/engine.py", "src/plpareto/region.py"} <= paths
+
+
+def test_mutate_tolerances_finds_every_magnitude(tmp_path, capsys):
+    """Each power of ten from 1e-6 down is a site, larger or other literals
+    are not, nor is a parameter's default on a def line."""
+    (tmp_path / "scripts").mkdir()
+    shutil.copy(SCRIPTS / "mutate_tolerances.py", tmp_path / "scripts")
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "toy.py").write_text(
+        "TINY = 1e-18\n"
+        "def f(x, eps=1e-6,\n      cap=1e-7):\n"
+        "    return [x > 1e-6, x > 1e-7, x > 1e-10, x > 1e-14, x > 1e-18, x > TINY,\n"
+        "            x > 1e-5, x > 5e-10, x > 2e-15, x > 1_000, x > 0.0]\n"
+    )
+    script = importlib.util.spec_from_file_location("toy_mutate", tmp_path / "scripts" / "mutate_tolerances.py")
+    module = importlib.util.module_from_spec(script)
+    script.loader.exec_module(module)
+    assert module.main(["--list", "src/toy.py"]) == 0
+    assert [line.split()[1] for line in capsys.readouterr().out.splitlines()] == [
+        "1e-18", "1e-6", "1e-7", "1e-10", "1e-14", "1e-18", "TINY"]
 
 
 def test_mutate_tolerances_verdicts(tmp_path, capsys):
