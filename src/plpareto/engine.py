@@ -28,8 +28,8 @@ from .region import TOL
 # replay; a batch of replays holds one padded row per chunk
 MAX_CHUNKS = 10_000
 
-# work arrays of up to this many cells (mc-box-stoch blocks: <= 30,720) are views of buffers
-# kept per thread, so blocks do not churn the heap; larger are fresh: a thread keeps <= 2.7 MB
+# work arrays of up to this many cells (harness._blocks sizes blocks to fill them) are views of
+# buffers kept per thread, so blocks do not churn the heap; larger are fresh: a thread keeps <= 2.7 MB
 _KEEP_CELLS = 1 << 16
 _kept = threading.local()
 

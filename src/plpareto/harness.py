@@ -14,7 +14,7 @@ import numpy as np
 from .advice import box_advice, ellipse_advice, point_advice
 from .bounds import no_advice_level
 from .consistency import cstar_enumeration
-from .engine import _work, chunk_runs, replay_ratios
+from .engine import _KEEP_CELLS, _work, chunk_runs, replay_ratios
 from .errors import InvalidInput
 from .pareto import solve_pareto
 from .plfunction import PLFunction, constant_pl
@@ -96,16 +96,17 @@ class EvalReport:
     per_trial: tuple[tuple[float, float], ...] = ()
 
 
-# replays per kernel call: bounds the batch's arrays whatever n_test and n_perms;
-# a block of up to 128 steps then fits the kept buffers (engine._KEEP_CELLS)
+# fewest replays per block: a block of s steps holds _KEEP_CELLS // s replays to fill the
+# kept buffers, but past 128 steps this many, in fresh arrays, not 6 at MAX_CHUNKS steps
 _BLOCK_ROWS = 512
 # chunk kinds of the adversarial order: all low demand, then all high demand
 _ORDERED_LOW = np.array([[True], [False]])
 
 
 def _blocks(chunks, reps, rng):
-    """Zero-padded (steps, replays) sizes and is_low arrays, at most
-    _BLOCK_ROWS replays each.
+    """Zero-padded (steps, replays) sizes and is_low arrays of
+    max(_BLOCK_ROWS, _KEEP_CELLS // steps) replays each, ``steps`` the most
+    chunks of any instance (2 for the adversarial order).
 
     With ``rng`` None, a block is a slice of the (2, n) array ``chunks`` of
     the test set's x and y.  Else replay r plays instance r // reps's
@@ -115,8 +116,9 @@ def _blocks(chunks, reps, rng):
     and the generator's state are those of one call per replay.  Stochastic
     blocks are ``engine._work`` buffers, which the next block overwrites."""
     if rng is None:
-        for start in range(0, chunks.shape[1], _BLOCK_ROWS):
-            sizes = chunks[:, start:start + _BLOCK_ROWS]
+        rows = max(_BLOCK_ROWS, _KEEP_CELLS // 2)
+        for start in range(0, chunks.shape[1], rows):
+            sizes = chunks[:, start:start + rows]
             yield sizes, np.broadcast_to(_ORDERED_LOW, sizes.shape)
         return
     sizes, lengths = chunks
@@ -125,21 +127,23 @@ def _blocks(chunks, reps, rng):
     ids = np.arange(table.size)[:, None]
     n = lengths.sum(axis=1)
     ends = np.cumsum(n)
-    low_ends = ends - lengths[:, 2:].sum(axis=1)
-    n_rows = n.size * reps
-    for start in range(0, n_rows, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, n_rows)
-        inst = np.arange(start, stop) // reps
-        idx = _work("idx", (n[inst].max(), stop - start), np.intp)
+    # per replay, the table index of its instance's first high chunk
+    low_ends = np.repeat(ends - lengths[:, 2:].sum(axis=1), reps)
+    n, ends = n.tolist(), ends.tolist()
+    rows = max(_BLOCK_ROWS, _KEEP_CELLS // max(max(n), 1))
+    for start in range(0, len(n) * reps, rows):
+        stop = min(start + rows, len(n) * reps)
+        inst = range(start // reps, (stop - 1) // reps + 1)
+        idx = _work("idx", (max(n[inst.start:inst.stop]), stop - start), np.intp)
         idx.fill(table.size - 1)
-        for i in range(inst[0], inst[-1] + 1):
+        for i in inst:
             a, b = max(start, i * reps) - start, min(stop, (i + 1) * reps) - start
             cols = idx[:n[i], a:b]
             cols[...] = ids[ends[i] - n[i]:ends[i]]
             rng.permuted(cols, axis=0, out=cols)
         # mode="clip" writes into out directly; "raise" would buffer it
         yield (table.take(idx, out=_work("sizes", idx.shape, float), mode="clip"),
-               np.less(idx, low_ends[inst], out=_work("is_low", idx.shape, bool)))
+               np.less(idx, low_ends[start:stop], out=_work("is_low", idx.shape, bool)))
 
 
 def evaluate(policy: PLFunction, testset, order: str, rw: Rewards,

@@ -43,6 +43,13 @@ def test_ordered_sequence_reads_a_rounded_zero_as_no_demand():
     assert ordered_sequence(5.0, -1e-15) == [Arrival("low", 5.0)]
 
 
+@pytest.mark.parametrize("x,y", [(-1e-8, 5.0), (5.0, -1e-8)])
+def test_ordered_sequence_rejects_a_total_ten_tol_below_zero(x, y):
+    # TOL = 1e-9 absorbs an envelope's rounding of 0, not a negative demand
+    with pytest.raises(InvalidInput, match="demand must be a number of at least"):
+        ordered_sequence(x, y)
+
+
 def test_fixed_level_full_instance():
     pl = constant_pl(8.0, 20.0)
     state = run_sequence(ordered_sequence(20.0, 20.0), pl, RW)

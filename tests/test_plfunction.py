@@ -19,6 +19,17 @@ def test_unsorted_breakpoints_rejected():
         PLFunction(())
 
 
+@pytest.mark.parametrize("back, raises", [(5e-10, False), (1e-8, True)])
+def test_breakpoints_may_step_back_by_slope_tol_only(back, raises):
+    # SLOPE_TOL = 1e-9 absorbs a built curve's rounding of x, not a real inversion
+    bps = ((0.0, 10.0), (5.0, 8.0), (5.0 - back, 8.0), (20.0, 5.0))
+    if raises:
+        with pytest.raises(InvalidInput, match="sorted by x"):
+            PLFunction(bps)
+    else:
+        assert PLFunction(bps).breakpoints == bps
+
+
 def test_constant_is_valid():
     pl = constant_pl(8.0, 20.0)
     assert pl.validate(20.0) == []
@@ -48,6 +59,9 @@ def test_validate_flags_a_sloped_segment_straddling_the_tail(x_bar):
     # ending at the cut, or within SLOPE_TOL past it, is fine
     assert PLFunction(((0.0, 15.0), (30.0, 5.0), (100.0, 5.0))).validate(20.0, 30.0) == []
     assert PLFunction(((0.0, 15.0), (30.0 + 5e-10, 5.0))).validate(20.0, 30.0) == []
+    # but ending 1e-8 past it is not
+    assert PLFunction(((0.0, 15.0), (30.0 + 1e-8, 5.0))).validate(20.0, 30.0) == [
+        "TailViolation: non-constant beyond x = 30.0"]
 
 
 @pytest.mark.parametrize("level, flagged", [
@@ -62,6 +76,21 @@ def test_validate_takes_a_level_within_slope_tol_of_the_range(level, flagged):
 def test_validate_takes_a_rise_within_slope_tol_as_flat(rise, flagged):
     got = PLFunction(((0.0, 10.0), (1.0, 10.0 + rise), (25.0, 10.0 + rise))).validate(20.0)
     assert [v.split(":")[0] for v in got] == (["IncreaseViolation"] if flagged else [])
+
+
+@pytest.mark.parametrize("jump, flagged", [(5e-10, False), (1e-8, True)])
+def test_validate_takes_a_jump_within_slope_tol_as_continuous(jump, flagged):
+    # a segment narrower than SLOPE_TOL is judged by its jump, not its slope
+    pl = PLFunction(((0.0, 10.0), (5.0, 10.0), (5.0 + 5e-10, 10.0 - jump), (25.0, 10.0 - jump)))
+    assert pl.validate(20.0) == (["SlopeViolation: jump at x = 5.0"] if flagged else [])
+
+
+@pytest.mark.parametrize("excess, flagged", [(5e-10, False), (1e-8, True)])
+def test_validate_takes_a_slope_within_slope_tol_of_minus_one_as_minus_one(excess, flagged):
+    # slope -(1 + excess) on [0, 10]
+    p = 15.0 - 10.0 * (1.0 + excess)
+    pl = PLFunction(((0.0, 15.0), (10.0, p), (25.0, p)))
+    assert [v.split(":")[0] for v in pl.validate(20.0)] == (["SlopeViolation"] if flagged else [])
 
 
 @pytest.mark.parametrize("drop, flagged", [(5e-9, False), (1e-7, True)])

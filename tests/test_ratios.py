@@ -236,7 +236,7 @@ def test_raw_ratios_reject_non_finite_level(fn, p):
         fn(p, (3.0, 4.0), RW)
 
 
-@pytest.mark.parametrize("pt", [(-1.0, 5.0), (5.0, -1.0), (-2e-9, 0.0)])
+@pytest.mark.parametrize("pt", [(-1.0, 5.0), (5.0, -1.0), (-2e-9, 0.0), (0.0, -1e-8)])
 def test_tuple_point_below_tolerance_is_rejected(pt):
     # hindsight_denominator((-1, 5)) returned 4.67 for a negative demand
     with pytest.raises(InvalidInput, match="demand must be finite and at least"):

@@ -294,13 +294,14 @@ def test_zero_size_low_chunks_equal_scalar_replay(seed):
 
 
 def test_replay_block_peak_memory():
-    # one seeded stochastic block of 512 replays; its (steps, replays) work
-    # arrays are the thread's kept buffers, made by the first call, so the
-    # second call's traced peak stays well below 5 times the sizes matrix
+    # one seeded stochastic block that fills the kept cells (45 steps, 1,456
+    # replays); its (steps, replays) work arrays are the thread's kept
+    # buffers, made by the first call, so the second call's traced peak stays
+    # well below 5 times the sizes matrix
     rng = np.random.default_rng(21)
     xy = harness._sample_points(DemandModel(), 100, rng).T
     sizes, is_low = next(harness._blocks(chunk_runs(*xy), 20, rng))
-    assert sizes.shape[1] == harness._BLOCK_ROWS
+    assert sizes.shape == (45, engine._KEEP_CELLS // 45)
     pl = PLFunction(((0.0, 14.0), (6.0, 11.0), (18.0, 5.0)))
     want = replay_ratios(pl, RW, sizes, is_low)
     tracemalloc.start()
@@ -327,9 +328,9 @@ def test_evaluate_equals_scalar_reference(order):
 
 
 def test_evaluate_equals_scalar_reference_across_blocks():
-    # more replays of one instance than one batch holds
-    n_perms = harness._BLOCK_ROWS + 37
+    # more replays of one instance than one batch of 23 steps holds
     testset = [DemandPoint(12.5, 9.25), DemandPoint(3.0, 17.5)]
+    n_perms = block_rows(23) + 37
     pl = constant_pl(8.0, 20.0)
     got = evaluate(pl, testset, "stochastic", RW, np.random.default_rng(8), n_perms)
     assert got.per_instance == scalar_evaluate(pl, testset, "stochastic",
@@ -337,13 +338,14 @@ def test_evaluate_equals_scalar_reference_across_blocks():
 
 
 def test_evaluate_above_the_kept_cells_equals_scalar_reference():
-    # 150-200 units per coordinate: a block of 512 replays has about 350
-    # steps, far above _KEEP_CELLS, so its work arrays are fresh ones
+    # 150-200 units per coordinate: 347 steps, over 128, so the floor of
+    # _BLOCK_ROWS = 512 replays binds and all 270 replays make one block, far
+    # above _KEEP_CELLS, whose work arrays are fresh ones
     testset = [DemandPoint(171.25, 158.5), DemandPoint(150.0, 196.75), DemandPoint(3.0, 2.5)]
     pl = PLFunction(((0.0, 14.0), (6.0, 11.0), (18.0, 5.0)))
     xy = [pt.x for pt in testset], [pt.y for pt in testset]
     sizes, _ = next(harness._blocks(chunk_runs(*xy), 90, np.random.default_rng(4)))
-    assert sizes.size > engine._KEEP_CELLS
+    assert sizes.shape == (347, 270) and sizes.size > engine._KEEP_CELLS
     evaluate(pl, testset[2:], "stochastic", RW, n_perms=9)  # fills the kept buffers
     kept = dict(vars(engine._kept))
     got = evaluate(pl, testset, "stochastic", RW, np.random.default_rng(4), n_perms=90)
@@ -435,14 +437,21 @@ def loop_chunk_arrays(x, y):
     return sizes, np.arange(sizes.size) < parts[0].size
 
 
+def block_rows(steps):
+    """Replays per block of ``steps`` steps: as many as fill the kept cells,
+    at least _BLOCK_ROWS."""
+    return max(harness._BLOCK_ROWS, engine._KEEP_CELLS // max(steps, 1))
+
+
 def per_instance_stochastic_blocks(testset, reps, rng):
     """The stochastic blocks as _blocks built them per instance: one
     loop_chunk_arrays per instance and one rng.permuted call on stacked
     arange rows per instance and block, gathered into the block."""
     chunks = [loop_chunk_arrays(pt.x, pt.y) for pt in testset]
     n_rows = len(chunks) * reps
-    for start in range(0, n_rows, harness._BLOCK_ROWS):
-        stop = min(start + harness._BLOCK_ROWS, n_rows)
+    rows = block_rows(max(c_sizes.size for c_sizes, _ in chunks))
+    for start in range(0, n_rows, rows):
+        stop = min(start + rows, n_rows)
         instances = range(start // reps, (stop - 1) // reps + 1)
         width = max(chunks[i][0].size for i in instances)
         sizes = np.zeros((width, stop - start))
@@ -458,17 +467,20 @@ def per_instance_stochastic_blocks(testset, reps, rng):
 
 
 def check_stochastic_blocks(testset, reps, seed):
+    """Assert _blocks == the per-instance oracle; return the blocks' shapes."""
     one, each = np.random.default_rng(seed), np.random.default_rng(seed)
     xy = [pt.x for pt in testset], [pt.y for pt in testset]
     # a block is the thread's kept buffers until the next one: keep copies
     got = [(s.copy(), low.copy()) for s, low in harness._blocks(chunk_runs(*xy), reps, one)]
     want = list(per_instance_stochastic_blocks(testset, reps, each))
-    assert len(got) == len(want) == -(-len(testset) * reps // harness._BLOCK_ROWS)
+    rows = block_rows(max(chunk_runs(*xy)[1].sum(axis=1)))
+    assert len(got) == len(want) == -(-len(testset) * reps // rows)
     for (g_sizes, g_low), (w_sizes, w_low) in zip(got, want):
         assert g_sizes.shape == w_sizes.shape and g_low.shape == w_low.shape
         assert g_sizes.dtype == w_sizes.dtype and g_low.dtype == w_low.dtype
         assert (g_sizes == w_sizes).all() and (g_low == w_low).all()
     assert one.bit_generator.state == each.bit_generator.state
+    return [g_sizes.shape for g_sizes, _ in got]
 
 
 STOCHASTIC_TESTSETS = {
@@ -498,6 +510,16 @@ def test_stochastic_blocks_equal_per_instance_construction(case, reps):
     check_stochastic_blocks(testset, reps, reps * 31 + len(case))
 
 
+@pytest.mark.parametrize("case", sorted(STOCHASTIC_TESTSETS))
+def test_stochastic_blocks_of_more_replays_than_a_block_equal_per_instance_construction(case):
+    # each instance's replays fill a block and 37 more, so every block edge
+    # falls inside an instance
+    testset = [DemandPoint(x, y) for x, y in STOCHASTIC_TESTSETS[case]]
+    xy = [pt.x for pt in testset], [pt.y for pt in testset]
+    reps = block_rows(max(chunk_runs(*xy)[1].sum(axis=1))) + 37
+    assert len(check_stochastic_blocks(testset, reps, len(case))) == len(testset) + 1
+
+
 def test_stochastic_blocks_at_max_chunks():
     # whole units summing to exactly MAX_CHUNKS, with and without remainders
     testset = [DemandPoint(MAX_CHUNKS - 4000 + 0.5, 4000.25), DemandPoint(2.0, 3.0),
@@ -505,22 +527,44 @@ def test_stochastic_blocks_at_max_chunks():
     check_stochastic_blocks(testset, 2, 5)
 
 
-@pytest.mark.parametrize("n_test,reps", [(511, 1), (512, 1), (513, 1), (73, 7), (74, 7), (147, 7)])
-def test_stochastic_blocks_at_the_block_edge(n_test, reps):
-    # 511, 512 and 513 replays, and instances that straddle a block edge
-    xy = np.random.default_rng(n_test).uniform(0, 35, size=(n_test, 2))
+def edge_testset(n_test, big):
+    """n_test seeded points of at most 62 chunks with zeros and whole units,
+    the first replaced by ``big``."""
+    xy = np.random.default_rng(n_test).uniform(0, 30, size=(n_test, 2))
     xy[::7, 0] = 0.0
     xy[::5, 1] = 0.0
     xy[::11] = np.floor(xy[::11])
-    check_stochastic_blocks([DemandPoint(float(x), float(y)) for x, y in xy], reps, n_test)
+    xy[0] = big
+    return [DemandPoint(float(x), float(y)) for x, y in xy]
+
+
+@pytest.mark.parametrize("n_test,reps", [(1023, 1), (1024, 1), (1025, 1), (146, 7), (147, 7), (293, 7)])
+def test_stochastic_blocks_at_the_kept_cells_edge(n_test, reps):
+    # an instance of 64 chunks: blocks of 1,024 replays fill the kept cells
+    # exactly; 1,023, 1,024 and 1,025 replays, and instances that straddle
+    # the edges at 1,024 and 2,048 replays
+    shapes = check_stochastic_blocks(edge_testset(n_test, (31.0, 33.0)), reps, n_test)
+    assert shapes[0] == (64, min(1024, n_test * reps))
+    assert max(rows * steps for steps, rows in shapes) <= engine._KEEP_CELLS
+
+
+@pytest.mark.parametrize("n_test,reps", [(511, 1), (512, 1), (513, 1), (73, 7), (74, 7), (147, 7)])
+def test_stochastic_blocks_at_the_block_edge(n_test, reps):
+    # an instance of 142 chunks, over 128: the floor of 512 replays binds, so
+    # a full block has 72,704 cells, above the kept ones, and fresh arrays;
+    # 511, 512 and 513 replays, and instances that straddle a block edge
+    shapes = check_stochastic_blocks(edge_testset(n_test, (100.25, 40.5)), reps, n_test)
+    assert shapes[0] == (142, min(harness._BLOCK_ROWS, n_test * reps))
+    assert shapes[0][0] * shapes[0][1] > engine._KEEP_CELLS
 
 
 def per_instance_adversarial_blocks(testset):
     """The adversarial blocks as _blocks built them per instance: one
     broadcast ``arange`` order and one gather of (x, y) per instance."""
     chunks = [(np.array([pt.x, pt.y]), np.array([True, False])) for pt in testset]
-    for start in range(0, len(chunks), harness._BLOCK_ROWS):
-        stop = min(start + harness._BLOCK_ROWS, len(chunks))
+    rows = block_rows(2)
+    for start in range(0, len(chunks), rows):
+        stop = min(start + rows, len(chunks))
         sizes = np.zeros((2, stop - start))
         is_low = np.zeros((2, stop - start), dtype=bool)
         for i in range(start, stop):
@@ -531,17 +575,18 @@ def per_instance_adversarial_blocks(testset):
         yield sizes, is_low
 
 
-@pytest.mark.parametrize("n_test", [1, 511, 512, 513, 1100])
+@pytest.mark.parametrize("n_test", [1, 511, 512, 513, 1100, 32767, 32768, 32769])
 def test_adversarial_blocks_equal_per_instance_construction(n_test):
-    # n_test around _BLOCK_ROWS = 512: one block, a full block, a full block
-    # plus one replay, and a partial third block
+    # two steps: a block holds 32,768 replays; one partial block up to 1,100
+    # replays, then around that edge one block, a full block, and a full
+    # block plus one replay
     xy = np.random.default_rng(n_test).uniform(0, 35, size=(n_test, 2))
     xy[::7, 0] = 0.0
     xy[::5, 1] = 0.0
     testset = [DemandPoint(float(x), float(y)) for x, y in xy]
     got = list(harness._blocks(xy.T.copy(), 1, None))
     want = list(per_instance_adversarial_blocks(testset))
-    assert len(got) == len(want) == -(-n_test // harness._BLOCK_ROWS)
+    assert len(got) == len(want) == -(-n_test // block_rows(2))
     for (g_sizes, g_low), (w_sizes, w_low) in zip(got, want):
         assert g_sizes.shape == w_sizes.shape and g_low.shape == w_low.shape
         assert (g_sizes == w_sizes).all() and (g_low == w_low).all()
