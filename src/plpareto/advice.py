@@ -140,7 +140,7 @@ def _mvee_weights(pts, tol, max_iter):
         err, up, down, j_max, j_min, support = _stop_error(u, kappa)
         if err <= tol:
             return _polish(u, kappa, vq, pts, support, err)
-        off = max([k for k, w in zip(kappa, u) if w <= 1e-12], default=0.0) / 3.0 - 1.0
+        off = max([k for i, k in enumerate(kappa) if i not in support], default=0.0) / 3.0 - 1.0
         if err < 0.1 and off <= tol and (step := _newton_weights(u, kappa, vq, pts, support)):
             u = step
             continue
@@ -205,6 +205,8 @@ def _mvee(points: list[Point]):
     l11, l22 = math.sqrt(s11), math.sqrt(det / s11)
     l21 = s12 / l11
     white = [(x / l11, (y - s12 / s11 * x) / l22) for x, y in dev]
+    # no test can tell a stop tolerance of 1e-9 from one of 1e-6: either gives the same
+    # fit to the bit, since _polish's Newton steps carry the weights on to rounding level
     u = _mvee_weights(white, 1e-9, 20000)
     if u is None:
         return None

@@ -26,16 +26,12 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import InvalidInput, OutOfDomain, TargetOutOfRange
-from .plfunction import SLOPE_TOL, PLFunction
-from .ratios import Rewards, _denominator, hindsight_denominator
+from .plfunction import SLOPE_TOL, PLFunction, too_steep
+from .ratios import LEVEL_TIE, Rewards, _denominator, hindsight_denominator
 from .region import TOL, MLRegion, envelope, key_points
 
 # a band gap at or above -FEAS_SLACK counts as feasible: at C* it is 0, rounded
 FEAS_SLACK = 1e-9
-# levels within LEVEL_TIE are one: the floor, the ceiling and the corridor's
-# edges, equal in exact arithmetic (at C* the floor meets the ceiling), come
-# from different formulas and round a few ulps of m apart
-LEVEL_TIE = 1e-12
 # an under ratio at p = 0 within RATIO_SLACK of C meets C.  At C = 1 that
 # ratio is exactly 1 on all of t + y <= m, and rounding on the line itself
 # must not move the step l takes there.
@@ -224,9 +220,9 @@ def _cone_floor(mbps):
             out.append((x2, max(m2, n1)))
             continue
         cone2 = n1 - d
-        # n1 - d rounds at ulp(n1), a slope far below -1 over a segment a few
-        # ulps wide: raise it until validate's slope test passes
-        while d > SLOPE_TOL and (cone2 - n1) / d < -1.0 - SLOPE_TOL:
+        # n1 - d rounds at ulp(n1), a fall steeper than -1 over a segment a
+        # few ulps wide: raise it, at most to n1, until the slope rule holds
+        while too_steep(d, n1 - cone2):
             cone2 = math.nextafter(cone2, math.inf)
         if cone2 > m2 + 1e-15:
             out.append((x2, cone2))
@@ -301,7 +297,7 @@ class BoundContext:
         ratio at C."""
         # u <= m, so u leaves m at a breakpoint, a switch root where u rounds
         # a few ulps below m
-        full = self.rw.m - 1e-9
+        full = self.rw.m - LEVEL_TIE
         x_lo_u = self.region.x_lo
         for x, y in self.u.breakpoints:
             if x >= self.x_hi_u:
@@ -380,14 +376,14 @@ def _lower_thresholds(pw: PLFunction, x_h: float, x_bar: float) -> tuple[float, 
     """(x_hi_l, x_minus1): where the band's published lower bound l drops to
     0 and where it first falls faster than slope -1, from the pointwise lower
     bound ``pw``."""
-    # x_hi_l: first abscissa at or beyond x_H where a zero protection level
-    # already meets the target (fallback x_bar), and the value the pointwise
-    # bound has just left of it (nonzero at a step)
+    # x_hi_l: first abscissa at or beyond x_H where a zero protection level (pw
+    # within SLOPE_TOL of 0) already meets the target (fallback x_bar), and the
+    # value the pointwise bound has just left of it (nonzero at a step)
     x_hi_l, v_hi, prev = x_bar, 0.0, None
     for x, v in pw.breakpoints:
         if x < x_h:
             continue
-        if v <= 1e-9:
+        if v <= SLOPE_TOL:
             if prev is not None:
                 x1, v1 = prev
                 x_hi_l = x1 + (x - x1) * v1 / (v1 - v)
@@ -405,10 +401,9 @@ def _lower_thresholds(pw: PLFunction, x_h: float, x_bar: float) -> tuple[float, 
     bps = [(x_h, pw(x_h))]
     bps += [(x, v) for x, v in pw.breakpoints if x_h + 1e-12 < x < x_hi_l]
     bps += [(x_hi_l, v_hi), (x_hi_l, 0.0)] if x_hi_l < x_bar else [(x_bar, pw(x_bar))]
-    # validate's slope test: l_tilde follows l while l passes it
+    # validate's slope rule: l_tilde follows l while l passes it
     for (x1, y1), (x2, y2) in zip(bps, bps[1:]):
-        drop = y1 - y2
-        if (drop > SLOPE_TOL) if x2 - x1 <= SLOPE_TOL else (drop / (x2 - x1) > 1.0 + SLOPE_TOL):
+        if too_steep(x2 - x1, y1 - y2):
             return x_hi_l, x1
     return x_hi_l, x_bar
 

@@ -17,7 +17,7 @@ from .bounds import FEAS_SLACK, BoundContext, _geometry, band_gap, bound_context
 from .errors import InfeasibleTarget, TargetOutOfRange
 from .plfunction import PLFunction
 from .ratios import Rewards, balance_levels
-from .region import MLRegion
+from .region import TOL, MLRegion
 
 
 @dataclass(frozen=True)
@@ -97,14 +97,14 @@ def _enum_xs(region: MLRegion, rw: Rewards) -> dict[float, int]:
     """Abscissae eligible as binding points, ascending, with their tags: the
     ends of the pieces of both bound curves in the region's bound geometry
     (both envelopes' breakpoints, x_H, x = m and both envelopes' crossings
-    with y = m and x + y = m, in [x_lo, x_hi]), less those within 1e-9 of the
+    with y = m and x + y = m, in [x_lo, x_hi]), less those within TOL of the
     last one kept, whose tags join its tag."""
     geo = _geometry(region, rw)
     pieces = ((_OVER, geo.u_pieces), (_UNDER, geo.l_pieces))
     xs: dict[float, int] = {}
     for t, tag in sorted((t, tag) for tag, ((t0, _, _), intervals) in pieces
                          for t in [t0] + [t for _, _, _, ends in intervals for t, _, _ in ends]):
-        if not xs or t - x > 1e-9:
+        if not xs or t - x > TOL:
             x = t
         xs[x] = xs.get(x, 0) | tag
     return xs

@@ -219,21 +219,13 @@ class ExperimentConfig:
             raise InvalidInput("coverage z must lie in (0, 1]")
         if self.order not in ("adversarial", "stochastic"):
             raise InvalidInput(f"unknown order {self.order!r}")
-        for name in ("n_samples", "K", "n_test", "seed", "n_perms"):
+        for name, least in (("n_samples", 1), ("K", 1), ("n_test", 1), ("seed", 0), ("n_perms", 1)):
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, Integral):
                 raise InvalidInput(f"{name} must be an integer")
-        if self.n_samples < 1:
-            raise InvalidInput("n_samples must be at least 1")
-        if self.seed < 0:
-            raise InvalidInput("seed must be nonnegative")
+            if v < least:
+                raise InvalidInput(f"{name} must be at least {least}")
         check_segments(self.segments)
-        if self.K < 1:
-            raise InvalidInput("K must be at least 1")
-        if self.n_test < 1:
-            raise InvalidInput("n_test must be at least 1")
-        if self.n_perms < 1:
-            raise InvalidInput("n_perms must be at least 1")
 
 
 def _grid_policy(samples, rw: Rewards) -> PLFunction:

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bounds import LEVEL_TIE, BoundContext, no_advice_level, policy_floor, rho, u_ceiling
+from .bounds import BoundContext, no_advice_level, policy_floor, rho, u_ceiling
 from .consistency import feasible_context
 from .errors import InfeasibleTarget, InternalError
 from .plfunction import PLFunction
-from .ratios import Rewards, cp_over_raw, cp_under_raw
+from .ratios import LEVEL_TIE, Rewards, cp_over_raw, cp_under_raw
 from .region import MLRegion
 
 

@@ -124,19 +124,28 @@ class PLFunction:
             if p < -SLOPE_TOL or p > m + SLOPE_TOL:
                 out.append(f"RangeViolation: p({x}) = {p} outside [0, {m}]")
         for (x1, p1), (x2, p2) in zip(self.breakpoints, self.breakpoints[1:]):
-            if x2 - x1 <= SLOPE_TOL:
-                if abs(p2 - p1) > SLOPE_TOL:
+            dx, drop = x2 - x1, p1 - p2
+            if dx <= SLOPE_TOL:
+                if too_steep(dx, abs(drop)):
                     out.append(f"SlopeViolation: jump at x = {x1}")
                 continue
-            slope = (p2 - p1) / (x2 - x1)
+            slope = -drop / dx
             if slope > SLOPE_TOL:
                 out.append(f"IncreaseViolation: slope {slope:.6g} on [{x1}, {x2}]")
-            elif slope < -1.0 - SLOPE_TOL:
+            elif too_steep(dx, drop):
                 out.append(f"SlopeViolation: slope {slope:.6g} < -1 on [{x1}, {x2}]")
             # a sloped segment may not start at the cut or reach past it
             if (x1 >= cut - SLOPE_TOL or x2 > cut + SLOPE_TOL) and abs(slope) > SLOPE_TOL:
                 out.append(f"TailViolation: non-constant beyond x = {cut}")
         return out
+
+
+def too_steep(dx: float, drop: float) -> bool:
+    """The slope rule of valid levels up to a built curve's rounding: a fall
+    of ``drop`` over a segment ``dx`` wide is steeper than -1 when it drops
+    more than SLOPE_TOL on a segment at most SLOPE_TOL wide, else when its
+    slope is below -1 - SLOPE_TOL."""
+    return drop > SLOPE_TOL if dx <= SLOPE_TOL else drop / dx > 1.0 + SLOPE_TOL
 
 
 def constant_pl(level: float, x_end: float) -> PLFunction:

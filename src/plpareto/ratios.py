@@ -19,9 +19,9 @@ import numpy as np
 from .errors import InvalidInput, NoSolution
 from .region import TOL
 
-# a protection level within BRANCH_TOL of 0, m or min(m, y) is on that
-# branch boundary: levels built by other formulas round a few ulps of m off it
-BRANCH_TOL = 1e-12
+# levels within LEVEL_TIE are one: 0, m, min(m, y), the floor, the ceiling and
+# the corridor's edges, equal in exact arithmetic, round a few ulps of m apart
+LEVEL_TIE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -105,10 +105,10 @@ def cp_under_raw(p: float, pt, rw: Rewards) -> float:
 
 def cp(p: float, pt, rw: Rewards) -> float:
     """Branch dispatch: over-protection at and above min(m, y), else under."""
-    if not -BRANCH_TOL <= p <= rw.m + BRANCH_TOL:
+    if not -LEVEL_TIE <= p <= rw.m + LEVEL_TIE:
         raise InvalidInput(f"protection level {p} outside [0, {rw.m}]")
     _, y = _as_point(pt)
-    if p >= min(rw.m, y) - BRANCH_TOL:
+    if p >= min(rw.m, y) - LEVEL_TIE:
         return cp_over_raw(p, pt, rw)
     return cp_under_raw(p, pt, rw)
 
@@ -129,10 +129,11 @@ def balance_levels(xu, yu, xo, yo, shift, rw: Rewards):
 
     The difference is non-decreasing and piecewise linear in p; on the
     interval [min(yo, m) + shift, min(m, yu)] its only kinks are m - xu and
-    m - xo + shift.  A pair is unsolved when the interval is empty or the
-    difference does not change sign on it.  Otherwise p is an end, or the
-    linear root of the piece where the difference changes sign.  Both ratios
-    are taken in one pass over a (5, n) stack of levels: the ends, the kinks
+    m - xo + shift.  A pair is unsolved when the interval is empty.  Else the
+    difference is at most 0 at the left end (the over ratio is 1) and at
+    least 0 at the right (the under ratio is 1), up to rounding: p is an end
+    or the linear root of the piece where it changes sign.  Both ratios are
+    taken in one pass over a (5, n) stack of levels: the ends, the kinks
     ascending, and -inf, where the over ratio is on its left plateau.
     """
     m, rh, rl = rw.m, rw.r_high, rw.r_low
@@ -163,7 +164,7 @@ def balance_levels(xu, yu, xo, yo, shift, rw: Rewards):
     left = gaps[1] - over[4]
     gaps -= over[:4]
     flo, fhi, start = gaps[0], gaps[1], gaps[0] >= 0.0
-    solved = ~((bottom > hi + BRANCH_TOL) | (flo > 1e-9) | (fhi < -1e-9))
+    solved = ~(bottom > hi + LEVEL_TIE)
     p = np.where(start, lo, hi)
     # the over kink can lie within rounding below hi and round onto it; the
     # over ratio of a nearly empty point falls by up to 1 past it, so the

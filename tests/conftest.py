@@ -9,7 +9,7 @@ from plpareto.bounds import BoundContext, _geometry, _roots, rho
 from plpareto.consistency import _PAIR_BLOCK, _bisect, _check
 from plpareto.errors import NegativeCoordinate, NoSolution
 from plpareto.plfunction import PLFunction
-from plpareto.ratios import (BRANCH_TOL, _as_point, balance_levels, cp_over_raw, cp_under_raw,
+from plpareto.ratios import (LEVEL_TIE, _as_point, balance_levels, cp_over_raw, cp_under_raw,
                              hindsight_denominator, hindsight_denominators)
 from plpareto.region import TOL, check_segments, dedup_sorted, envelope, polygonize_ellipse
 
@@ -55,7 +55,7 @@ def scalar_balance_point(under_pt, over_pt, shift: float, rw: Rewards) -> float:
     x_o, y_o = _as_point(over_pt)
     lo = max(0.0, min(y_o, m) + shift)
     hi = min(m, y_u)
-    if lo > hi + BRANCH_TOL:
+    if lo > hi + LEVEL_TIE:
         raise NoSolution("empty balancing interval")
     lo = min(lo, hi)
 
@@ -189,7 +189,7 @@ def oracle_balance_levels(xu, yu, xo, yo, shift, rw: Rewards):
 
     lo = np.maximum(0.0, np.minimum(yo, m) + shift)
     hi = np.minimum(m, yu)
-    empty = lo > hi + BRANCH_TOL
+    empty = lo > hi + LEVEL_TIE
     lo = np.minimum(lo, hi)
     flo, fhi = gap(lo), gap(hi)
     unsolved = empty | (flo > 1e-9) | (fhi < -1e-9)

@@ -406,6 +406,20 @@ def test_box_trimming_ties_areas_that_round_apart():
     assert box_advice(pts, 0.8).vertices == ((0.1, 0.0), (0.8, 0.0), (0.8, 0.9), (0.1, 0.9))
 
 
+def test_box_trimming_drops_the_smaller_of_areas_9e_14_apart():
+    # dropping (1, 0.5) leaves 0.9 (1 + 1e-13), dropping (0.5, 1 + 1e-13)
+    # leaves 0.9: 9e-14 apart, some 800 ulps, more than rounding
+    pts = [(1.0, 0.5), (0.5, 1.0 + 1e-13), (0.0, 0.0), (0.0, 0.0), (0.9, 0.9)]
+    assert box_advice(pts, 0.8).vertices == ((0.0, 0.0), (1.0, 0.0), (1.0, 0.9), (0.0, 0.9))
+
+
+def test_stop_error_keeps_a_weight_of_1e_10_on_the_support():
+    # 1e-10 is a weight, not the few-ulp residue of an away step
+    u = [0.4, 0.3, 0.3 - 1e-10, 1e-10]
+    err, up, down, j_max, j_min, support = advice._stop_error(u, [3.0, 3.0, 3.0, 0.5])
+    assert support == [0, 1, 2, 3] and j_min == 3 and err == down == 1.0 - 0.5 / 3.0
+
+
 def test_stop_error_leaves_a_rounding_residue_off_the_support():
     # away steps can leave a weight of a few ulps on a point they dropped;
     # counted on the support, its kappa (inside the ellipse, below 3) would

@@ -118,6 +118,49 @@ def test_cone_floor_adds_no_piece_for_a_rounding_excess():
     assert _cone_floor(mbps) == [(0.0, 5.0), (1.0, 4.0), (2.0, 3.5)]
 
 
+def test_cone_floor_over_a_segment_just_narrower_than_slope_tol_is_valid():
+    """The cone crosses a segment 9.99998e-10 wide, where n1 - d rounds to a
+    drop of 1.0000000827e-09: a jump above SLOPE_TOL, which validate rejects.
+    The floor raises that cone point by the slope rule validate applies."""
+    mbps = [(6.416009720764416, 17.31419671115218), (6.416009721764414, 0.0),
+            (56.41600972176441, 0.0)]
+    floor = _cone_floor(mbps)
+    assert PLFunction(tuple(floor)).validate(20.0, 60.0) == []
+    assert 0.0 < floor[0][1] - floor[1][1] <= 1e-9
+
+
+@pytest.mark.parametrize("below, x_lo_u", [(3e-15, 4.0), (1e-10, 2.0)])
+def test_x_lo_u_counts_u_as_full_only_within_level_tie_of_m(rw, below, x_lo_u):
+    """u a few ulps below m is full protection; 1e-10 below it is not."""
+    ctx = bound_context(build_polygon([(0.0, 5.0), (10.0, 5.0), (10.0, 9.0)]), rw, 0.9)
+    u = PLFunction(((0.0, rw.m), (2.0, rw.m), (4.0, rw.m - below), (6.0, 5.0), (10.0, 5.0)))
+    assert replace(ctx, u=u, x_hi_u=8.0).x_lo_u == x_lo_u
+
+
+def test_floor_starts_at_zero_for_a_region_starting_5e_10_right_of_it(rw):
+    """Only a start within 1e-12 of x = 0 is left as it is."""
+    region = build_polygon([(5e-10, 14.0), (10.0, 6.0), (10.0, 16.0)])
+    ctx = bound_context(region, rw, 0.9)
+    assert region.x_lo == 5e-10
+    assert ctx.floor.breakpoints[0] == (0.0, ctx.floor.breakpoints[1][1])
+
+
+@pytest.mark.parametrize("v, x_hi_l", [(5e-10, 6.0), (1e-7, 7.0)])
+def test_x_hi_l_takes_pw_within_slope_tol_of_zero_as_zero(v, x_hi_l):
+    """pw 5e-10 above 0 at x = 6 is a rounded 0, and l drops to 0 there;
+    1e-7 above 0 is a level, and l falls on to 0 at x = 7."""
+    pw = PLFunction(((0.0, 10.0), (5.0, 5.0), (6.0, v), (7.0, 0.0), (10.0, 0.0)))
+    assert bounds._lower_thresholds(pw, 0.0, 10.0)[0] == pytest.approx(x_hi_l, abs=1e-9)
+
+
+def test_x_minus1_starts_at_a_pw_breakpoint_1e_10_right_of_x_h():
+    """pw is flat from x_H = 5 to 5 + 1e-10, then falls at slope -2: l first
+    falls faster than slope -1 at 5 + 1e-10, not at x_H."""
+    pw = PLFunction(((0.0, 10.0), (5.0, 10.0), (5.0 + 1e-10, 10.0),
+                     (5.0 + 1e-10 + 1e-3, 10.0 - 2e-3), (10.0, 1.0)))
+    assert bounds._lower_thresholds(pw, 5.0, 10.0) == (10.0, 5.0 + 1e-10)
+
+
 def _bisect_u(region, rw, C, t, iters=200):
     """Independent oracle: largest p with over-ratio >= C at the lower point."""
     y = envelope(region, t, "lower")

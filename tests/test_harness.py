@@ -234,3 +234,13 @@ def test_grid_policy_takes_the_lowest_of_levels_tied_up_to_rounding(rw):
     worst = [min(harness.cp(float(p), pt, rw) for pt in samples) for p in grid[68:70]]
     assert 0.0 < worst[1] - worst[0] <= 2e-16
     assert harness._grid_policy(samples, rw).breakpoints[0][1] == grid[68]
+
+
+def test_grid_policy_takes_a_level_1e_10_better(rw):
+    # moving a sample 3e-9 up lifts the worst ratio at 6.9 about 1.6e-10
+    # above the one at 6.8: a real gain, so 6.9 is kept
+    samples = [(6.0, 8.0), (2.0, 23.0), (15.0, 8.0 + 3e-9)]
+    grid = np.linspace(0.0, rw.m, 201)
+    worst = [min(harness.cp(float(p), pt, rw) for pt in samples) for p in grid[68:70]]
+    assert 1e-10 < worst[1] - worst[0] < 1e-9
+    assert harness._grid_policy(samples, rw).breakpoints[0][1] == grid[69]

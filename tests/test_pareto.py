@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from plpareto import (
+    PLFunction,
     Rewards,
     bound_context,
     build_polygon,
@@ -18,6 +21,7 @@ from plpareto import (
     tradeoff_curve,
 )
 from plpareto.errors import InfeasibleTarget
+from plpareto.pareto import _left_part, _right_tail
 from conftest import random_region
 
 
@@ -179,6 +183,30 @@ def test_tail_on_the_corridor_edge_descends_at_slope_minus_one():
     assert 0.0 < p_r - (rw.m - rho(rw) * 15.0) < 1e-12
     assert sol.p_star.breakpoints == (
         (0.0, p_r), (15.0, p_r), (15.0 + (p_r - g_lo), g_lo), (rw.m, g_lo))
+
+
+def test_tail_1e_10_above_the_corridor_edge_descends_along_the_line():
+    """p_r 1e-10 above the corridor's upper edge is above it, not a rounding
+    of it: the tail descends along the line -Rx + m, with no floor piece."""
+    rw = Rewards(0.8, 1.0, 25.0)
+    ctx = bound_context(build_polygon([(15.0, 26.0)]), rw, 0.9)
+    p_r = rw.m - rho(rw) * 15.0 + 1e-10
+    tail, _ = _right_tail(ctx, p_r)
+    assert tail == [(rw.m, rw.m * (1.0 - (rw.m - p_r) / 15.0))]
+
+
+@pytest.mark.parametrize("gap", [1e-10, -1e-10])
+def test_left_part_keeps_a_floor_point_1e_10_from_p_r(rw, gap):
+    """A floor point 1e-10 above p_r is kept and the cut lies past it; one
+    1e-10 below p_r is cut before, where the floor crosses p_r.  Within
+    LEVEL_TIE either would be the cut itself, at x = 4."""
+    ctx = bound_context(build_polygon([(0.0, 5.0), (10.0, 5.0), (10.0, 9.0)]), rw, 0.9)
+    floor = PLFunction(((0.0, 10.0), (4.0, 8.0 + gap), (6.0, 6.0), (10.0, 6.0)))
+    bps, _, _ = _left_part(replace(ctx, floor=floor), 8.0)
+    if gap > 0.0:
+        assert bps[:2] == [(0.0, 10.0), (4.0, 8.0 + gap)] and bps[2][0] > 4.0
+    else:
+        assert bps[0] == (0.0, 10.0) and bps[1][0] < 4.0 and bps[1][1] == 8.0
 
 
 # -- guarantee replay on degenerate regions and ellipse polygons --------------

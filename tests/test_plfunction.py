@@ -1,6 +1,7 @@
 import pytest
 
 from plpareto import InvalidInput, PLFunction, constant_pl
+from plpareto.plfunction import too_steep
 
 
 def test_interpolation_and_clamping():
@@ -83,6 +84,24 @@ def test_validate_takes_a_jump_within_slope_tol_as_continuous(jump, flagged):
     # a segment narrower than SLOPE_TOL is judged by its jump, not its slope
     pl = PLFunction(((0.0, 10.0), (5.0, 10.0), (5.0 + 5e-10, 10.0 - jump), (25.0, 10.0 - jump)))
     assert pl.validate(20.0) == (["SlopeViolation: jump at x = 5.0"] if flagged else [])
+
+
+@pytest.mark.parametrize("rise, flagged", [(5e-10, False), (1e-8, True)])
+def test_validate_takes_a_narrow_rise_within_slope_tol_as_continuous(rise, flagged):
+    # a segment narrower than SLOPE_TOL is judged by its jump either way
+    pl = PLFunction(((0.0, 10.0), (5.0, 10.0), (5.0 + 5e-10, 10.0 + rise), (25.0, 10.0 + rise)))
+    assert pl.validate(20.0) == (["SlopeViolation: jump at x = 5.0"] if flagged else [])
+
+
+@pytest.mark.parametrize("slope, flagged", [
+    (-0.8, []), (-2.0, ["SlopeViolation"]), (0.5, ["IncreaseViolation"])])
+def test_validate_judges_a_segment_wider_than_slope_tol_by_its_slope(slope, flagged):
+    # 5e-7 wide: a fall at slope -0.8 drops 4e-7, far above SLOPE_TOL, and
+    # is valid; one at slope -2 is not, nor a rise, however small their steps
+    p = 10.0 + 5e-7 * slope
+    pl = PLFunction(((0.0, 10.0), (5.0, 10.0), (5.0 + 5e-7, p), (25.0, p)))
+    assert [v.split(":")[0] for v in pl.validate(20.0)] == flagged
+    assert too_steep(5e-7, 10.0 - p) is (slope < -1.0)
 
 
 @pytest.mark.parametrize("excess, flagged", [(5e-10, False), (1e-8, True)])

@@ -54,7 +54,7 @@ def test_branch_dispatch_and_mismatch():
 
 @pytest.mark.parametrize("p", [-5e-13, 20.0 + 5e-13, -1e-11, 20.0 + 1e-11])
 def test_cp_takes_a_level_within_branch_tol_of_the_range(p):
-    # BRANCH_TOL = 1e-12 absorbs a level a few ulps of 0 or m off, no more
+    # LEVEL_TIE = 1e-12 absorbs a level a few ulps of 0 or m off, no more
     if -1e-12 <= p <= 20.0 + 1e-12:
         assert 0.0 < cp(p, (15.0, 10.0), RW) <= 1.0
     else:
@@ -104,6 +104,18 @@ def test_balance_empty_interval():
     # over point demands p >= 18 while the under point caps p at 4
     with pytest.raises(NoSolution):
         balance_point((10.0, 4.0), (5.0, 18.0), 0.0, RW)
+
+
+@pytest.mark.parametrize("above, solved", [(5e-13, True), (1e-10, False)])
+def test_balance_interval_empty_only_beyond_level_tie(above, solved):
+    # the over point's y, the interval's left end, lies above the under
+    # point's, its right end: by a rounding, or by 1e-10, a real gap
+    under, over = (3.0, 5.0), (3.0, 5.0 + above)
+    if solved:
+        assert balance_point(under, over, 0.0, RW) == 5.0
+    else:
+        with pytest.raises(NoSolution):
+            balance_point(under, over, 0.0, RW)
 
 
 def test_balance_shift():

@@ -147,6 +147,20 @@ def test_key_points_h_within_tol_below_m_stays_on_the_envelope():
     assert oracle_key_points(reg, 20.0)[1][0] < 3.34
 
 
+def test_key_points_l_is_the_bottom_not_a_vertex_1e_8_above_it():
+    # (2, 5 + 1e-8) is 1e-8 above the bottom (4, 5): more than TOL, so it is
+    # not the leftmost bottom point
+    reg = build_polygon([(0.0, 10.0), (2.0, 5.0 + 1e-8), (4.0, 5.0), (10.0, 10.0), (5.0, 20.0)])
+    assert reg.lower.breakpoints[1:3] == ((2.0, 5.0 + 1e-8), (4.0, 5.0))
+    assert key_points(reg, 20.0).L == (4.0, 5.0)
+
+
+def test_envelope_keeps_chain_points_1e_8_apart_in_x():
+    # 1e-8 is more than TOL: two vertices, not one
+    reg = build_polygon([(0.0, 10.0), (5.0, 0.0), (5.0 + 1e-8, 0.0), (10.0, 10.0)])
+    assert reg.lower.breakpoints == ((0.0, 10.0), (5.0, 0.0), (5.0 + 1e-8, 0.0), (10.0, 10.0))
+
+
 def test_key_points_high_region_caps_h():
     # upper envelope exceeds m; H sits where the envelope still reaches m
     reg = build_polygon([(0, 0), (10, 0), (10, 30), (0, 30)])
